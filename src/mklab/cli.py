@@ -79,10 +79,10 @@ def _load_problem(path: str) -> tuple[InstanceSpec, Problem, dict]:
 
 def _config(args: argparse.Namespace) -> solvers.SolverConfig:
     kwargs = {}
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         kwargs["feasibility_tol"] = args.tol
         kwargs["optimality_tol"] = args.tol
-    if getattr(args, "max_iter", None) is not None:
+    if args.max_iter is not None:
         kwargs["max_iterations"] = args.max_iter
     return solvers.SolverConfig(**kwargs)
 
@@ -181,9 +181,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows: list[list[str]] = []
 
     if args.sweep in ("epsilon-primal", "epsilon-dual"):
-        grid = _parse_grid(args.grid)
-        if any(b >= a for a, b in zip(grid, grid[1:])):
-            raise UsageError("epsilon grid must be strictly decreasing")
+        grid = solvers._decreasing_grid(_parse_grid(args.grid))
         values = []
         for eps in grid:
             t0 = time.perf_counter()
@@ -197,7 +195,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             wall = (time.perf_counter() - t0) * 1e3
             values.append(value)
             rows.append([_fmt(eps), _fmt(value), str(report.stats.iterations), f"{wall:.3f}"])
-        limit = solvers.extrapolate_to_zero(tuple(grid), tuple(values))
+        limit = solvers.extrapolate_to_zero(grid, tuple(values))
         rows.append([_fmt(0.0), _fmt(limit), "0", "0.000"])
     elif args.sweep == "n-scaling":
         grid_n = [int(v) for v in _parse_grid(args.grid)]
@@ -322,34 +320,34 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mklab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    solver_opts = argparse.ArgumentParser(add_help=False)
+    solver_opts.add_argument("--tol", type=float)
+    solver_opts.add_argument("--max-iter", type=int)
 
-    solve = sub.add_parser("solve", help="solve one problem on one instance")
+    solve = sub.add_parser("solve", parents=[solver_opts],
+                           help="solve one problem on one instance")
     solve.add_argument("instance")
     solve.add_argument("--problem", required=True,
                        help="primal | dual | partial:EPS | restricted | relaxed-dual:EPS")
     solve.add_argument("--out", help="result JSON path")
-    solve.add_argument("--tol", type=float)
-    solve.add_argument("--max-iter", type=int)
     solve.set_defaults(func=_cmd_solve)
 
-    sweep = sub.add_parser("sweep", help="run a parameter sweep, write CSV")
+    sweep = sub.add_parser("sweep", parents=[solver_opts],
+                           help="run a parameter sweep, write CSV")
     sweep.add_argument("instance")
     sweep.add_argument("--sweep", required=True,
                        choices=["epsilon-primal", "epsilon-dual", "n-scaling"])
     sweep.add_argument("--grid", required=True, help="comma-separated grid values")
     sweep.add_argument("--out", required=True)
-    sweep.add_argument("--tol", type=float)
-    sweep.add_argument("--max-iter", type=int)
     sweep.set_defaults(func=_cmd_sweep)
 
-    diagnose = sub.add_parser("diagnose", help="run a diagnostic, write CSV")
+    diagnose = sub.add_parser("diagnose", parents=[solver_opts],
+                              help="run a diagnostic, write CSV")
     diagnose.add_argument("instance")
     diagnose.add_argument("--diag", required=True, choices=["ccm", "bound", "singular"])
     diagnose.add_argument("--out", required=True)
     diagnose.add_argument("--grid", help="eps list (bound) or delta list (singular)")
     diagnose.add_argument("--k-max", type=int, dest="k_max")
-    diagnose.add_argument("--tol", type=float)
-    diagnose.add_argument("--max-iter", type=int)
     diagnose.set_defaults(func=_cmd_diagnose)
 
     gen = sub.add_parser("gen", help="write a template instance file")

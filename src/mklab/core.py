@@ -267,10 +267,6 @@ class PotentialPair:
         return float(np.max(gap))
 
 
-def feasible_potentials(pair: PotentialPair, cost: CostMatrix, tol: float) -> bool:
-    return pair.max_violation(cost) <= tol
-
-
 def gauge_normalized(pair: PotentialPair, mu: Marginal) -> PotentialPair:
     """Shift (phi, psi) by the constant that zeroes the mu-average of phi.
 

@@ -67,6 +67,21 @@ def _support_witness(cost: CostMatrix, plan: TransportPlan, pair: PotentialPair,
     return int(i), int(j)
 
 
+def _check_ccm(cost: CostMatrix, plan: TransportPlan, pair: PotentialPair,
+               charged: Optional[np.ndarray], tol: float) -> CheckResult:
+    """Feasibility on finite cells, within ``charged`` if given; then support equality."""
+    if cost.shape != plan.shape or cost.shape != pair.shape:
+        raise ShapeError("cost, plan and potentials must share a shape")
+    w = _feasibility_witness(cost, pair, tol, mask=charged)
+    if w is not None:
+        where = "cell" if charged is None else "charged cell"
+        return CheckResult(False, w, f"feasibility violated at {where} {w}")
+    w = _support_witness(cost, plan, pair, tol)
+    if w is not None:
+        return CheckResult(False, w, f"support equality violated at cell {w}")
+    return CheckResult(True)
+
+
 def check_strong_ccm(cost: CostMatrix, plan: TransportPlan, pair: PotentialPair,
                      tol: float = LP_TOL) -> CheckResult:
     """Strong c-cyclic monotonicity of (plan, potentials) at tolerance tol.
@@ -75,15 +90,7 @@ def check_strong_ccm(cost: CostMatrix, plan: TransportPlan, pair: PotentialPair,
     cells are vacuous) and |phi + psi - c| <= tol on every cell carrying
     mass above tol.
     """
-    if cost.shape != plan.shape or cost.shape != pair.shape:
-        raise ShapeError("cost, plan and potentials must share a shape")
-    w = _feasibility_witness(cost, pair, tol)
-    if w is not None:
-        return CheckResult(False, w, f"feasibility violated at cell {w}")
-    w = _support_witness(cost, plan, pair, tol)
-    if w is not None:
-        return CheckResult(False, w, f"support equality violated at cell {w}")
-    return CheckResult(True)
+    return _check_ccm(cost, plan, pair, None, tol)
 
 
 def check_ccm_ae(cost: CostMatrix, plan: TransportPlan, pair: PotentialPair,
@@ -96,20 +103,12 @@ def check_ccm_ae(cost: CostMatrix, plan: TransportPlan, pair: PotentialPair,
     given plans, the finite-space reading of "almost everywhere with
     respect to every finite-cost plan".
     """
-    if cost.shape != plan.shape or cost.shape != pair.shape:
-        raise ShapeError("cost, plan and potentials must share a shape")
     union = np.zeros(cost.shape, dtype=bool)
     for member in plan_family:
         if member.shape != cost.shape:
             raise ShapeError("family plan shape mismatch")
         union |= member.support()
-    w = _feasibility_witness(cost, pair, tol, mask=union)
-    if w is not None:
-        return CheckResult(False, w, f"feasibility violated at charged cell {w}")
-    w = _support_witness(cost, plan, pair, tol)
-    if w is not None:
-        return CheckResult(False, w, f"support equality violated at cell {w}")
-    return CheckResult(True)
+    return _check_ccm(cost, plan, pair, union, tol)
 
 
 @dataclass(frozen=True)

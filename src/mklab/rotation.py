@@ -208,91 +208,25 @@ def shift_graph_plan(inst: RotationInstance, k: int) -> TransportPlan:
     return TransportPlan(mass, PlanKind.EXACT)
 
 
-def _max_matching(adjacency: Sequence[Sequence[int]], n_right: int) -> list[int]:
-    """Maximum bipartite matching by BFS augmenting paths.
+def orbit_certificate(inst: RotationInstance) -> tuple[TransportPlan, PotentialPair]:
+    """The uniform diagonal plan and potentials proving the ex33 value is 1.
 
-    Returns match_left: for each left node the matched right node or -1.
+    At even n the step signs sum to zero around the orbit, so
+    G(j * shift) = sum of sign(t * shift) over t < j is well defined on
+    Z_n and level(i, k) = 1 + G(i + k * shift) - G(i).  The pair
+    (1 - G, G) then has phi + psi = level <= max(level, 0) on every
+    finite cell of ``ex33_cost(inst, k_max)`` for any k_max, with
+    equality on the diagonal, whose uniform plan costs 1: plan and pair
+    certify each other's optimality without an LP.  At odd n the signs
+    sum to 1 and no primitive exists.
     """
-    n_left = len(adjacency)
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
-    for s in range(n_left):
-        if match_l[s] >= 0:
-            continue
-        parent_r: dict[int, int] = {}
-        visited_l = {s}
-        queue = [s]
-        found = -1
-        while queue and found < 0:
-            u = queue.pop(0)
-            for v in adjacency[u]:
-                if v in parent_r:
-                    continue
-                parent_r[v] = u
-                w = match_r[v]
-                if w < 0:
-                    found = v
-                    break
-                if w not in visited_l:
-                    visited_l.add(w)
-                    queue.append(w)
-        if found >= 0:
-            v = found
-            while True:
-                u = parent_r[v]
-                prev = match_l[u]
-                match_l[u] = v
-                match_r[v] = u
-                if u == s:
-                    break
-                v = prev
-    return match_l
-
-
-def zero_cost_plan(inst: RotationInstance, k_max: int) -> Optional[TransportPlan]:
-    """Try to build an exact coupling supported on the free cells.
-
-    Free cells are the k >= 1 shift-graph cells whose level is <= 0.
-    Greedy pass first: sources in order of earliest passage each claim
-    their first-passage target if it is still unmatched.  If the greedy
-    pass stalls, a full maximum-matching pass runs on the whole free-cell
-    graph.  Returns the uniform plan on a perfect matching, or None when
-    no perfect matching exists (construction is sufficient, not
-    necessary: the LP remains the ground truth for the optimal value).
-    """
-    if not 0 <= k_max < inst.n:
-        raise InvariantError(f"k_max must lie in [0, {inst.n - 1}]")
-    n, s = inst.n, inst.shift
-    levels = birkhoff_levels(inst, k_max)
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    passage: list[Optional[int]] = [None] * n
-    for i in range(n):
-        for k in range(1, k_max + 1):
-            if levels[k, i] <= 0:
-                adjacency[i].append((i + k * s) % n)
-                if passage[i] is None:
-                    passage[i] = k
-    if any(not adj for adj in adjacency):
-        return None
-
-    match = [-1] * n
-    taken = [False] * n
-    order = sorted(range(n), key=lambda i: (passage[i], i))  # type: ignore[arg-type]
-    for i in order:
-        k = passage[i]
-        assert k is not None
-        target = (i + k * s) % n
-        if not taken[target]:
-            match[i] = target
-            taken[target] = True
-    if any(t < 0 for t in match):
-        match = _max_matching(adjacency, n)
-        if any(t < 0 for t in match):
-            return None
-    mass = np.zeros((n, n))
-    for i, j in enumerate(match):
-        mass[i, j] = 1.0 / n
-    return TransportPlan(mass, PlanKind.EXACT)
+    n = inst.n
+    if n % 2:
+        raise InvariantError(f"odd n={n}: the step signs sum to 1, no primitive exists")
+    orbit = (np.arange(n) * inst.shift) % n
+    primitive = np.empty(n)
+    primitive[orbit] = np.concatenate(([0], np.cumsum(step_signs(inst)[orbit])[:-1]))
+    return shift_graph_plan(inst, 0), PotentialPair(1.0 - primitive, primitive)
 
 
 def mixture_weights(inst: RotationInstance, k_max: int, levels: np.ndarray,

@@ -37,27 +37,18 @@ from .core import (
     verify_sub_coupling,
 )
 
-PIVOT_RULES = ("dantzig-with-bland-fallback",)
-ARITHMETICS = ("float64",)
-
 
 @dataclass(frozen=True)
 class SolverConfig:
     feasibility_tol: float = 1e-9
     optimality_tol: float = 1e-9
     max_iterations: int = 10 ** 6
-    pivot_rule: str = "dantzig-with-bland-fallback"
-    arithmetic: str = "float64"
 
     def __post_init__(self) -> None:
         if self.feasibility_tol <= 0 or self.optimality_tol <= 0:
             raise InvariantError("tolerances must be positive")
         if self.max_iterations <= 0:
             raise InvariantError("max_iterations must be positive")
-        if self.pivot_rule not in PIVOT_RULES:
-            raise InvariantError(f"unknown pivot rule {self.pivot_rule!r}")
-        if self.arithmetic not in ARITHMETICS:
-            raise InvariantError(f"unknown arithmetic {self.arithmetic!r}")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -76,15 +67,23 @@ class EpsilonSweep:
     extrapolated_limit: float
 
     def __post_init__(self) -> None:
-        eps = self.epsilons
-        if len(eps) < 1:
-            raise InvariantError("empty epsilon grid")
+        eps = _decreasing_grid(self.epsilons)
         if any(not (0.0 < e <= 1.0) for e in eps):
             raise InvariantError("epsilons must lie in (0, 1]")
-        if any(later >= earlier for later, earlier in zip(eps[1:], eps)):
-            raise InvariantError("epsilons must be strictly decreasing")
         if len(self.values) != len(eps):
             raise InvariantError("one value per epsilon required")
+
+
+def _decreasing_grid(grid) -> tuple[float, ...]:
+    """The grid as floats; raises unless nonempty, finite and strictly decreasing."""
+    eps = tuple(float(e) for e in grid)
+    if not eps:
+        raise InvariantError("empty epsilon grid")
+    if not all(math.isfinite(e) for e in eps):
+        raise InvariantError(f"epsilons must be finite, got {eps}")
+    if any(later >= earlier for later, earlier in zip(eps[1:], eps)):
+        raise InvariantError("epsilons must be strictly decreasing")
+    return eps
 
 
 def _check_shapes(cost: CostMatrix, mu: Marginal, nu: Marginal) -> None:
@@ -106,6 +105,20 @@ def _plan_from_flows(shape, tails, heads, flows, kind: PlanKind) -> TransportPla
 def _stats(t0: float, iterations: int, pivots: int) -> SolverStats:
     return SolverStats(iterations=iterations, pivots=pivots,
                        wall_ms=(time.perf_counter() - t0) * 1e3)
+
+
+def _exact_report(cost: CostMatrix, mu: Marginal, nu: Marginal, tails, heads,
+                  flows, pots: PotentialPair, res, t0: float) -> DualityReport:
+    """Verify an exact plan from arc flows and report it with its gauged duals."""
+    plan = _plan_from_flows(cost.shape, tails, heads, flows, PlanKind.EXACT)
+    verify_exact_coupling(plan, mu, nu, MARGINAL_TOL)
+    pots = gauge_normalized(pots, mu)
+    primal = transport_cost(cost, plan)
+    dual = float(np.dot(pots.phi, mu.weights) + np.dot(pots.psi, nu.weights))
+    return DualityReport(
+        primal_value=primal, dual_value=dual,
+        optimal_plan=plan, optimal_potentials=pots,
+        gap=primal - dual, stats=_stats(t0, res.iterations, res.pivots))
 
 
 def solve_primal(cost: CostMatrix, mu: Marginal, nu: Marginal,
@@ -130,16 +143,8 @@ def solve_primal(cost: CostMatrix, mu: Marginal, nu: Marginal,
         optimality_tol=cfg.optimality_tol,
         max_iterations=cfg.max_iterations,
     )
-    plan = _plan_from_flows(cost.shape, tails, heads, res.flow, PlanKind.EXACT)
-    verify_exact_coupling(plan, mu, nu, MARGINAL_TOL)
-    pots = gauge_normalized(
-        PotentialPair(res.source_potentials, res.sink_potentials), mu)
-    primal = transport_cost(cost, plan)
-    dual = float(np.dot(pots.phi, mu.weights) + np.dot(pots.psi, nu.weights))
-    return DualityReport(
-        primal_value=primal, dual_value=dual,
-        optimal_plan=plan, optimal_potentials=pots,
-        gap=primal - dual, stats=_stats(t0, res.iterations, res.pivots))
+    pots = PotentialPair(res.source_potentials, res.sink_potentials)
+    return _exact_report(cost, mu, nu, tails, heads, res.flow, pots, res, t0)
 
 
 def solve_dual(cost: CostMatrix, mu: Marginal, nu: Marginal,
@@ -169,15 +174,8 @@ def solve_dual(cost: CostMatrix, mu: Marginal, nu: Marginal,
         )
     except UnboundedError as exc:  # pragma: no cover - c >= 0 forbids this
         raise UnboundedError(f"internal: dual-side program unbounded ({exc})") from exc
-    plan = _plan_from_flows(cost.shape, tails, heads, res.x, PlanKind.EXACT)
-    verify_exact_coupling(plan, mu, nu, MARGINAL_TOL)
-    pots = gauge_normalized(PotentialPair(res.duals[:m], res.duals[m:]), mu)
-    dual = float(np.dot(pots.phi, mu.weights) + np.dot(pots.psi, nu.weights))
-    primal = transport_cost(cost, plan)
-    return DualityReport(
-        primal_value=primal, dual_value=dual,
-        optimal_plan=plan, optimal_potentials=pots,
-        gap=primal - dual, stats=_stats(t0, res.iterations, res.pivots))
+    pots = PotentialPair(res.duals[:m], res.duals[m:])
+    return _exact_report(cost, mu, nu, tails, heads, res.x, pots, res, t0)
 
 
 def solve_partial(cost: CostMatrix, mu: Marginal, nu: Marginal, eps: float,
@@ -236,11 +234,9 @@ def estimate_relaxed_primal(cost: CostMatrix, mu: Marginal, nu: Marginal,
     linear segment extended to eps = 0 recovers the vanishing-deficit
     limit whenever the grid reaches that segment.
     """
-    eps = tuple(float(e) for e in eps_grid)
+    eps = _decreasing_grid(eps_grid)
     if any(not (0.0 < e < 1.0) for e in eps):
         raise InvariantError("grid epsilons must lie in (0, 1)")
-    if any(later >= earlier for later, earlier in zip(eps[1:], eps)):
-        raise InvariantError("grid epsilons must be strictly decreasing")
     values = tuple(solve_partial(cost, mu, nu, e, cfg).primal_value for e in eps)
     # the feasible set shrinks as eps falls, so values may only rise
     if any(later < earlier - 10 * cfg.optimality_tol
@@ -283,16 +279,8 @@ def solve_restricted_primal(cost: CostMatrix, pi0: TransportPlan,
         )
     except InfeasibleError as exc:  # pragma: no cover - pi0 itself is feasible
         raise InvariantError(f"internal: restricted problem infeasible ({exc})") from exc
-    plan = _plan_from_flows(cost.shape, tails, heads, res.flow, PlanKind.EXACT)
-    verify_exact_coupling(plan, mu, nu, MARGINAL_TOL)
-    pots = gauge_normalized(
-        PotentialPair(res.source_potentials, res.sink_potentials), mu)
-    primal = transport_cost(cost, plan)
-    dual = float(np.dot(pots.phi, mu.weights) + np.dot(pots.psi, nu.weights))
-    return DualityReport(
-        primal_value=primal, dual_value=dual,
-        optimal_plan=plan, optimal_potentials=pots,
-        gap=primal - dual, stats=_stats(t0, res.iterations, res.pivots))
+    pots = PotentialPair(res.source_potentials, res.sink_potentials)
+    return _exact_report(cost, mu, nu, tails, heads, res.flow, pots, res, t0)
 
 
 def solve_relaxed_dual(cost: CostMatrix, mu: Marginal, nu: Marginal,
@@ -311,8 +299,8 @@ def solve_relaxed_dual(cost: CostMatrix, mu: Marginal, nu: Marginal,
     # matching marginals keep the program bounded: every phi/psi
     # coordinate with mass is charged by some support cell
     verify_exact_coupling(pi0, mu, nu, MARGINAL_TOL)
-    if eps <= 0:
-        raise InvariantError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise InvariantError(f"eps must be positive and finite, got {eps!r}")
     m, n = cost.shape
     tails, heads = np.nonzero(pi0.support())
     weights = pi0.mass[tails, heads]
@@ -360,11 +348,9 @@ def dual_sequence(cost: CostMatrix, mu: Marginal, nu: Marginal,
     Each pair is gauge-normalized (sum(phi * mu) = 0), which pins down
     the additive degeneracy and makes the sequence reproducible.
     """
-    eps = tuple(float(e) for e in eps_list)
+    eps = _decreasing_grid(eps_list)
     if any(e <= 0 for e in eps):
         raise InvariantError("epsilons must be positive")
-    if any(later >= earlier for later, earlier in zip(eps[1:], eps)):
-        raise InvariantError("epsilons must be strictly decreasing")
     out = []
     for e in eps:
         report = solve_relaxed_dual(cost, mu, nu, pi0, e, cfg)
@@ -382,9 +368,7 @@ def relaxed_dual_sweep(cost: CostMatrix, mu: Marginal, nu: Marginal,
     function equals the restricted primal value (finite LP duality), so
     the extrapolated limit cross-checks :func:`solve_restricted_primal`.
     """
-    eps = tuple(float(e) for e in eps_grid)
-    if any(later >= earlier for later, earlier in zip(eps[1:], eps)):
-        raise InvariantError("grid epsilons must be strictly decreasing")
+    eps = _decreasing_grid(eps_grid)
     values = tuple(solve_relaxed_dual(cost, mu, nu, pi0, e, cfg).dual_value
                    for e in eps)
     # the budget shrinks as eps falls, so values may only drop

@@ -14,15 +14,18 @@ import time
 import numpy as np
 
 from mklab import (
+    InvariantError,
     PotentialPair,
     ap_cost,
     ap_coupling_space,
+    attainment_certificate,
     birkhoff_levels,
     dual_sequence,
     ex33_cost,
     graph_mixture_plan,
     make_instance,
     mixture_plan,
+    orbit_certificate,
     potential_plan_integral,
     relaxed_dual_sweep,
     shift_graph_plan,
@@ -33,9 +36,7 @@ from mklab import (
     solve_restricted_primal,
     step_signs,
     telescoping_bound_check,
-    transport_cost,
     uniform_marginal,
-    zero_cost_plan,
 )
 from mklab.fileformats import (
     InstanceSpec,
@@ -228,8 +229,8 @@ def test_criterion_6_randomized_property_suites():
 
 def test_criterion_7_rotation_invariants_exhaustive():
     t0 = time.perf_counter()
-    recursion_ok = period_ok = skew_ok = zeroset_ok = crosscheck_ok = True
-    plans_returned = 0
+    recursion_ok = period_ok = skew_ok = zeroset_ok = certificate_ok = True
+    certified = 0
     for n in range(4, 49):
         inst = make_instance(n)
         k_max = n - 1
@@ -251,19 +252,27 @@ def test_criterion_7_rotation_invariants_exhaustive():
             cols = (idx + k * inst.shift) % n
             zeroset_ok &= bool(np.array_equal(
                 cost.entries[idx, cols] == 0.0, levels[k] <= 0))
-        plan = zero_cost_plan(inst, k_max)
-        if plan is not None:
-            plans_returned += 1
+        if n % 2:
+            try:
+                orbit_certificate(inst)
+                certificate_ok = False
+            except InvariantError:
+                pass
+        else:
+            plan, pair = orbit_certificate(inst)
             mu = uniform_marginal(inst)
-            crosscheck_ok &= transport_cost(cost, plan) == 0.0
-            crosscheck_ok &= solve_primal(cost, mu, mu).primal_value <= 1e-9
+            dual = float(np.dot(pair.phi, mu.weights) + np.dot(pair.psi, mu.weights))
+            certificate_ok &= attainment_certificate(cost, plan, pair).certified
+            certificate_ok &= pair.max_violation(cost) == 0.0
+            certificate_ok &= abs(dual - 1.0) <= 1e-12
+            certified += 1
     elapsed = time.perf_counter() - t0
     ok = (recursion_ok and period_ok and skew_ok and zeroset_ok
-          and crosscheck_ok and elapsed < 10.0)
+          and certificate_ok and certified == len(range(4, 49, 2)) and elapsed < 10.0)
     report("criterion 7: rotation invariants exhaustive for n <= 48", ok,
            f"recursion={recursion_ok} period={period_ok} skew={skew_ok} "
-           f"zeroset={zeroset_ok} zero-plan-returns={plans_returned}; "
-           f"{elapsed:.2f}s")
+           f"zeroset={zeroset_ok} certificate={certificate_ok} "
+           f"certified-even-n={certified}; {elapsed:.2f}s")
     assert ok
 
 

@@ -67,6 +67,11 @@ class TestSolve:
         doc = parse_result(out.read_text())
         assert doc["dual_value"] >= 1.0 - 1e-9
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_relaxed_dual_non_finite_budget(self, ap_instance, capsys, eps):
+        assert main(["solve", ap_instance, "--problem", f"relaxed-dual:{eps}"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_infeasible_exit_code(self, tmp_path):
         inst = write_instance(tmp_path / "bad.json",
                               {"schema_version": 1, "kind": "explicit",
@@ -141,6 +146,18 @@ class TestSweep:
     def test_bad_grid(self, explicit_instance, tmp_path):
         assert main(["sweep", explicit_instance, "--sweep", "epsilon-primal",
                      "--grid", "0.001,0.1", "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("grid", ["0.1,nan", "inf,0.1", ","])
+    def test_epsilon_dual_bad_grid(self, ap_instance, tmp_path, capsys, grid):
+        assert main(["sweep", ap_instance, "--sweep", "epsilon-dual",
+                     "--grid", grid, "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_epsilon_primal_accepts_eps_one(self, explicit_instance, tmp_path):
+        out = tmp_path / "x.csv"
+        assert main(["sweep", explicit_instance, "--sweep", "epsilon-primal",
+                     "--grid", "1,0.5", "--out", str(out)]) == 0
+        assert float(next(csv.DictReader(out.open()))["value"]) == pytest.approx(0.0)
 
 
 class TestDiagnose:

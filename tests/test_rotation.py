@@ -8,6 +8,7 @@ from mklab import (
     OrbitState,
     ap_cost,
     ap_coupling_space,
+    attainment_certificate,
     birkhoff_level,
     birkhoff_levels,
     ex33_cost,
@@ -17,6 +18,7 @@ from mklab import (
     level_matrix,
     make_instance,
     mixture_weights,
+    orbit_certificate,
     shift_graph_plan,
     skew_step,
     solve_primal,
@@ -24,9 +26,8 @@ from mklab import (
     step_signs,
     transport_cost,
     uniform_marginal,
-    zero_cost_plan,
 )
-from mklab.rotation import RotationInstance, _max_matching
+from mklab.rotation import RotationInstance
 
 
 class TestInstance:
@@ -259,29 +260,25 @@ class TestFirstPassage:
             assert first_passage(inst, i, k_max) == expected
 
 
-class TestZeroCostPlan:
+class TestOrbitCertificate:
     def test_lp_cross_check(self):
-        # construction is sufficient, not necessary: whenever it returns a
-        # plan the LP value must be 0; absence proves nothing by itself.
-        for n in (8, 12, 24, 31):
+        # the certificate proves the full-support value without the LP;
+        # the LP must land on the same value
+        for n in (8, 12, 24):
             inst = make_instance(n)
-            k_max = n - 1
-            plan = zero_cost_plan(inst, k_max)
-            if plan is not None:
-                c = ex33_cost(inst, k_max)
-                assert transport_cost(c, plan) == 0.0
-                mu = uniform_marginal(inst)
-                assert solve_primal(c, mu, mu).primal_value <= 1e-9
+            c = ex33_cost(inst, n - 1)
+            plan, pair = orbit_certificate(inst)
+            cert = attainment_certificate(c, plan, pair)
+            assert cert.certified
+            assert pair.max_violation(c) == 0.0
+            mu = uniform_marginal(inst)
+            lp = solve_primal(c, mu, mu).primal_value
+            assert cert.plan_cost == pytest.approx(lp, abs=1e-9)
+            assert cert.potential_integral == pytest.approx(lp, abs=1e-9)
 
-    def test_matching_helper_finds_perfect_matching(self):
-        adj = [[0, 1], [0], [2]]
-        match = _max_matching(adj, 3)
-        assert sorted(match) == [0, 1, 2]
-
-    def test_matching_helper_reports_deficiency(self):
-        adj = [[0], [0], [1]]
-        match = _max_matching(adj, 2)
-        assert match.count(-1) == 1
+    def test_odd_grid_has_no_primitive(self):
+        with pytest.raises(InvariantError):
+            orbit_certificate(make_instance(31))
 
 
 class TestMixtureWeights:
