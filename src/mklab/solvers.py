@@ -45,8 +45,9 @@ class SolverConfig:
     max_iterations: int = 10 ** 6
 
     def __post_init__(self) -> None:
-        if self.feasibility_tol <= 0 or self.optimality_tol <= 0:
-            raise InvariantError("tolerances must be positive")
+        if not all(math.isfinite(t) and t > 0
+                   for t in (self.feasibility_tol, self.optimality_tol)):
+            raise InvariantError("tolerances must be positive and finite")
         if self.max_iterations <= 0:
             raise InvariantError("max_iterations must be positive")
 

@@ -72,6 +72,11 @@ class TestSolve:
         assert main(["solve", ap_instance, "--problem", f"relaxed-dual:{eps}"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_rejected(self, ap_instance, capsys, tol):
+        assert main(["solve", ap_instance, "--problem", "primal", "--tol", tol]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_infeasible_exit_code(self, tmp_path):
         inst = write_instance(tmp_path / "bad.json",
                               {"schema_version": 1, "kind": "explicit",

@@ -1,13 +1,46 @@
 import numpy as np
 import pytest
 
-from mklab import InfeasibleError
+from mklab import (
+    InfeasibleError,
+    Marginal,
+    RotationInstance,
+    ex33_cost,
+    golden_shift,
+    solve_primal,
+    uniform_marginal,
+)
+from mklab.dense_simplex import solve_dense
 from mklab.network_simplex import solve_bipartite
+
+from conftest import nw_corner
 
 
 def full_arcs(m, n):
     tails, heads = np.divmod(np.arange(m * n), n)
     return tails, heads
+
+
+def dense_value(m, n, tails, heads, costs, mu, nu):
+    cols = np.arange(costs.size)
+    lhs = np.zeros((m + n, costs.size))
+    lhs[tails, cols] = 1.0
+    lhs[m + heads, cols] = 1.0
+    return solve_dense(costs, lhs, ["eq"] * (m + n), np.concatenate([mu, nu])).value
+
+
+def assert_potentials_feasible_and_tight(res, tails, heads, costs):
+    reduced = costs - res.source_potentials[tails] - res.sink_potentials[heads]
+    assert reduced.min() >= -1e-9
+    assert np.max(np.abs(reduced[res.flow > 1e-9]), initial=0.0) <= 1e-9
+
+
+def random_masses(rng, size, zero_share):
+    w = rng.uniform(0.05, 1, size)
+    w[rng.random(size) < zero_share] = 0.0
+    if not w.any():
+        w[0] = 1.0
+    return w / w.sum()
 
 
 def test_two_by_two_diagonal():
@@ -62,35 +95,71 @@ def test_zero_supply_nodes():
     assert res.flow @ costs == pytest.approx(1.0)
 
 
-def test_bland_mode_gives_same_answers(rng, monkeypatch):
-    # engage the fallback immediately; results must not change
-    import mklab.network_simplex as net
-
-    monkeypatch.setattr(net, "BLAND_AFTER_DEGENERATE", 0)
+def test_degenerate_zero_mass_instance(rng):
+    # three of five nodes per side carry no mass and costs tie heavily:
+    # nearly every pivot is degenerate, and the strongly feasible tree
+    # must still end at an optimal basis
     tails, heads = full_arcs(5, 5)
     costs = rng.integers(0, 3, 25).astype(float)
     mu = np.zeros(5)
     mu[:2] = 0.5
     res = solve_bipartite(mu, mu, tails, heads, costs)
-    reduced = costs - res.source_potentials[tails] - res.sink_potentials[heads]
-    assert reduced.min() >= -1e-9
+    assert_potentials_feasible_and_tight(res, tails, heads, costs)
+    assert res.flow @ costs == pytest.approx(
+        dense_value(5, 5, tails, heads, costs, mu, mu), abs=1e-9)
 
 
 def test_matches_dense_engine(rng):
-    from mklab.dense_simplex import solve_dense
+    for flavour in ("uniform", "ties", "zero-mass", "forbidden"):
+        for _ in range(25):
+            m = int(rng.integers(2, 7))
+            n = int(rng.integers(2, 7))
+            tails, heads = full_arcs(m, n)
+            if flavour == "uniform":
+                costs = rng.uniform(0, 5, m * n)
+            else:
+                costs = rng.integers(0, 3, m * n).astype(float)
+            zero_share = 0.4 if flavour == "zero-mass" else 0.0
+            mu = random_masses(rng, m, zero_share)
+            nu = random_masses(rng, n, zero_share)
+            if flavour == "forbidden":
+                # delete about a third of the cells but keep the support of
+                # the north-west-corner coupling, so the instance stays feasible
+                keep = nw_corner(Marginal(mu), Marginal(nu)).mass.ravel() > 0
+                keep |= rng.random(m * n) > 0.35
+                tails, heads, costs = tails[keep], heads[keep], costs[keep]
+            net = solve_bipartite(mu, nu, tails, heads, costs)
+            assert_potentials_feasible_and_tight(net, tails, heads, costs)
+            assert net.flow @ costs == pytest.approx(
+                dense_value(m, n, tails, heads, costs, mu, nu), abs=1e-7)
 
-    for _ in range(25):
-        m = int(rng.integers(2, 7))
-        n = int(rng.integers(2, 7))
-        tails, heads = full_arcs(m, n)
-        costs = rng.uniform(0, 5, m * n)
-        mu = rng.uniform(0.05, 1, m)
-        mu /= mu.sum()
-        nu = rng.uniform(0.05, 1, n)
-        nu /= nu.sum()
-        net = solve_bipartite(mu, nu, tails, heads, costs)
-        lhs = np.zeros((m + n, m * n))
-        lhs[tails, np.arange(m * n)] = 1.0
-        lhs[m + heads, np.arange(m * n)] = 1.0
-        dense = solve_dense(costs, lhs, ["eq"] * (m + n), np.concatenate([mu, nu]))
-        assert net.flow @ costs == pytest.approx(dense.value, abs=1e-7)
+
+def test_arc_order_does_not_matter(rng):
+    m, n = 7, 6
+    tails, heads = full_arcs(m, n)
+    costs = rng.integers(0, 4, m * n).astype(float)
+    mu = random_masses(rng, m, 0.0)
+    nu = random_masses(rng, n, 0.0)
+    base = solve_bipartite(mu, nu, tails, heads, costs)
+    for _ in range(5):
+        perm = rng.permutation(m * n)
+        res = solve_bipartite(mu, nu, tails[perm], heads[perm], costs[perm])
+        assert res.flow @ costs[perm] == pytest.approx(base.flow @ costs, abs=1e-12)
+        # flow comes back in input order: it is an exact coupling of the
+        # permuted arcs and carries flow only on arcs its potentials price at 0
+        assert np.bincount(tails[perm], res.flow, m) == pytest.approx(mu, abs=1e-12)
+        assert np.bincount(heads[perm], res.flow, n) == pytest.approx(nu, abs=1e-12)
+        assert_potentials_feasible_and_tight(res, tails[perm], heads[perm], costs[perm])
+
+
+@pytest.mark.parametrize("n, bound", [(96, 800), (192, 2100)])
+def test_ex33_pivot_count(n, bound):
+    # Pivot counts do not depend on the host.  Block pricing over the
+    # scattered arc order takes 516 pivots at n=96 and 1,377 at n=192; the
+    # bounds leave a margin of about 1.5x and sit far below the degenerate
+    # stall of Dantzig pricing in row-major order (1,944 and 7,887).
+    inst = RotationInstance(n=n, shift=golden_shift(n))
+    mu = uniform_marginal(inst)
+    report = solve_primal(ex33_cost(inst, n - 1), mu, mu)
+    assert report.primal_value == pytest.approx(1.0, abs=1e-9)
+    assert report.stats.pivots <= bound

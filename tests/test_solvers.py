@@ -395,3 +395,8 @@ class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(InvariantError):
             SolverConfig(feasibility_tol=0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(InvariantError):
+                SolverConfig(feasibility_tol=bad)
+            with pytest.raises(InvariantError):
+                SolverConfig(optimality_tol=bad)
