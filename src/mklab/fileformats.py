@@ -61,6 +61,23 @@ def _format_float(value: float) -> str:
     return text
 
 
+#: One `%`-template per float: "%.17g" drops the point of an integral
+#: value below 1e17, so those get ".0" back, and the "inf"/"-inf" it
+#: prints for an infinity is quoted.
+_FLOAT_TEMPLATES = np.array(["%.17g", "%.17g.0", '"%.17g"'], dtype=object)
+
+
+def _format_float_list(values: list, pad: str) -> str:
+    """Write a nonempty list of Python floats as ``_format_float`` would, in one pass."""
+    arr = np.array(values)
+    if np.isnan(arr).any():
+        raise FileFormatError("NaN is not serializable")
+    kind = ((arr == np.trunc(arr)) & (np.abs(arr) < 1e17)) + 2 * np.isinf(arr)
+    item_pad = pad + "  "
+    template = (",\n" + item_pad).join(_FLOAT_TEMPLATES[kind].tolist())
+    return f"[\n{item_pad}{template % tuple(values)}\n{pad}]"
+
+
 def _write_canonical(obj: Any, pieces: list[str], indent: int) -> None:
     pad = "  " * indent
     if obj is None:
@@ -89,6 +106,9 @@ def _write_canonical(obj: Any, pieces: list[str], indent: int) -> None:
         seq = list(obj)
         if not seq:
             pieces.append("[]")
+            return
+        if set(map(type, seq)) == {float}:
+            pieces.append(_format_float_list(seq, pad))
             return
         pieces.append("[\n")
         for i, value in enumerate(seq):
@@ -122,13 +142,16 @@ def _revive(obj: Any) -> Any:
     return obj
 
 
-def loads_canonical(text: str) -> Any:
+def _load_json(text: str) -> Any:
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(
             f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return _revive(raw)
+
+
+def loads_canonical(text: str) -> Any:
+    return _revive(_load_json(text))
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +171,14 @@ class InstanceSpec:
     seed: Optional[int] = None
 
 
+def _numbers_or_inf(values: list) -> bool:
+    """Whether a raw JSON list holds only numbers and "inf"/"-inf" markers (no bools)."""
+    types = list(map(type, values))
+    if not set(types) <= {int, float, str}:
+        return False
+    return types.count(str) == values.count("inf") + values.count("-inf")
+
+
 def _as_float_matrix(rows: Any, what: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise FileFormatError(f"{what} must be a nonempty list of rows")
@@ -155,18 +186,16 @@ def _as_float_matrix(rows: Any, what: str) -> np.ndarray:
     for r in rows:
         if len(r) != width:
             raise FileFormatError(f"{what} rows have uneven lengths")
-        for v in r:
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise FileFormatError(f"{what} entries must be numbers or \"inf\"")
+        if not _numbers_or_inf(r):
+            raise FileFormatError(f"{what} entries must be numbers or \"inf\"")
     return np.array(rows, dtype=float)
 
 
 def _as_float_vector(values: Any, what: str) -> np.ndarray:
     if not isinstance(values, list) or not values:
         raise FileFormatError(f"{what} must be a nonempty list")
-    for v in values:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise FileFormatError(f"{what} entries must be numbers")
+    if not _numbers_or_inf(values):
+        raise FileFormatError(f"{what} entries must be numbers")
     return np.array(values, dtype=float)
 
 
@@ -180,7 +209,10 @@ def _check_fields(doc: dict, allowed: set[str], required: set[str], kind: str) -
 
 
 def parse_instance(text: str) -> InstanceSpec:
-    doc = loads_canonical(text)
+    # The float arrays of an explicit instance keep their "inf" markers
+    # until numpy converts each whole array; nothing else in an instance
+    # may be infinite.
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise FileFormatError("instance file must hold a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -188,6 +220,9 @@ def parse_instance(text: str) -> InstanceSpec:
     kind = doc.get("kind")
     if kind not in KINDS:
         raise FileFormatError(f"kind must be one of {KINDS}")
+    seed = doc.get("seed")
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+        raise FileFormatError("seed must be an integer")
 
     if kind == "explicit":
         _check_fields(doc, {"schema_version", "kind", "cost", "mu", "nu", "pi0", "seed"},
@@ -196,8 +231,7 @@ def parse_instance(text: str) -> InstanceSpec:
         mu = _as_float_vector(doc["mu"], "mu")
         nu = _as_float_vector(doc["nu"], "nu")
         pi0 = _as_float_matrix(doc["pi0"], "pi0") if "pi0" in doc else None
-        return InstanceSpec(kind=kind, cost=cost, mu=mu, nu=nu, pi0=pi0,
-                            seed=doc.get("seed"))
+        return InstanceSpec(kind=kind, cost=cost, mu=mu, nu=nu, pi0=pi0, seed=seed)
 
     _check_fields(doc, {"schema_version", "kind", "n", "shift", "k_max", "seed"},
                   {"n"}, kind)
@@ -210,18 +244,23 @@ def parse_instance(text: str) -> InstanceSpec:
     k_max = doc.get("k_max")
     if k_max is not None and (not isinstance(k_max, int) or isinstance(k_max, bool)):
         raise FileFormatError("k_max must be an integer")
-    return InstanceSpec(kind=kind, n=n, shift=shift, k_max=k_max, seed=doc.get("seed"))
+    return InstanceSpec(kind=kind, n=n, shift=shift, k_max=k_max, seed=seed)
+
+
+def _float_lists(values: Any) -> list:
+    """A vector or matrix as (nested) lists of Python floats."""
+    return np.asarray(values, dtype=float).tolist()
 
 
 def instance_to_jsonable(spec: InstanceSpec) -> dict:
     doc: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "kind": spec.kind}
     if spec.kind == "explicit":
         assert spec.cost is not None and spec.mu is not None and spec.nu is not None
-        doc["cost"] = [[float(v) for v in row] for row in spec.cost]
-        doc["mu"] = [float(v) for v in spec.mu]
-        doc["nu"] = [float(v) for v in spec.nu]
+        doc["cost"] = _float_lists(spec.cost)
+        doc["mu"] = _float_lists(spec.mu)
+        doc["nu"] = _float_lists(spec.nu)
         if spec.pi0 is not None:
-            doc["pi0"] = [[float(v) for v in row] for row in spec.pi0]
+            doc["pi0"] = _float_lists(spec.pi0)
     else:
         doc["n"] = int(spec.n)  # type: ignore[arg-type]
         doc["shift"] = spec.shift if spec.shift is not None else AUTO_SHIFT
@@ -316,10 +355,10 @@ def result_document(problem_name: str, config: dict, instance_doc: dict,
         "primal_value": float(primal_value),
         "dual_value": float(dual_value),
         "gap": float(gap),
-        "plan": None if plan is None else [[float(v) for v in row] for row in plan.mass],
+        "plan": None if plan is None else _float_lists(plan.mass),
         "plan_kind": None if plan is None else plan.kind.value,
-        "phi": None if phi is None else [float(v) for v in phi],
-        "psi": None if psi is None else [float(v) for v in psi],
+        "phi": None if phi is None else _float_lists(phi),
+        "psi": None if psi is None else _float_lists(psi),
         "iterations": int(iterations),
         "pivots": int(pivots),
     }

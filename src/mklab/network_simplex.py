@@ -51,6 +51,7 @@ class BipartiteFlow:
     sink_potentials: np.ndarray
     iterations: int
     pivots: int
+    arcs_priced: int          # reduced costs computed, summed over the blocks scanned
 
 
 def _scattered_order(n_arcs: int) -> np.ndarray:
@@ -120,6 +121,7 @@ def solve_bipartite(supplies, demands, tails, heads, costs, *,
     next_block = 0
     iterations = 0
     pivots = 0
+    arcs_priced = 0
 
     while True:
         if iterations >= max_iterations:
@@ -129,6 +131,7 @@ def solve_bipartite(supplies, demands, tails, heads, costs, *,
         for b in range(n_blocks):
             lo = (next_block + b) % n_blocks * block
             hi = min(lo + block, e_real)
+            arcs_priced += hi - lo
             reduced = g_cost[lo:hi] - pi[g_tail[lo:hi]] + pi[g_head[lo:hi]]
             reduced[basic[lo:hi]] = np.inf
             k = int(np.argmin(reduced))
@@ -233,4 +236,5 @@ def solve_bipartite(supplies, demands, tails, heads, costs, *,
         sink_potentials=-pi[m:m + n],
         iterations=iterations,
         pivots=pivots,
+        arcs_priced=arcs_priced,
     )

@@ -48,6 +48,9 @@ class SolverConfig:
         if not all(math.isfinite(t) and t > 0
                    for t in (self.feasibility_tol, self.optimality_tol)):
             raise InvariantError("tolerances must be positive and finite")
+        if self.feasibility_tol >= 1:
+            raise InvariantError(
+                "feasibility_tol must be below 1: marginals are probability vectors")
         if self.max_iterations <= 0:
             raise InvariantError("max_iterations must be positive")
 

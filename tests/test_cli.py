@@ -77,6 +77,12 @@ class TestSolve:
         assert main(["solve", ap_instance, "--problem", "primal", "--tol", tol]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_huge_tol_rejected(self, ap_instance, capsys):
+        # no reduced cost lies below -1e300, so a solve would stop at the
+        # artificial starting star and fail its coupling check instead
+        assert main(["solve", ap_instance, "--problem", "primal", "--tol", "1e300"]) == 1
+        assert capsys.readouterr().err.startswith("error: feasibility_tol must be below 1")
+
     def test_infeasible_exit_code(self, tmp_path):
         inst = write_instance(tmp_path / "bad.json",
                               {"schema_version": 1, "kind": "explicit",

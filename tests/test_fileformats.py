@@ -1,12 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mklab import fileformats
 from mklab.fileformats import (
     FileFormatError,
     InstanceSpec,
+    _format_float,
     dumps_canonical,
     instance_to_jsonable,
     loads_canonical,
@@ -52,6 +55,55 @@ class TestCanonicalJson:
             loads_canonical('{\n  "a": }')
 
 
+# Values at the edges of the one-pass float-list writer: signed zeros,
+# infinities, the 1e17 bound of its ".0" rule, integers past 2**53, the
+# smallest subnormal and a value near the largest double.
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, 1e16, -1e16, 1e17, -1e17,
+               99999999999999984.0, 2.0 ** 53 + 2, -(2.0 ** 53 + 2), 5e-324,
+               -5e-324, 1.797e308, -1.797e308, -1.0, -3.0, -1234567.0, 0.5, 1e-5]
+
+finite_or_edge = st.one_of(
+    st.floats(allow_nan=False),
+    st.integers(-2 ** 70, 2 ** 70).map(float),
+    st.sampled_from(EDGE_FLOATS),
+)
+
+
+def per_value(values: list, pad: str = "") -> str:
+    """A nonempty list laid out one value at a time, as the writer did for every list."""
+    items = [str(v) if isinstance(v, int) else _format_float(float(v)) for v in values]
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+
+
+class TestFloatListWriter:
+    def test_edge_values(self):
+        assert dumps_canonical(EDGE_FLOATS) == per_value(EDGE_FLOATS) + "\n"
+
+    @given(st.lists(finite_or_edge, min_size=1, max_size=40))
+    def test_matches_per_value_format(self, values):
+        assert dumps_canonical(values) == per_value(values) + "\n"
+        nested = dumps_canonical({"rows": [values, values]})
+        inner = per_value(values, "    ")
+        assert nested == f'{{\n  "rows": [\n    {inner},\n    {inner}\n  ]\n}}\n'
+
+    @given(st.lists(finite_or_edge, max_size=20), st.data())
+    def test_nan_anywhere_rejected(self, values, data):
+        values.insert(data.draw(st.integers(0, len(values))), math.nan)
+        with pytest.raises(FileFormatError, match="NaN"):
+            dumps_canonical({"values": values})
+
+    @given(st.lists(finite_or_edge, min_size=1, max_size=20))
+    def test_numpy_floats_keep_their_bytes(self, values):
+        arr = np.array(values)
+        assert dumps_canonical([np.float64(v) for v in values]) == per_value(values) + "\n"
+        assert dumps_canonical(arr) == per_value(values) + "\n"
+
+    @given(st.lists(st.one_of(finite_or_edge, st.integers(-2 ** 70, 2 ** 70)), min_size=1,
+                    max_size=20))
+    def test_mixed_ints_and_floats_keep_their_bytes(self, values):
+        assert dumps_canonical(values) == per_value(values) + "\n"
+
+
 class TestInstanceFiles:
     def test_explicit_roundtrip(self, rng):
         cost = rng.uniform(0, 5, (3, 4))
@@ -89,6 +141,36 @@ class TestInstanceFiles:
     def test_bad_kind(self):
         with pytest.raises(FileFormatError, match="kind"):
             parse_instance(dumps_canonical({"schema_version": 1, "kind": "nope"}))
+
+    @pytest.mark.parametrize("cell", [True, "nan", "Infinity", " inf", None, [1.0]])
+    def test_cost_cells_are_numbers_or_inf_markers(self, cell):
+        doc = {"schema_version": 1, "kind": "explicit",
+               "cost": [[1.0, 2.0], [3.0, cell]], "mu": [0.5, 0.5], "nu": [0.5, 0.5]}
+        with pytest.raises(FileFormatError, match='cost entries must be numbers or "inf"'):
+            parse_instance(json.dumps(doc))
+
+    def test_inf_markers_and_ints_become_floats(self):
+        doc = {"schema_version": 1, "kind": "explicit",
+               "cost": [[1, "inf"], ["-inf", 0.5]], "mu": [1, 0], "nu": [0.5, 0.5]}
+        spec = parse_instance(json.dumps(doc))
+        assert spec.cost.dtype == float and spec.mu.dtype == float
+        assert spec.cost.tolist() == [[1.0, math.inf], [-math.inf, 0.5]]
+        assert spec.mu.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("values", [[0.5, True], [0.5, "x"], [0.5, [0.5]]])
+    def test_marginal_cells_are_numbers(self, values):
+        doc = {"schema_version": 1, "kind": "explicit",
+               "cost": [[1.0, 2.0], [3.0, 4.0]], "mu": values, "nu": [0.5, 0.5]}
+        with pytest.raises(FileFormatError, match="mu entries must be numbers"):
+            parse_instance(json.dumps(doc))
+
+    @pytest.mark.parametrize("seed", ["7", 1.5, True, "inf"])
+    def test_seed_must_be_an_integer(self, seed):
+        for doc in ({"schema_version": 1, "kind": "ap", "n": 8, "seed": seed},
+                    {"schema_version": 1, "kind": "explicit", "cost": [[0.0]],
+                     "mu": [1.0], "nu": [1.0], "seed": seed}):
+            with pytest.raises(FileFormatError, match="seed must be an integer"):
+                parse_instance(json.dumps(doc))
 
     def test_ragged_cost_rejected(self):
         doc = {"schema_version": 1, "kind": "explicit",

@@ -163,3 +163,15 @@ def test_ex33_pivot_count(n, bound):
     report = solve_primal(ex33_cost(inst, n - 1), mu, mu)
     assert report.primal_value == pytest.approx(1.0, abs=1e-9)
     assert report.stats.pivots <= bound
+
+
+def test_ex33_arcs_priced():
+    # The final round scans all E arcs; a round that finds an entering arc
+    # stops at its block.  Measured: 603,648 arcs priced over 517
+    # iterations, 0.13 E per iteration, where Dantzig pricing takes E.
+    n = 96
+    inst = RotationInstance(n=n, shift=golden_shift(n))
+    mu = uniform_marginal(inst).weights
+    costs = ex33_cost(inst, n - 1).entries.ravel()
+    res = solve_bipartite(mu, mu, *full_arcs(n, n), costs)
+    assert costs.size <= res.arcs_priced < costs.size * res.iterations / 4

@@ -400,3 +400,6 @@ class TestSolverConfig:
                 SolverConfig(feasibility_tol=bad)
             with pytest.raises(InvariantError):
                 SolverConfig(optimality_tol=bad)
+        for big in (1.0, 1e300):
+            with pytest.raises(InvariantError, match="feasibility_tol must be below 1"):
+                SolverConfig(feasibility_tol=big)
