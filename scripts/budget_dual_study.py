@@ -16,7 +16,6 @@ import numpy as np
 from mklab import (
     ap_cost,
     birkhoff_levels,
-    dual_sequence,
     make_instance,
     mixture_plan,
     shift_graph_plan,
@@ -44,16 +43,18 @@ def main() -> int:
     print(f"n={inst.n} shift={inst.shift} restricted value={restricted:.9f}")
 
     eps_list = [float(v) for v in args.eps.split(",")]
-    pots = dual_sequence(cost, mu, mu, pi_half, eps_list)
     idx = np.arange(inst.n)
     step = (idx + inst.shift) % inst.n
+    pots = []
     print(f"{'eps':>9} {'dual value':>14} {'L1 distance':>12}")
-    for eps, pair in zip(eps_list, pots):
-        value = solve_relaxed_dual(cost, mu, mu, pi_half, eps).dual_value
+    for eps in eps_list:
+        report = solve_relaxed_dual(cost, mu, mu, pi_half, eps)
+        pair = report.optimal_potentials
+        pots.append(pair)
         dist = float(
             np.mean(np.abs(cost.entries[idx, idx] - (pair.phi + pair.psi)))
             + np.mean(np.abs(cost.entries[idx, step] - (pair.phi + pair.psi[step]))))
-        print(f"{eps:>9.0e} {value:>14.9f} {dist:>12.3e}")
+        print(f"{eps:>9.0e} {report.dual_value:>14.9f} {dist:>12.3e}")
 
     levels = birkhoff_levels(inst, args.k_max)
     records = telescoping_bound_check(inst, cost, pots, levels, args.k_max)

@@ -1,8 +1,9 @@
 """Dense two-phase primal simplex on the full tableau.
 
-General-purpose engine for the programs that do not have pure
-transportation structure (the relaxed dual) and an independent
-cross-check for the network engine on the ones that do.  Variables are
+The test oracle for the network engine: it shares no code with it, so
+the tests solve the coupling program, the partial program and the
+budgeted relaxed dual in their own LP forms here and compare.  No
+solver in the package imports it.  Variables are
 nonnegative; rows carry "le", "ge" or "eq" sense.  Pricing is Dantzig
 with a Bland fallback after a run of degenerate pivots; row duals are
 recovered from the initial identity columns, so the caller gets exact

@@ -1,11 +1,14 @@
 """Exact solvers for the transport problems on finite spaces.
 
-Two engines back these entry points: the network simplex for the pure
-transportation structures (primal, partial, restricted) and the dense
-tableau simplex for everything else (the explicit dual, the budgeted
-relaxed dual).  Both are exact LP methods in float64; the pair doubles
-as a built-in cross-check since several problems can be pushed through
-either engine.
+Every entry point runs on the network simplex.  Primal, dual, partial
+and restricted are transportation problems as they stand; the budgeted
+relaxed dual is one through LP duality: its value is the minimum over
+a density bound lambda of eps * lambda plus the cheapest coupling whose
+density against the reference plan stays below lambda, and each such
+coupling is a plain transportation problem after a node split (see
+:func:`solve_relaxed_dual`).  The dense tableau simplex in
+:mod:`mklab.dense_simplex` is kept as an independent test oracle and
+is not imported here.
 """
 
 from __future__ import annotations
@@ -16,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dense_simplex, network_simplex
+from . import network_simplex
 from .core import (
     CostMatrix,
     DualityReport,
     InfeasibleError,
     InvariantError,
+    IterationLimitError,
     Marginal,
     MKLabError,
     PlanKind,
@@ -29,7 +33,6 @@ from .core import (
     ShapeError,
     SolverStats,
     TransportPlan,
-    UnboundedError,
     MARGINAL_TOL,
     gauge_normalized,
     transport_cost,
@@ -155,31 +158,13 @@ def solve_dual(cost: CostMatrix, mu: Marginal, nu: Marginal,
                cfg: SolverConfig = DEFAULT_CONFIG) -> DualityReport:
     """Maximize sum(phi mu) + sum(psi nu) subject to phi + psi <= c.
 
-    Solved through the dense engine on the coupling program in equality
-    form; the potentials are the exact LP multipliers of the optimal
-    basis, so this is an engine-independent counterpart of
-    :func:`solve_primal` (infinite-cost cells impose no constraint).
+    The optimal potentials are the node potentials of the network basis
+    that solves the coupling program, so this returns the report of
+    :func:`solve_primal`: the same potentials, gauge-normalized, with
+    the optimal plan as the primal witness of the gap (infinite-cost
+    cells impose no constraint).
     """
-    t0 = time.perf_counter()
-    _check_shapes(cost, mu, nu)
-    tails, heads, costs = _finite_arcs(cost)
-    m, n = cost.shape
-    n_arcs = costs.size
-    lhs = np.zeros((m + n, n_arcs))
-    lhs[tails, np.arange(n_arcs)] = 1.0
-    lhs[m + heads, np.arange(n_arcs)] = 1.0
-    rhs = np.concatenate([mu.weights, nu.weights])
-    try:
-        res = dense_simplex.solve_dense(
-            costs, lhs, ["eq"] * (m + n), rhs,
-            feasibility_tol=cfg.feasibility_tol,
-            optimality_tol=cfg.optimality_tol,
-            max_iterations=cfg.max_iterations,
-        )
-    except UnboundedError as exc:  # pragma: no cover - c >= 0 forbids this
-        raise UnboundedError(f"internal: dual-side program unbounded ({exc})") from exc
-    pots = PotentialPair(res.duals[:m], res.duals[m:])
-    return _exact_report(cost, mu, nu, tails, heads, res.x, pots, res, t0)
+    return solve_primal(cost, mu, nu, cfg)
 
 
 def solve_partial(cost: CostMatrix, mu: Marginal, nu: Marginal, eps: float,
@@ -261,15 +246,12 @@ def _require_reference_plan(cost: CostMatrix, pi0: TransportPlan) -> None:
         raise InvariantError("reference plan must have finite cost")
 
 
-def solve_restricted_primal(cost: CostMatrix, pi0: TransportPlan,
-                            cfg: SolverConfig = DEFAULT_CONFIG) -> DualityReport:
-    """Minimum cost over couplings supported inside supp(pi0).
+def _solve_on_support(cost: CostMatrix, pi0: TransportPlan, cfg: SolverConfig):
+    """The coupling program on supp(pi0) with pi0's own marginals, on the network engine.
 
-    The marginals are those of pi0 itself; on a finite space the bounded
-    density condition relative to pi0 is exactly support containment.
+    Returns those marginals, the support cells as (tails, heads, costs)
+    and the engine's result.
     """
-    t0 = time.perf_counter()
-    _require_reference_plan(cost, pi0)
     mu = Marginal(pi0.row_sums() / pi0.total_mass())
     nu = Marginal(pi0.col_sums() / pi0.total_mass())
     tails, heads = np.nonzero(pi0.support())
@@ -283,8 +265,45 @@ def solve_restricted_primal(cost: CostMatrix, pi0: TransportPlan,
         )
     except InfeasibleError as exc:  # pragma: no cover - pi0 itself is feasible
         raise InvariantError(f"internal: restricted problem infeasible ({exc})") from exc
+    return mu, nu, tails, heads, costs, res
+
+
+def solve_restricted_primal(cost: CostMatrix, pi0: TransportPlan,
+                            cfg: SolverConfig = DEFAULT_CONFIG) -> DualityReport:
+    """Minimum cost over couplings supported inside supp(pi0).
+
+    The marginals are those of pi0 itself; on a finite space the bounded
+    density condition relative to pi0 is exactly support containment.
+    """
+    t0 = time.perf_counter()
+    _require_reference_plan(cost, pi0)
+    mu, nu, tails, heads, _costs, res = _solve_on_support(cost, pi0, cfg)
     pots = PotentialPair(res.source_potentials, res.sink_potentials)
     return _exact_report(cost, mu, nu, tails, heads, res.flow, pots, res, t0)
+
+
+@dataclass(frozen=True)
+class _Tangent:
+    """A supporting line of the density-bounded value R, anchored where it touches R.
+
+    ``value`` is R(lam), the cost of the coupling found at ``lam``;
+    ``sigma`` is the budget sum(pi0 * (phi + psi - c)_+) that ``pair``
+    spends, and -sigma is the slope of the line.
+    """
+
+    lam: float
+    value: float
+    sigma: float
+    pair: PotentialPair
+
+    def at(self, lam: float) -> float:
+        return self.value - self.sigma * (lam - self.lam)
+
+
+def _meet(lo: _Tangent, hi: _Tangent) -> float:
+    """Where the lines of ``lo`` and ``hi`` cross, kept within [lo.lam, hi.lam]."""
+    lam = lo.lam + (lo.value - hi.at(lo.lam)) / (lo.sigma - hi.sigma)
+    return min(max(lam, lo.lam), hi.lam)
 
 
 def solve_relaxed_dual(cost: CostMatrix, mu: Marginal, nu: Marginal,
@@ -295,7 +314,28 @@ def solve_relaxed_dual(cost: CostMatrix, mu: Marginal, nu: Marginal,
     The constraint charges the positive part of phi + psi - c against
     pi0: one slack per support cell with s >= phi + psi - c, s >= 0 and
     sum(s * pi0) <= eps.  Cells outside supp(pi0) are unconstrained.
-    Both value fields of the report carry the optimum of this program.
+
+    By LP duality the optimum is the minimum over lambda of
+    eps * lambda + R(lambda), where R(lambda) is the cheapest coupling x
+    on supp(pi0) with x <= lambda * pi0.  Both x and pi0 carry mass 1,
+    so lambda >= 1, and R(1) is the cost of pi0 itself.  R(lambda) is a
+    transportation problem after splitting each support cell k = (i, j)
+    into a sink with demand lambda * pi0_k, fed by i -> k at cost c_k
+    and by j -> k at cost 0; source i supplies mu_i and source j
+    supplies (lambda - 1) * nu_j.  Its source potentials give the pair
+    phi = u_X, psi = -u_Y, whose line R(lambda_p) - sigma * (lambda -
+    lambda_p) supports the convex, piecewise-linear R.
+
+    The search for the best lambda intersects two such lines, one with
+    sigma above eps and one below, and probes R there, until the lines
+    meet on R (Eisner and Severance, J. ACM 23, 1976).  The restricted
+    program supplies the first line below, with sigma = 0.  The answer
+    is the convex combination of the two pairs that spends exactly eps.
+    When the optimum sits at lambda = 1, the pair that is tangent there
+    is returned with phi shifted up by eps - sigma.
+
+    The primal value is R + eps * lambda at the final probe (pi0 at
+    lambda = 1), so the gap is a real one.  No plan is returned.
     """
     t0 = time.perf_counter()
     _check_shapes(cost, mu, nu)
@@ -305,43 +345,71 @@ def solve_relaxed_dual(cost: CostMatrix, mu: Marginal, nu: Marginal,
     verify_exact_coupling(pi0, mu, nu, MARGINAL_TOL)
     if not 0.0 < eps < math.inf:
         raise InvariantError(f"eps must be positive and finite, got {eps!r}")
-    m, n = cost.shape
-    tails, heads = np.nonzero(pi0.support())
-    weights = pi0.mass[tails, heads]
-    cell_costs = cost.entries[tails, heads]
-    k = tails.size
-    # columns: phi+ (m), phi- (m), psi+ (n), psi- (n), slack s (k)
-    n_vars = 2 * m + 2 * n + k
-    objective = np.concatenate([-mu.weights, mu.weights, -nu.weights, nu.weights,
-                                np.zeros(k)])
-    lhs = np.zeros((k + 1, n_vars))
-    rows = np.arange(k)
-    lhs[rows, tails] = 1.0
-    lhs[rows, m + tails] = -1.0
-    lhs[rows, 2 * m + heads] = 1.0
-    lhs[rows, 2 * m + n + heads] = -1.0
-    lhs[rows, 2 * m + 2 * n + rows] = -1.0
-    lhs[k, 2 * m + 2 * n:] = weights
-    rhs = np.concatenate([cell_costs, [eps]])
-    try:
-        res = dense_simplex.solve_dense(
-            objective, lhs, ["le"] * (k + 1), rhs,
+    mu0, nu0, tails, heads, costs, res = _solve_on_support(cost, pi0, cfg)
+    runs = [res]
+    m, k = mu.size, costs.size
+    density = pi0.mass[tails, heads] / pi0.total_mass()
+    tol = cfg.optimality_tol * (1.0 + float(np.max(np.abs(costs))))
+    split_tails = np.concatenate([tails, m + heads])
+    split_heads = np.tile(np.arange(k), 2)
+    split_costs = np.concatenate([costs, np.zeros(k)])
+
+    def tangent(lam: float, flow: np.ndarray, phi: np.ndarray, psi: np.ndarray) -> _Tangent:
+        pair = gauge_normalized(PotentialPair(phi, psi), mu)
+        breach = np.maximum(pair.phi[tails] + pair.psi[heads] - costs, 0.0)
+        return _Tangent(lam, float(costs @ flow[:k]), float(density @ breach), pair)
+
+    def probe(lam: float) -> _Tangent:
+        if len(runs) >= cfg.max_iterations:
+            raise IterationLimitError(
+                f"relaxed dual exceeded {cfg.max_iterations} network solves")
+        run = network_simplex.solve_bipartite(
+            np.concatenate([mu0.weights, (lam - 1.0) * nu0.weights]), lam * density,
+            split_tails, split_heads, split_costs,
             feasibility_tol=cfg.feasibility_tol,
             optimality_tol=cfg.optimality_tol,
             max_iterations=cfg.max_iterations,
         )
-    except UnboundedError as exc:
-        raise UnboundedError(
-            "internal: budgeted dual is unbounded, reference marginals must "
-            f"charge every potential coordinate ({exc})") from exc
-    phi = res.x[:m] - res.x[m:2 * m]
-    psi = res.x[2 * m:2 * m + n] - res.x[2 * m + n:2 * m + 2 * n]
-    pots = gauge_normalized(PotentialPair(phi, psi), mu)
-    value = -res.value
+        runs.append(run)
+        u = run.source_potentials
+        return tangent(lam, run.flow, u[:m], -u[m:])
+
+    # The restricted coupling is feasible, hence optimal, for every lambda
+    # at or above its density bound: anchor the flat line there.  Its pair
+    # is dual feasible, so it spends no budget; sigma is set to 0 rather
+    # than to its rounding error, which that bound could magnify.
+    hi = _Tangent(max(1.0, float(np.max(res.flow / density))), float(costs @ res.flow),
+                  0.0, gauge_normalized(
+                      PotentialPair(res.source_potentials, res.sink_potentials), mu))
+    # At lambda = 1 the only coupling left is pi0.  When it costs no more
+    # than the restricted optimum, R is flat and the flat line touches it.
+    cost_pi0 = float(costs @ density)
+    one = hi if cost_pi0 <= hi.at(1.0) + tol else probe(1.0)
+    if one.sigma <= eps:
+        pair = PotentialPair(one.pair.phi + (eps - one.sigma), one.pair.psi)
+        primal = cost_pi0 + eps
+    else:
+        lo = one
+        while True:
+            last = probe(_meet(lo, hi))
+            if last.value <= max(lo.at(last.lam), hi.at(last.lam)) + tol:
+                t = min(max((eps - hi.sigma) / (lo.sigma - hi.sigma), 0.0), 1.0)
+                pair = PotentialPair(t * lo.pair.phi + (1.0 - t) * hi.pair.phi,
+                                     t * lo.pair.psi + (1.0 - t) * hi.pair.psi)
+                break
+            if last.sigma >= eps:
+                lo = last
+            else:
+                hi = last
+        primal = last.value + eps * last.lam
+    pots = gauge_normalized(pair, mu)
+    dual = float(np.dot(pots.phi, mu.weights) + np.dot(pots.psi, nu.weights))
+    if primal - dual < -tol:
+        raise MKLabError(f"relaxed dual: primal {primal!r} below dual {dual!r}")
     return DualityReport(
-        primal_value=value, dual_value=value,
-        optimal_plan=None, optimal_potentials=pots,
-        gap=0.0, stats=_stats(t0, res.iterations, res.pivots))
+        primal_value=primal, dual_value=dual,
+        optimal_plan=None, optimal_potentials=pots, gap=primal - dual,
+        stats=_stats(t0, sum(r.iterations for r in runs), sum(r.pivots for r in runs)))
 
 
 def dual_sequence(cost: CostMatrix, mu: Marginal, nu: Marginal,
@@ -373,6 +441,8 @@ def relaxed_dual_sweep(cost: CostMatrix, mu: Marginal, nu: Marginal,
     the extrapolated limit cross-checks :func:`solve_restricted_primal`.
     """
     eps = _decreasing_grid(eps_grid)
+    if any(not (0.0 < e <= 1.0) for e in eps):
+        raise InvariantError("epsilons must lie in (0, 1]")
     values = tuple(solve_relaxed_dual(cost, mu, nu, pi0, e, cfg).dual_value
                    for e in eps)
     # the budget shrinks as eps falls, so values may only drop

@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from mklab import CostMatrix, Marginal, PlanKind, TransportPlan
+from mklab import CostMatrix, Marginal, PlanKind, PotentialPair, TransportPlan
+from mklab.dense_simplex import DenseResult, solve_dense
 
 
 @pytest.fixture
@@ -57,6 +58,52 @@ def shuffled_coupling(rng: np.random.Generator, mu: Marginal, nu: Marginal) -> T
             row[i] -= t
             col[j] -= t
     return TransportPlan(mass, PlanKind.EXACT)
+
+
+def dense_coupling(cost: CostMatrix, mu: Marginal, nu: Marginal) -> DenseResult:
+    """The coupling program in equality form on the dense tableau.
+
+    ``value`` is the optimum and ``duals`` are the row multipliers, phi
+    then psi.  This engine shares no code with the network simplex, so it
+    is the second engine for cross-checks.
+    """
+    tails, heads = np.nonzero(cost.finite_mask)
+    m, n = cost.shape
+    k = tails.size
+    lhs = np.zeros((m + n, k))
+    lhs[tails, np.arange(k)] = 1.0
+    lhs[m + heads, np.arange(k)] = 1.0
+    return solve_dense(cost.entries[tails, heads], lhs, ["eq"] * (m + n),
+                       np.concatenate([mu.weights, nu.weights]))
+
+
+def dense_relaxed_dual(cost: CostMatrix, mu: Marginal, nu: Marginal,
+                       pi0: TransportPlan, eps: float) -> tuple[float, PotentialPair]:
+    """The budgeted relaxed dual in its own "le" form on the dense tableau.
+
+    Maximizes sum(phi mu) + sum(psi nu) over free phi, psi (each split
+    into two nonnegative parts) and slacks s >= 0 with
+    phi_i + psi_j - s_k <= c_k on supp(pi0) and sum(pi0 * s) <= eps.
+    Returns the optimal value and pair.
+    """
+    m, n = cost.shape
+    tails, heads = np.nonzero(pi0.support())
+    k = tails.size
+    objective = np.concatenate([-mu.weights, mu.weights, -nu.weights, nu.weights,
+                                np.zeros(k)])
+    lhs = np.zeros((k + 1, 2 * m + 2 * n + k))
+    rows = np.arange(k)
+    lhs[rows, tails] = 1.0
+    lhs[rows, m + tails] = -1.0
+    lhs[rows, 2 * m + heads] = 1.0
+    lhs[rows, 2 * m + n + heads] = -1.0
+    lhs[rows, 2 * m + 2 * n + rows] = -1.0
+    lhs[k, 2 * m + 2 * n:] = pi0.mass[tails, heads]
+    rhs = np.concatenate([cost.entries[tails, heads], [eps]])
+    res = solve_dense(objective, lhs, ["le"] * (k + 1), rhs)
+    phi = res.x[:m] - res.x[m:2 * m]
+    psi = res.x[2 * m:2 * m + n] - res.x[2 * m + n:2 * m + 2 * n]
+    return -res.value, PotentialPair(phi, psi)
 
 
 def enumerate_vertex_minimum(cost: CostMatrix, mu: Marginal, nu: Marginal) -> float | None:

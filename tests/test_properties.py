@@ -9,6 +9,7 @@ from mklab import (
     CostMatrix,
     Marginal,
     PotentialPair,
+    TransportPlan,
     birkhoff_level,
     birkhoff_levels,
     make_instance,
@@ -16,14 +17,16 @@ from mklab import (
     plan_dominates,
     potential_plan_integral,
     skew_step,
+    solve_relaxed_dual,
     step_signs,
     transport_cost,
     verify_exact_coupling,
 )
+from mklab import network_simplex
 from mklab.fileformats import dumps_canonical, instance_to_jsonable, parse_instance, InstanceSpec
 from mklab.rotation import OrbitState
 
-from conftest import nw_corner, shuffled_coupling
+from conftest import dense_relaxed_dual, nw_corner, shuffled_coupling
 
 
 def marginals(draw, size):
@@ -154,3 +157,64 @@ def test_float_serialization_roundtrip(values):
     from mklab.fileformats import loads_canonical
 
     assert loads_canonical(text)["values"] == values
+
+
+def sinkhorn_reference(rng: np.random.Generator, n: int):
+    """A reference plan on a random mask, with its marginals.
+
+    The marginals are those of one random positive matrix on the mask,
+    and Sinkhorn scaling balances a second one to them.  A positive
+    matrix with that support and those marginals exists, so the scaled
+    plan keeps every masked cell, and a dense mask makes it no tree.
+    """
+    while True:
+        mask = rng.random((n, n)) < rng.uniform(0.25, 0.7)
+        if mask.any(axis=1).all() and mask.any(axis=0).all():
+            break
+    target = np.where(mask, rng.uniform(0.2, 1.0, (n, n)), 0.0)
+    rows, cols = target.sum(axis=1), target.sum(axis=0)
+    plan = np.where(mask, rng.uniform(0.2, 1.0, (n, n)), 0.0)
+    for _ in range(1000):
+        plan *= (rows / plan.sum(axis=1))[:, None]
+        plan *= (cols / plan.sum(axis=0))[None, :]
+    plan /= plan.sum()
+    return TransportPlan(plan), Marginal(plan.sum(axis=1)), Marginal(plan.sum(axis=0))
+
+
+def test_relaxed_dual_matches_dense_oracle(monkeypatch):
+    """The network relaxed dual against the dense "le"-form program.
+
+    Costs are uniform, integer and tie-heavy, or all zero; budgets run
+    from 1e-6 to 1.  Both the tangent search and the lambda = 1 shift
+    must be exercised.
+    """
+    solves = []
+    engine = network_simplex.solve_bipartite
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(network_simplex, "solve_bipartite", counted)
+    rng = np.random.default_rng(31)
+    searched = shifted = 0
+    for case in range(12):
+        n = int(rng.integers(5, 17))
+        pi0, mu, nu = sinkhorn_reference(rng, n)
+        entries = (rng.uniform(0.0, 5.0, (n, n)), rng.integers(0, 3, (n, n)).astype(float),
+                   np.zeros((n, n)))[case % 3]
+        cost = CostMatrix(entries)
+        scale = 1.0 + float(np.max(entries))
+        for eps in (1e-6, 1e-3, 0.01, 0.1, 1.0):
+            solves.clear()
+            report = solve_relaxed_dual(cost, mu, nu, pi0, eps)
+            searched += len(solves) >= 3
+            shifted += len(solves) <= 2
+            value, _pair = dense_relaxed_dual(cost, mu, nu, pi0, eps)
+            assert abs(report.dual_value - value) <= 1e-9 * max(1.0, abs(value))
+            assert 0.0 <= report.gap + 1e-12 * scale and report.gap <= 1e-9 * scale
+            pots = report.optimal_potentials
+            breach = np.maximum(pots.oplus() - entries, 0.0)
+            assert float(np.sum(pi0.mass * breach)) <= eps + 1e-9 * scale
+            assert abs(float(pots.phi @ mu.weights)) <= 1e-12 * scale
+    assert searched and shifted

@@ -30,7 +30,8 @@ from mklab import (
 )
 from mklab.dense_simplex import solve_dense
 
-from conftest import enumerate_vertex_minimum, nw_corner, random_cost, random_marginal
+from conftest import (dense_coupling, dense_relaxed_dual, enumerate_vertex_minimum, nw_corner,
+                      random_cost, random_marginal)
 
 
 def dense_partial_value(cost, mu, nu, eps):
@@ -130,7 +131,9 @@ class TestSolveDual:
             c = random_cost(rng, 3, 3)
             p = solve_primal(c, mu, nu).primal_value
             d = solve_dual(c, mu, nu).dual_value
-            assert d == pytest.approx(p, abs=2e-9)
+            dense = dense_coupling(c, mu, nu)
+            assert p == pytest.approx(dense.value, abs=2e-9)
+            assert d == pytest.approx(dense.value, abs=2e-9)
 
     def test_gauge_is_fixed(self, rng):
         mu = random_marginal(rng, 4)
@@ -311,6 +314,61 @@ class TestRelaxedDual:
         with pytest.raises(InvariantError):
             solve_relaxed_dual(c, mu, nu, nw_corner(mu, nu), eps)
 
+    def test_matches_dense_oracle_on_ex33(self):
+        """Both values equal the dense optimum: the primal side is R + eps * lambda
+        at the final probe, not a copy of the dual."""
+        from mklab import ex33_cost
+
+        inst = make_instance(24)
+        c = ex33_cost(inst, 23)
+        mu = uniform_marginal(inst)
+        pi = graph_mixture_plan(inst, 4)
+        for eps in (1e-1, 1e-2, 1e-3, 1e-4):
+            report = solve_relaxed_dual(c, mu, mu, pi, eps)
+            value, _pair = dense_relaxed_dual(c, mu, mu, pi, eps)
+            assert report.dual_value == pytest.approx(value, rel=1e-9, abs=1e-12)
+            assert report.primal_value == pytest.approx(value, rel=1e-9, abs=1e-12)
+            assert report.gap == report.primal_value - report.dual_value
+            assert report.optimal_plan is None
+
+    def test_probe_count_is_capped(self, monkeypatch):
+        from mklab import IterationLimitError, ex33_cost, network_simplex
+
+        engine = network_simplex.solve_bipartite
+        solves = []
+
+        def uncapped(*args, **kwargs):
+            # leave only the cap on the number of network solves
+            solves.append(1)
+            return engine(*args, **{**kwargs, "max_iterations": 10 ** 6})
+
+        monkeypatch.setattr(network_simplex, "solve_bipartite", uncapped)
+        inst = make_instance(24)
+        c = ex33_cost(inst, 23)
+        mu = uniform_marginal(inst)
+        pi = graph_mixture_plan(inst, 4)
+        solve_relaxed_dual(c, mu, mu, pi, 0.01)
+        needed = len(solves)
+        assert needed >= 3
+        solve_relaxed_dual(c, mu, mu, pi, 0.01, SolverConfig(max_iterations=needed))
+        with pytest.raises(IterationLimitError):
+            solve_relaxed_dual(c, mu, mu, pi, 0.01, SolverConfig(max_iterations=needed - 1))
+
+    def test_sweep_rejects_budget_above_one_before_solving(self, monkeypatch):
+        from mklab import solvers
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a budget was solved before the grid was checked")
+
+        monkeypatch.setattr(solvers, "solve_relaxed_dual", no_solve)
+        inst = make_instance(16)
+        c = ap_cost(inst)
+        mu = uniform_marginal(inst)
+        pi_half = mixture_plan(
+            [shift_graph_plan(inst, 0), shift_graph_plan(inst, 1)], [0.5, 0.5])
+        with pytest.raises(InvariantError, match=r"\(0, 1\]"):
+            relaxed_dual_sweep(c, mu, mu, pi_half, (4.0, 2.0, 1.0))
+
     def test_limit_matches_restricted_primal_ex33(self):
         from mklab import ex33_cost
 
@@ -369,9 +427,15 @@ class TestReportInvariants:
             c = random_cost(rng, 4, 5)
             mu = random_marginal(rng, 4)
             nu = random_marginal(rng, 5)
-            for report in (solve_primal(c, mu, nu), solve_dual(c, mu, nu)):
-                assert report.gap >= -2e-9
-                assert abs(report.primal_value - report.dual_value) <= 2e-7
+            report = solve_primal(c, mu, nu)
+            dense = dense_coupling(c, mu, nu)
+            dense_dual = float(dense.duals @ np.concatenate([mu.weights, nu.weights]))
+            assert report.gap >= -2e-9
+            assert abs(report.primal_value - report.dual_value) <= 2e-7
+            # each engine's potentials bound the other engine's plan cost
+            assert dense_dual <= report.primal_value + 2e-9
+            assert report.dual_value <= dense.value + 2e-9
+            assert abs(dense.value - dense_dual) <= 2e-7
 
     def test_potential_integral_matches_dual_value(self, rng):
         c = random_cost(rng, 4, 4)
@@ -389,6 +453,17 @@ class TestReportInvariants:
 
         with pytest.raises(IterationLimitError):
             solve_primal(c, mu, nu, SolverConfig(max_iterations=2))
+
+
+def test_import_leaves_dense_engine_out():
+    """The dense tableau is a test oracle: importing the package does not load it."""
+    import subprocess
+    import sys
+
+    probe = "import sys, mklab; print('mklab.dense_simplex' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestSolverConfig:
