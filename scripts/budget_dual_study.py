@@ -18,8 +18,8 @@ from mklab import (
     birkhoff_levels,
     make_instance,
     mixture_plan,
+    relaxed_dual_sweep,
     shift_graph_plan,
-    solve_relaxed_dual,
     solve_restricted_primal,
     telescoping_bound_check,
     uniform_marginal,
@@ -42,19 +42,17 @@ def main() -> int:
     restricted = solve_restricted_primal(cost, pi_half).primal_value
     print(f"n={inst.n} shift={inst.shift} restricted value={restricted:.9f}")
 
-    eps_list = [float(v) for v in args.eps.split(",")]
+    sweep = relaxed_dual_sweep(cost, mu, mu, pi_half,
+                               [float(v) for v in args.eps.split(",")])
+    pots = [report.optimal_potentials for report in sweep.reports]
     idx = np.arange(inst.n)
     step = (idx + inst.shift) % inst.n
-    pots = []
     print(f"{'eps':>9} {'dual value':>14} {'L1 distance':>12}")
-    for eps in eps_list:
-        report = solve_relaxed_dual(cost, mu, mu, pi_half, eps)
-        pair = report.optimal_potentials
-        pots.append(pair)
+    for eps, value, pair in zip(sweep.epsilons, sweep.values, pots):
         dist = float(
             np.mean(np.abs(cost.entries[idx, idx] - (pair.phi + pair.psi)))
             + np.mean(np.abs(cost.entries[idx, step] - (pair.phi + pair.psi[step]))))
-        print(f"{eps:>9.0e} {report.dual_value:>14.9f} {dist:>12.3e}")
+        print(f"{eps:>9.0e} {value:>14.9f} {dist:>12.3e}")
 
     levels = birkhoff_levels(inst, args.k_max)
     records = telescoping_bound_check(inst, cost, pots, levels, args.k_max)

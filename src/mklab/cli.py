@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-import time
 from typing import Optional, Sequence
 
 import numpy as np
@@ -181,33 +180,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows: list[list[str]] = []
 
     if args.sweep in ("epsilon-primal", "epsilon-dual"):
-        grid = solvers._decreasing_grid(_parse_grid(args.grid))
-        values = []
-        for eps in grid:
-            t0 = time.perf_counter()
-            if args.sweep == "epsilon-primal":
-                report = solvers.solve_partial(problem.cost, problem.mu, problem.nu, eps, cfg)
-                value = report.primal_value
-            else:
-                report = solvers.solve_relaxed_dual(
-                    problem.cost, problem.mu, problem.nu, _reference_plan(problem), eps, cfg)
-                value = report.dual_value
-            wall = (time.perf_counter() - t0) * 1e3
-            values.append(value)
-            rows.append([_fmt(eps), _fmt(value), str(report.stats.iterations), f"{wall:.3f}"])
-        limit = solvers.extrapolate_to_zero(grid, tuple(values))
-        rows.append([_fmt(0.0), _fmt(limit), "0", "0.000"])
+        grid = _parse_grid(args.grid)
+        if args.sweep == "epsilon-primal":
+            sweep = solvers.estimate_relaxed_primal(
+                problem.cost, problem.mu, problem.nu, grid, cfg)
+        else:
+            sweep = solvers.relaxed_dual_sweep(
+                problem.cost, problem.mu, problem.nu, _reference_plan(problem), grid, cfg)
+        for eps, value, report in zip(sweep.epsilons, sweep.values, sweep.reports):
+            rows.append([_fmt(eps), _fmt(value), str(report.stats.iterations),
+                         f"{report.stats.wall_ms:.3f}"])
+        rows.append([_fmt(0.0), _fmt(sweep.extrapolated_limit), "0", "0.000"])
     elif args.sweep == "n-scaling":
-        grid_n = [int(v) for v in _parse_grid(args.grid)]
-        if any(b <= a for a, b in zip(grid_n, grid_n[1:])) or any(v < 4 for v in grid_n):
+        grid_n = _parse_grid(args.grid)
+        if (not grid_n or not all(v.is_integer() and v >= 4 for v in grid_n)
+                or any(b <= a for a, b in zip(grid_n, grid_n[1:]))):
             raise UsageError("n grid must be strictly increasing integers >= 4")
-        for n in grid_n:
+        for n in map(int, grid_n):
             scaled = fileformats.materialize(_scaled_spec(spec, n))
-            t0 = time.perf_counter()
             report = solvers.solve_primal(scaled.cost, scaled.mu, scaled.nu, cfg)
-            wall = (time.perf_counter() - t0) * 1e3
             rows.append([str(n), _fmt(report.primal_value),
-                         str(report.stats.iterations), f"{wall:.3f}"])
+                         str(report.stats.iterations), f"{report.stats.wall_ms:.3f}"])
     else:
         raise UsageError(f"unknown sweep {args.sweep!r}")
 
@@ -292,6 +285,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             nu = rng.uniform(0.2, 1.0, size)
             spec = InstanceSpec(kind="explicit", cost=cost, mu=mu / mu.sum(),
                                 nu=nu / nu.sum(), seed=args.seed)
+        elif args.n is not None:
+            raise UsageError("--n needs --seed for an explicit instance")
         else:
             spec = InstanceSpec(
                 kind="explicit",

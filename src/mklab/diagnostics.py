@@ -29,9 +29,6 @@ from .rotation import RotationInstance
 #: Default tolerance for LP-produced certificates.
 LP_TOL = 1e-7
 
-#: Default tolerance for certificates on budgeted-sequence potentials.
-SEQUENCE_TOL = 1e-3
-
 
 @dataclass(frozen=True)
 class CheckResult:

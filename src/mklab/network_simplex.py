@@ -207,9 +207,6 @@ def solve_bipartite(supplies, demands, tails, heads, costs, *,
                     stack.append((z, w, b, not out, cb))
         pivots += 1
 
-    if sum(f for a, f in flow.items() if a >= e_real) > feasibility_tol:
-        raise InfeasibleError("no feasible shipment avoids the deleted pairs")
-
     # Recompute the basic flows exactly from the final tree by pushing
     # node excess toward the root, deepest nodes first.
     excess = np.concatenate([supplies, -demands,

@@ -9,6 +9,12 @@ coupling is a plain transportation problem after a node split (see
 :func:`solve_relaxed_dual`).  The dense tableau simplex in
 :mod:`mklab.dense_simplex` is kept as an independent test oracle and
 is not imported here.
+
+The epsilon-indexed programs are read along grids by one loop,
+:func:`_sweep`, behind :func:`estimate_relaxed_primal`,
+:func:`relaxed_dual_sweep` and :func:`dual_sequence`.  A grid must be
+nonempty, strictly decreasing and inside (0, 1]; it is checked before
+any solve.
 """
 
 from __future__ import annotations
@@ -63,33 +69,27 @@ DEFAULT_CONFIG = SolverConfig()
 
 @dataclass(frozen=True)
 class EpsilonSweep:
-    """Values of an epsilon-indexed program along a decreasing grid.
+    """One solve per epsilon along a checked grid, and the limit at 0.
 
-    ``extrapolated_limit`` extends the last linear piece of the
-    piecewise-linear value function to epsilon = 0.
+    ``reports`` holds the solve at each epsilon and ``values`` the value
+    read off it.  ``extrapolated_limit`` extends the last linear piece of
+    the piecewise-linear value function to epsilon = 0.
     """
 
     epsilons: tuple[float, ...]
+    reports: tuple[DualityReport, ...]
     values: tuple[float, ...]
     extrapolated_limit: float
 
-    def __post_init__(self) -> None:
-        eps = _decreasing_grid(self.epsilons)
-        if any(not (0.0 < e <= 1.0) for e in eps):
-            raise InvariantError("epsilons must lie in (0, 1]")
-        if len(self.values) != len(eps):
-            raise InvariantError("one value per epsilon required")
 
-
-def _decreasing_grid(grid) -> tuple[float, ...]:
-    """The grid as floats; raises unless nonempty, finite and strictly decreasing."""
-    eps = tuple(float(e) for e in grid)
-    if not eps:
-        raise InvariantError("empty epsilon grid")
-    if not all(math.isfinite(e) for e in eps):
-        raise InvariantError(f"epsilons must be finite, got {eps}")
+def _grid(eps_grid) -> tuple[float, ...]:
+    """The grid as floats; raises unless nonempty, strictly decreasing and inside (0, 1]."""
+    eps = tuple(float(e) for e in eps_grid)
+    # NaN and inf fail the range test
+    if not eps or not all(0.0 < e <= 1.0 for e in eps):
+        raise InvariantError(f"epsilons must form a nonempty grid in (0, 1], got {eps}")
     if any(later >= earlier for later, earlier in zip(eps[1:], eps)):
-        raise InvariantError("epsilons must be strictly decreasing")
+        raise InvariantError(f"epsilons must be strictly decreasing, got {eps}")
     return eps
 
 
@@ -112,6 +112,16 @@ def _plan_from_flows(shape, tails, heads, flows, kind: PlanKind) -> TransportPla
 def _stats(t0: float, iterations: int, pivots: int) -> SolverStats:
     return SolverStats(iterations=iterations, pivots=pivots,
                        wall_ms=(time.perf_counter() - t0) * 1e3)
+
+
+def _network(cfg: SolverConfig, supplies, demands, tails, heads,
+             costs) -> network_simplex.BipartiteFlow:
+    return network_simplex.solve_bipartite(
+        supplies, demands, tails, heads, costs,
+        feasibility_tol=cfg.feasibility_tol,
+        optimality_tol=cfg.optimality_tol,
+        max_iterations=cfg.max_iterations,
+    )
 
 
 def _exact_report(cost: CostMatrix, mu: Marginal, nu: Marginal, tails, heads,
@@ -144,12 +154,7 @@ def solve_primal(cost: CostMatrix, mu: Marginal, nu: Marginal,
     if rows_dead.any() or cols_dead.any():
         raise InfeasibleError("a point with positive mass has no finite-cost cell")
     tails, heads, costs = _finite_arcs(cost)
-    res = network_simplex.solve_bipartite(
-        mu.weights, nu.weights, tails, heads, costs,
-        feasibility_tol=cfg.feasibility_tol,
-        optimality_tol=cfg.optimality_tol,
-        max_iterations=cfg.max_iterations,
-    )
+    res = _network(cfg, mu.weights, nu.weights, tails, heads, costs)
     pots = PotentialPair(res.source_potentials, res.sink_potentials)
     return _exact_report(cost, mu, nu, tails, heads, res.flow, pots, res, t0)
 
@@ -188,12 +193,7 @@ def solve_partial(cost: CostMatrix, mu: Marginal, nu: Marginal, eps: float,
     aug_costs = np.concatenate([costs, np.zeros(m + n + 1)])
     supplies = np.concatenate([mu.weights, [eps]])
     demands = np.concatenate([nu.weights, [eps]])
-    res = network_simplex.solve_bipartite(
-        supplies, demands, aug_tails, aug_heads, aug_costs,
-        feasibility_tol=cfg.feasibility_tol,
-        optimality_tol=cfg.optimality_tol,
-        max_iterations=cfg.max_iterations,
-    )
+    res = _network(cfg, supplies, demands, aug_tails, aug_heads, aug_costs)
     plan = _plan_from_flows(cost.shape, tails, heads, res.flow[:n_real], PlanKind.SUB)
     verify_sub_coupling(plan, mu, nu, MARGINAL_TOL)
     if plan.total_mass() < 1.0 - eps - MARGINAL_TOL:
@@ -215,24 +215,34 @@ def extrapolate_to_zero(epsilons: tuple[float, ...], values: tuple[float, ...]) 
     return v0 - slope * e0
 
 
+def _sweep(eps_grid, solve, value, sign: float, cfg: SolverConfig) -> EpsilonSweep:
+    """Solve at each epsilon of a checked grid and extrapolate the values to 0.
+
+    ``value`` reads a report's value.  As epsilon falls the values may
+    only rise (``sign`` = 1) or only drop (``sign`` = -1); a step the
+    other way by more than the solver tolerance raises.
+    """
+    eps = _grid(eps_grid)
+    reports = tuple(solve(e) for e in eps)
+    values = tuple(value(r) for r in reports)
+    if any(sign * (later - earlier) < -10 * cfg.optimality_tol
+           for earlier, later in zip(values, values[1:])):
+        raise MKLabError(f"values {values} move the wrong way along the grid {eps}")
+    return EpsilonSweep(epsilons=eps, reports=reports, values=values,
+                        extrapolated_limit=extrapolate_to_zero(eps, values))
+
+
 def estimate_relaxed_primal(cost: CostMatrix, mu: Marginal, nu: Marginal,
                             eps_grid, cfg: SolverConfig = DEFAULT_CONFIG) -> EpsilonSweep:
     """Partial-transport values along a decreasing grid with their limit at 0.
 
     The value function is convex and piecewise linear in eps, so the last
     linear segment extended to eps = 0 recovers the vanishing-deficit
-    limit whenever the grid reaches that segment.
+    limit whenever the grid reaches that segment.  The feasible set
+    shrinks as eps falls, so the values may only rise.
     """
-    eps = _decreasing_grid(eps_grid)
-    if any(not (0.0 < e < 1.0) for e in eps):
-        raise InvariantError("grid epsilons must lie in (0, 1)")
-    values = tuple(solve_partial(cost, mu, nu, e, cfg).primal_value for e in eps)
-    # the feasible set shrinks as eps falls, so values may only rise
-    if any(later < earlier - 10 * cfg.optimality_tol
-           for earlier, later in zip(values, values[1:])):
-        raise MKLabError("partial values decreased along a shrinking grid")
-    return EpsilonSweep(epsilons=eps, values=values,
-                        extrapolated_limit=extrapolate_to_zero(eps, values))
+    return _sweep(eps_grid, lambda e: solve_partial(cost, mu, nu, e, cfg),
+                  lambda r: r.primal_value, 1.0, cfg)
 
 
 def _require_reference_plan(cost: CostMatrix, pi0: TransportPlan) -> None:
@@ -257,12 +267,7 @@ def _solve_on_support(cost: CostMatrix, pi0: TransportPlan, cfg: SolverConfig):
     tails, heads = np.nonzero(pi0.support())
     costs = cost.entries[tails, heads]
     try:
-        res = network_simplex.solve_bipartite(
-            mu.weights, nu.weights, tails, heads, costs,
-            feasibility_tol=cfg.feasibility_tol,
-            optimality_tol=cfg.optimality_tol,
-            max_iterations=cfg.max_iterations,
-        )
+        res = _network(cfg, mu.weights, nu.weights, tails, heads, costs)
     except InfeasibleError as exc:  # pragma: no cover - pi0 itself is feasible
         raise InvariantError(f"internal: restricted problem infeasible ({exc})") from exc
     return mu, nu, tails, heads, costs, res
@@ -363,13 +368,8 @@ def solve_relaxed_dual(cost: CostMatrix, mu: Marginal, nu: Marginal,
         if len(runs) >= cfg.max_iterations:
             raise IterationLimitError(
                 f"relaxed dual exceeded {cfg.max_iterations} network solves")
-        run = network_simplex.solve_bipartite(
-            np.concatenate([mu0.weights, (lam - 1.0) * nu0.weights]), lam * density,
-            split_tails, split_heads, split_costs,
-            feasibility_tol=cfg.feasibility_tol,
-            optimality_tol=cfg.optimality_tol,
-            max_iterations=cfg.max_iterations,
-        )
+        run = _network(cfg, np.concatenate([mu0.weights, (lam - 1.0) * nu0.weights]),
+                       lam * density, split_tails, split_heads, split_costs)
         runs.append(run)
         u = run.source_potentials
         return tangent(lam, run.flow, u[:m], -u[m:])
@@ -420,15 +420,8 @@ def dual_sequence(cost: CostMatrix, mu: Marginal, nu: Marginal,
     Each pair is gauge-normalized (sum(phi * mu) = 0), which pins down
     the additive degeneracy and makes the sequence reproducible.
     """
-    eps = _decreasing_grid(eps_list)
-    if any(e <= 0 for e in eps):
-        raise InvariantError("epsilons must be positive")
-    out = []
-    for e in eps:
-        report = solve_relaxed_dual(cost, mu, nu, pi0, e, cfg)
-        assert report.optimal_potentials is not None
-        out.append(report.optimal_potentials)
-    return out
+    sweep = relaxed_dual_sweep(cost, mu, nu, pi0, eps_list, cfg)
+    return [r.optimal_potentials for r in sweep.reports]
 
 
 def relaxed_dual_sweep(cost: CostMatrix, mu: Marginal, nu: Marginal,
@@ -439,15 +432,7 @@ def relaxed_dual_sweep(cost: CostMatrix, mu: Marginal, nu: Marginal,
     The vanishing-budget limit of this concave piecewise-linear value
     function equals the restricted primal value (finite LP duality), so
     the extrapolated limit cross-checks :func:`solve_restricted_primal`.
+    The budget shrinks as eps falls, so the values may only drop.
     """
-    eps = _decreasing_grid(eps_grid)
-    if any(not (0.0 < e <= 1.0) for e in eps):
-        raise InvariantError("epsilons must lie in (0, 1]")
-    values = tuple(solve_relaxed_dual(cost, mu, nu, pi0, e, cfg).dual_value
-                   for e in eps)
-    # the budget shrinks as eps falls, so values may only drop
-    if any(later > earlier + 10 * cfg.optimality_tol
-           for earlier, later in zip(values, values[1:])):
-        raise MKLabError("budgeted-dual values increased along a shrinking grid")
-    return EpsilonSweep(epsilons=eps, values=values,
-                        extrapolated_limit=extrapolate_to_zero(eps, values))
+    return _sweep(eps_grid, lambda e: solve_relaxed_dual(cost, mu, nu, pi0, e, cfg),
+                  lambda r: r.dual_value, -1.0, cfg)

@@ -2,8 +2,10 @@ import csv
 
 import pytest
 
-from mklab.cli import main
-from mklab.fileformats import dumps_canonical, parse_result
+from mklab import solvers
+from mklab.cli import _fmt, main
+from mklab.core import InvariantError
+from mklab.fileformats import dumps_canonical, materialize, parse_instance, parse_result
 
 
 def write_instance(path, doc):
@@ -158,6 +160,14 @@ class TestSweep:
         assert main(["sweep", explicit_instance, "--sweep", "epsilon-primal",
                      "--grid", "0.001,0.1", "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("grid", ["8.9,12.2", "8,12.5", "4.0000001,8"])
+    def test_n_scaling_rejects_non_integer_sizes(self, ap_instance, tmp_path, capsys, grid):
+        out = tmp_path / "scale.csv"
+        assert main(["sweep", ap_instance, "--sweep", "n-scaling",
+                     "--grid", grid, "--out", str(out)]) == 1
+        assert "integers" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["0.1,nan", "inf,0.1", ","])
     def test_epsilon_dual_bad_grid(self, ap_instance, tmp_path, capsys, grid):
         assert main(["sweep", ap_instance, "--sweep", "epsilon-dual",
@@ -169,6 +179,68 @@ class TestSweep:
         assert main(["sweep", explicit_instance, "--sweep", "epsilon-primal",
                      "--grid", "1,0.5", "--out", str(out)]) == 0
         assert float(next(csv.DictReader(out.open()))["value"]) == pytest.approx(0.0)
+
+
+def load_problem(path):
+    with open(path, encoding="utf-8") as fh:
+        return materialize(parse_instance(fh.read()))
+
+
+LIBRARY_SWEEPS = {
+    "estimate_relaxed_primal": lambda p, grid: solvers.estimate_relaxed_primal(
+        p.cost, p.mu, p.nu, grid),
+    "relaxed_dual_sweep": lambda p, grid: solvers.relaxed_dual_sweep(
+        p.cost, p.mu, p.nu, p.reference_plan, grid),
+    "dual_sequence": lambda p, grid: solvers.dual_sequence(
+        p.cost, p.mu, p.nu, p.reference_plan, grid),
+}
+CLI_SWEEPS = {
+    "sweep epsilon-primal": ("sweep", "--sweep", "epsilon-primal"),
+    "sweep epsilon-dual": ("sweep", "--sweep", "epsilon-dual"),
+    "diagnose bound": ("diagnose", "--diag", "bound"),
+}
+
+
+class TestEpsilonGrids:
+    @pytest.mark.parametrize("grid", ["0.5,0", "4,2,1", "0.1,nan", "inf,0.1",
+                                      "0.01,0.1", ","])
+    @pytest.mark.parametrize("entry", [*LIBRARY_SWEEPS, *CLI_SWEEPS])
+    def test_bad_grid_rejected_before_any_solve(self, ap_instance, tmp_path, capsys,
+                                                monkeypatch, entry, grid):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the grid was checked")
+
+        monkeypatch.setattr(solvers, "solve_partial", no_solve)
+        monkeypatch.setattr(solvers, "solve_relaxed_dual", no_solve)
+        if entry in LIBRARY_SWEEPS:
+            values = [float(v) for v in grid.split(",") if v]
+            with pytest.raises(InvariantError, match="epsilons must"):
+                LIBRARY_SWEEPS[entry](load_problem(ap_instance), values)
+        else:
+            command, *flags = CLI_SWEEPS[entry]
+            assert main([command, ap_instance, *flags, "--grid", grid,
+                         "--out", str(tmp_path / "x.csv")]) == 1
+            assert "epsilons must" in capsys.readouterr().err
+
+    def test_relaxed_primal_accepts_eps_one(self, ap_instance):
+        p = load_problem(ap_instance)
+        sweep = solvers.estimate_relaxed_primal(p.cost, p.mu, p.nu, (1, 0.5))
+        assert sweep.epsilons == (1.0, 0.5)
+
+    @pytest.mark.parametrize("kind,entry", [("epsilon-primal", "estimate_relaxed_primal"),
+                                            ("epsilon-dual", "relaxed_dual_sweep")])
+    def test_cli_sweep_matches_library(self, tmp_path, kind, entry):
+        inst = write_instance(tmp_path / "ex33.json",
+                              {"schema_version": 1, "kind": "ex33", "n": 12,
+                               "shift": 5, "k_max": 11})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", inst, "--sweep", kind, "--grid", "0.1,0.01,0.001",
+                     "--out", str(out)]) == 0
+        sweep = LIBRARY_SWEEPS[entry](load_problem(inst), (0.1, 0.01, 0.001))
+        rows = list(csv.DictReader(out.open()))
+        assert [r["parameter"] for r in rows] == [_fmt(e) for e in sweep.epsilons] + ["0.0"]
+        assert [r["value"] for r in rows] == (
+            [_fmt(v) for v in sweep.values] + [_fmt(sweep.extrapolated_limit)])
 
 
 class TestDiagnose:
@@ -223,6 +295,12 @@ class TestGen:
         assert main(["gen", "--kind", "explicit", "--n", "5", "--seed", "7",
                      "--out", str(inst)]) == 0
         assert main(["solve", str(inst), "--problem", "dual"]) == 0
+
+    def test_gen_explicit_n_needs_seed(self, tmp_path, capsys):
+        out = tmp_path / "rand.json"
+        assert main(["gen", "--kind", "explicit", "--n", "5", "--out", str(out)]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gen_needs_n_for_rotation(self):
         assert main(["gen", "--kind", "ex33"]) == 1
