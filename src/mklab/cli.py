@@ -190,7 +190,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for eps, value, report in zip(sweep.epsilons, sweep.values, sweep.reports):
             rows.append([_fmt(eps), _fmt(value), str(report.stats.iterations),
                          f"{report.stats.wall_ms:.3f}"])
-        rows.append([_fmt(0.0), _fmt(sweep.extrapolated_limit), "0", "0.000"])
+        rows.append([_fmt(0.0), _fmt(sweep.limit), "0", "0.000"])
     elif args.sweep == "n-scaling":
         grid_n = _parse_grid(args.grid)
         if (not grid_n or not all(v.is_integer() and v >= 4 for v in grid_n)

@@ -97,10 +97,10 @@ def solve_bipartite(supplies, demands, tails, heads, costs, *,
     g_tail = np.concatenate([tails[order], np.arange(m), np.where(sink_down, root, sinks)])
     g_head = np.concatenate([heads[order] + m, np.full(m, root), np.where(sink_down, sinks, root)])
     penalty = 3.0 * (1.0 + float(np.sum(np.abs(costs))))
+    # A real arc in the basis is priced at +inf, so that no scan enters it;
+    # artificial arcs are never priced.
     g_cost = np.concatenate([costs[order], np.full(m + n, penalty)])
     n_arcs = e_real + m + n
-    basic = np.zeros(n_arcs, dtype=bool)
-    basic[e_real:] = True
 
     # The starting tree is the star on the root.  up[v] says that the tree
     # arc joining v to its parent points from v to the parent; adj[v] maps
@@ -116,8 +116,11 @@ def solve_bipartite(supplies, demands, tails, heads, costs, *,
     flow = dict(zip(range(e_real, n_arcs),
                     np.concatenate([supplies, demands]).tolist()))
 
-    block = max(1, -(-e_real // _PRICING_BLOCKS))
-    n_blocks = -(-e_real // block)
+    # (first arc, costs, tails, heads) of each pricing block, as views
+    step = max(1, -(-e_real // _PRICING_BLOCKS))
+    bounds = [(lo, min(lo + step, e_real)) for lo in range(0, e_real, step)]
+    blocks = [(lo, g_cost[lo:hi], g_tail[lo:hi], g_head[lo:hi]) for lo, hi in bounds]
+    n_blocks = len(blocks)
     next_block = 0
     iterations = 0
     pivots = 0
@@ -129,12 +132,10 @@ def solve_bipartite(supplies, demands, tails, heads, costs, *,
         iterations += 1
         entering = -1
         for b in range(n_blocks):
-            lo = (next_block + b) % n_blocks * block
-            hi = min(lo + block, e_real)
-            arcs_priced += hi - lo
-            reduced = g_cost[lo:hi] - pi[g_tail[lo:hi]] + pi[g_head[lo:hi]]
-            reduced[basic[lo:hi]] = np.inf
-            k = int(np.argmin(reduced))
+            lo, cost_b, tail_b, head_b = blocks[(next_block + b) % n_blocks]
+            arcs_priced += cost_b.size
+            reduced = cost_b - pi[tail_b] + pi[head_b]
+            k = int(reduced.argmin())
             if reduced[k] < -optimality_tol:
                 entering = lo + k
                 next_block = (next_block + b + 1) % n_blocks
@@ -182,12 +183,13 @@ def solve_bipartite(supplies, demands, tails, heads, costs, *,
         leaving = parent_arc[cut]
         del flow[leaving]
         flow[entering] = theta
-        basic[leaving] = False
-        basic[entering] = True
+        cost_e = float(g_cost[entering])
+        g_cost[entering] = np.inf
+        if leaving < e_real:
+            g_cost[leaving] = costs[order[leaving]]
 
         # Removing the leaving arc cuts off the subtree under ``cut``; the
         # entering arc re-hangs it from its endpoint on the cut side.
-        cost_e = float(g_cost[entering])
         del adj[cut][leaving]
         del adj[parent[cut]][leaving]
         adj[tail_e][entering] = (head_e, True, cost_e)

@@ -14,14 +14,15 @@ The epsilon-indexed programs are read along grids by one loop,
 :func:`_sweep`, behind :func:`estimate_relaxed_primal`,
 :func:`relaxed_dual_sweep` and :func:`dual_sequence`.  A grid must be
 nonempty, strictly decreasing and inside (0, 1]; it is checked before
-any solve.
+any solve.  A relaxed-dual sweep runs every network solve that does not
+depend on eps once for the whole grid.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,17 +70,19 @@ DEFAULT_CONFIG = SolverConfig()
 
 @dataclass(frozen=True)
 class EpsilonSweep:
-    """One solve per epsilon along a checked grid, and the limit at 0.
+    """The report at each epsilon along a checked grid, and the limit at 0.
 
-    ``reports`` holds the solve at each epsilon and ``values`` the value
-    read off it.  ``extrapolated_limit`` extends the last linear piece of
-    the piecewise-linear value function to epsilon = 0.
+    ``reports`` holds the solve at each epsilon, without its plan, and
+    ``values`` the value read off it.  ``limit`` is the value at
+    epsilon = 0: exact for the budgeted relaxed dual, where it is the
+    restricted primal value; for partial transport it extends the last
+    linear piece of the piecewise-linear value function to 0.
     """
 
     epsilons: tuple[float, ...]
     reports: tuple[DualityReport, ...]
     values: tuple[float, ...]
-    extrapolated_limit: float
+    limit: float
 
 
 def _grid(eps_grid) -> tuple[float, ...]:
@@ -215,21 +218,22 @@ def extrapolate_to_zero(epsilons: tuple[float, ...], values: tuple[float, ...]) 
     return v0 - slope * e0
 
 
-def _sweep(eps_grid, solve, value, sign: float, cfg: SolverConfig) -> EpsilonSweep:
-    """Solve at each epsilon of a checked grid and extrapolate the values to 0.
+def _sweep(eps: tuple[float, ...], solve, value, sign: float, limit,
+           cfg: SolverConfig) -> EpsilonSweep:
+    """Solve at each epsilon of a grid checked by :func:`_grid`, and take the limit at 0.
 
-    ``value`` reads a report's value.  As epsilon falls the values may
-    only rise (``sign`` = 1) or only drop (``sign`` = -1); a step the
-    other way by more than the solver tolerance raises.
+    ``value`` reads a report's value and ``limit(eps, values)`` gives the
+    value at 0.  As epsilon falls the values may only rise (``sign`` = 1)
+    or only drop (``sign`` = -1); a step the other way by more than the
+    solver tolerance raises.  Plans are dropped as each solve returns.
     """
-    eps = _grid(eps_grid)
-    reports = tuple(solve(e) for e in eps)
+    reports = tuple(replace(solve(e), optimal_plan=None) for e in eps)
     values = tuple(value(r) for r in reports)
     if any(sign * (later - earlier) < -10 * cfg.optimality_tol
            for earlier, later in zip(values, values[1:])):
         raise MKLabError(f"values {values} move the wrong way along the grid {eps}")
     return EpsilonSweep(epsilons=eps, reports=reports, values=values,
-                        extrapolated_limit=extrapolate_to_zero(eps, values))
+                        limit=limit(eps, values))
 
 
 def estimate_relaxed_primal(cost: CostMatrix, mu: Marginal, nu: Marginal,
@@ -241,8 +245,8 @@ def estimate_relaxed_primal(cost: CostMatrix, mu: Marginal, nu: Marginal,
     limit whenever the grid reaches that segment.  The feasible set
     shrinks as eps falls, so the values may only rise.
     """
-    return _sweep(eps_grid, lambda e: solve_partial(cost, mu, nu, e, cfg),
-                  lambda r: r.primal_value, 1.0, cfg)
+    return _sweep(_grid(eps_grid), lambda e: solve_partial(cost, mu, nu, e, cfg),
+                  lambda r: r.primal_value, 1.0, extrapolate_to_zero, cfg)
 
 
 def _require_reference_plan(cost: CostMatrix, pi0: TransportPlan) -> None:
@@ -311,6 +315,117 @@ def _meet(lo: _Tangent, hi: _Tangent) -> float:
     return min(max(lam, lo.lam), hi.lam)
 
 
+class _RelaxedDual:
+    """The budgeted relaxed dual of (cost, mu, nu, pi0), answered one eps at a time.
+
+    Everything that does not depend on eps is built once: the input
+    checks, the restricted solve on supp(pi0), the split network and the
+    flat line.  Each probe of R is kept by its exact lambda, so that the
+    searches of several budgets solve each lambda once.  The object
+    lives for one call of :func:`solve_relaxed_dual` or
+    :func:`relaxed_dual_sweep`.
+    """
+
+    def __init__(self, cost: CostMatrix, mu: Marginal, nu: Marginal,
+                 pi0: TransportPlan, cfg: SolverConfig) -> None:
+        self._since = time.perf_counter()
+        _check_shapes(cost, mu, nu)
+        _require_reference_plan(cost, pi0)
+        # matching marginals keep the program bounded: every phi/psi
+        # coordinate with mass is charged by some support cell
+        verify_exact_coupling(pi0, mu, nu, MARGINAL_TOL)
+        mu0, nu0, tails, heads, costs, res = _solve_on_support(cost, pi0, cfg)
+        self._cost, self._mu, self._nu, self._cfg = cost, mu, nu, cfg
+        self._tails, self._heads, self._costs, self._restricted = tails, heads, costs, res
+        self._m, self._k = mu.size, costs.size
+        self._density = pi0.mass[tails, heads] / pi0.total_mass()
+        self._tol = cfg.optimality_tol * (1.0 + float(np.max(np.abs(costs))))
+        self._supplies = (mu0.weights, nu0.weights)
+        self._split = (np.concatenate([tails, self._m + heads]),
+                       np.tile(np.arange(self._k), 2),
+                       np.concatenate([costs, np.zeros(self._k)]))
+        # lambda -> (tangent, iterations, pivots) of the network solve there
+        self._probes: dict[float, tuple[_Tangent, int, int]] = {}
+        # The restricted coupling is feasible, hence optimal, for every lambda
+        # at or above its density bound: anchor the flat line there.  Its pair
+        # is dual feasible, so it spends no budget; sigma is set to 0 rather
+        # than to its rounding error, which that bound could magnify.
+        self._flat = _Tangent(
+            max(1.0, float(np.max(res.flow / self._density))), float(costs @ res.flow),
+            0.0, gauge_normalized(PotentialPair(res.source_potentials, res.sink_potentials), mu))
+        # At lambda = 1 the only coupling left is pi0.  When it costs no more
+        # than the restricted optimum, R is flat and the flat line touches it.
+        self._cost_pi0 = float(costs @ self._density)
+
+    def restricted_value(self) -> float:
+        """The restricted primal value, as :func:`solve_restricted_primal` reports it."""
+        plan = _plan_from_flows(self._cost.shape, self._tails, self._heads,
+                                self._restricted.flow, PlanKind.EXACT)
+        return transport_cost(self._cost, plan)
+
+    def _solve_at(self, lam: float) -> tuple[_Tangent, int, int]:
+        """The line that supports R at ``lam``, and the counters of its network solve."""
+        mu0, nu0 = self._supplies
+        run = _network(self._cfg, np.concatenate([mu0, (lam - 1.0) * nu0]),
+                       lam * self._density, *self._split)
+        u = run.source_potentials
+        pair = gauge_normalized(PotentialPair(u[:self._m], -u[self._m:]), self._mu)
+        breach = np.maximum(pair.phi[self._tails] + pair.psi[self._heads] - self._costs, 0.0)
+        line = _Tangent(lam, float(self._costs @ run.flow[:self._k]),
+                        float(self._density @ breach), pair)
+        return line, run.iterations, run.pivots
+
+    def answer(self, eps: float) -> DualityReport:
+        """The report of :func:`solve_relaxed_dual` at budget ``eps``.
+
+        Its counters sum every network solve the answer rests on, shared
+        ones included; ``wall_ms`` is the time since the previous answer,
+        or since the checks began.
+        """
+        cfg, tol, res = self._cfg, self._tol, self._restricted
+        runs = [(res.iterations, res.pivots)]
+
+        def probe(lam: float) -> _Tangent:
+            if len(runs) >= cfg.max_iterations:
+                raise IterationLimitError(
+                    f"relaxed dual exceeded {cfg.max_iterations} network solves")
+            if lam not in self._probes:
+                self._probes[lam] = self._solve_at(lam)
+            line, iterations, pivots = self._probes[lam]
+            runs.append((iterations, pivots))
+            return line
+
+        hi = self._flat
+        one = hi if self._cost_pi0 <= hi.at(1.0) + tol else probe(1.0)
+        if one.sigma <= eps:
+            pair = PotentialPair(one.pair.phi + (eps - one.sigma), one.pair.psi)
+            primal = self._cost_pi0 + eps
+        else:
+            lo = one
+            while True:
+                last = probe(_meet(lo, hi))
+                if last.value <= max(lo.at(last.lam), hi.at(last.lam)) + tol:
+                    t = min(max((eps - hi.sigma) / (lo.sigma - hi.sigma), 0.0), 1.0)
+                    pair = PotentialPair(t * lo.pair.phi + (1.0 - t) * hi.pair.phi,
+                                         t * lo.pair.psi + (1.0 - t) * hi.pair.psi)
+                    break
+                if last.sigma >= eps:
+                    lo = last
+                else:
+                    hi = last
+            primal = last.value + eps * last.lam
+        mu, nu = self._mu, self._nu
+        pots = gauge_normalized(pair, mu)
+        dual = float(np.dot(pots.phi, mu.weights) + np.dot(pots.psi, nu.weights))
+        if primal - dual < -tol:
+            raise MKLabError(f"relaxed dual: primal {primal!r} below dual {dual!r}")
+        stats = _stats(self._since, sum(r[0] for r in runs), sum(r[1] for r in runs))
+        self._since = time.perf_counter()
+        return DualityReport(
+            primal_value=primal, dual_value=dual,
+            optimal_plan=None, optimal_potentials=pots, gap=primal - dual, stats=stats)
+
+
 def solve_relaxed_dual(cost: CostMatrix, mu: Marginal, nu: Marginal,
                        pi0: TransportPlan, eps: float,
                        cfg: SolverConfig = DEFAULT_CONFIG) -> DualityReport:
@@ -342,74 +457,9 @@ def solve_relaxed_dual(cost: CostMatrix, mu: Marginal, nu: Marginal,
     The primal value is R + eps * lambda at the final probe (pi0 at
     lambda = 1), so the gap is a real one.  No plan is returned.
     """
-    t0 = time.perf_counter()
-    _check_shapes(cost, mu, nu)
-    _require_reference_plan(cost, pi0)
-    # matching marginals keep the program bounded: every phi/psi
-    # coordinate with mass is charged by some support cell
-    verify_exact_coupling(pi0, mu, nu, MARGINAL_TOL)
     if not 0.0 < eps < math.inf:
         raise InvariantError(f"eps must be positive and finite, got {eps!r}")
-    mu0, nu0, tails, heads, costs, res = _solve_on_support(cost, pi0, cfg)
-    runs = [res]
-    m, k = mu.size, costs.size
-    density = pi0.mass[tails, heads] / pi0.total_mass()
-    tol = cfg.optimality_tol * (1.0 + float(np.max(np.abs(costs))))
-    split_tails = np.concatenate([tails, m + heads])
-    split_heads = np.tile(np.arange(k), 2)
-    split_costs = np.concatenate([costs, np.zeros(k)])
-
-    def tangent(lam: float, flow: np.ndarray, phi: np.ndarray, psi: np.ndarray) -> _Tangent:
-        pair = gauge_normalized(PotentialPair(phi, psi), mu)
-        breach = np.maximum(pair.phi[tails] + pair.psi[heads] - costs, 0.0)
-        return _Tangent(lam, float(costs @ flow[:k]), float(density @ breach), pair)
-
-    def probe(lam: float) -> _Tangent:
-        if len(runs) >= cfg.max_iterations:
-            raise IterationLimitError(
-                f"relaxed dual exceeded {cfg.max_iterations} network solves")
-        run = _network(cfg, np.concatenate([mu0.weights, (lam - 1.0) * nu0.weights]),
-                       lam * density, split_tails, split_heads, split_costs)
-        runs.append(run)
-        u = run.source_potentials
-        return tangent(lam, run.flow, u[:m], -u[m:])
-
-    # The restricted coupling is feasible, hence optimal, for every lambda
-    # at or above its density bound: anchor the flat line there.  Its pair
-    # is dual feasible, so it spends no budget; sigma is set to 0 rather
-    # than to its rounding error, which that bound could magnify.
-    hi = _Tangent(max(1.0, float(np.max(res.flow / density))), float(costs @ res.flow),
-                  0.0, gauge_normalized(
-                      PotentialPair(res.source_potentials, res.sink_potentials), mu))
-    # At lambda = 1 the only coupling left is pi0.  When it costs no more
-    # than the restricted optimum, R is flat and the flat line touches it.
-    cost_pi0 = float(costs @ density)
-    one = hi if cost_pi0 <= hi.at(1.0) + tol else probe(1.0)
-    if one.sigma <= eps:
-        pair = PotentialPair(one.pair.phi + (eps - one.sigma), one.pair.psi)
-        primal = cost_pi0 + eps
-    else:
-        lo = one
-        while True:
-            last = probe(_meet(lo, hi))
-            if last.value <= max(lo.at(last.lam), hi.at(last.lam)) + tol:
-                t = min(max((eps - hi.sigma) / (lo.sigma - hi.sigma), 0.0), 1.0)
-                pair = PotentialPair(t * lo.pair.phi + (1.0 - t) * hi.pair.phi,
-                                     t * lo.pair.psi + (1.0 - t) * hi.pair.psi)
-                break
-            if last.sigma >= eps:
-                lo = last
-            else:
-                hi = last
-        primal = last.value + eps * last.lam
-    pots = gauge_normalized(pair, mu)
-    dual = float(np.dot(pots.phi, mu.weights) + np.dot(pots.psi, nu.weights))
-    if primal - dual < -tol:
-        raise MKLabError(f"relaxed dual: primal {primal!r} below dual {dual!r}")
-    return DualityReport(
-        primal_value=primal, dual_value=dual,
-        optimal_plan=None, optimal_potentials=pots, gap=primal - dual,
-        stats=_stats(t0, sum(r.iterations for r in runs), sum(r.pivots for r in runs)))
+    return _RelaxedDual(cost, mu, nu, pi0, cfg).answer(eps)
 
 
 def dual_sequence(cost: CostMatrix, mu: Marginal, nu: Marginal,
@@ -430,9 +480,14 @@ def relaxed_dual_sweep(cost: CostMatrix, mu: Marginal, nu: Marginal,
     """Budgeted-dual values along a decreasing grid with their limit at 0.
 
     The vanishing-budget limit of this concave piecewise-linear value
-    function equals the restricted primal value (finite LP duality), so
-    the extrapolated limit cross-checks :func:`solve_restricted_primal`.
-    The budget shrinks as eps falls, so the values may only drop.
+    function equals the restricted primal value (finite LP duality), and
+    that exact value is the sweep's limit.  The budget shrinks as eps
+    falls, so the values may only drop.  The restricted solve and every
+    probe of the tangent search run once for the whole grid; each report
+    equals that of :func:`solve_relaxed_dual` at its eps, counters
+    included.
     """
-    return _sweep(eps_grid, lambda e: solve_relaxed_dual(cost, mu, nu, pi0, e, cfg),
-                  lambda r: r.dual_value, -1.0, cfg)
+    eps = _grid(eps_grid)
+    dual = _RelaxedDual(cost, mu, nu, pi0, cfg)
+    return _sweep(eps, dual.answer, lambda r: r.dual_value, -1.0,
+                  lambda _eps, _values: dual.restricted_value(), cfg)

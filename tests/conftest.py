@@ -106,6 +106,16 @@ def dense_relaxed_dual(cost: CostMatrix, mu: Marginal, nu: Marginal,
     return -res.value, PotentialPair(phi, psi)
 
 
+def assert_same_report(report, cold) -> None:
+    """Two reports agree bit for bit apart from ``wall_ms``."""
+    assert (report.primal_value, report.dual_value, report.gap) == (
+        cold.primal_value, cold.dual_value, cold.gap)
+    assert np.array_equal(report.optimal_potentials.phi, cold.optimal_potentials.phi)
+    assert np.array_equal(report.optimal_potentials.psi, cold.optimal_potentials.psi)
+    assert (report.stats.iterations, report.stats.pivots) == (
+        cold.stats.iterations, cold.stats.pivots)
+
+
 def enumerate_vertex_minimum(cost: CostMatrix, mu: Marginal, nu: Marginal) -> float | None:
     """Brute-force optimum by enumerating all basic solutions (small sizes).
 

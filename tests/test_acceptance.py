@@ -165,11 +165,11 @@ def test_criterion_4_budgeted_dual_limit_matches_restricted():
         earlier >= later - 1e-9
         for earlier, later in zip(sweep.values, sweep.values[1:]))
     restricted = solve_restricted_primal(cost, pi).primal_value
-    gap = abs(sweep.extrapolated_limit - restricted)
+    gap = abs(sweep.limit - restricted)
     elapsed = time.perf_counter() - t0
     ok = nondecreasing_in_eps and gap <= 1e-5 and elapsed < 30.0
     report("criterion 4: budgeted dual limit equals restricted value", ok,
-           f"limit={sweep.extrapolated_limit:.9f} restricted={restricted:.9f} "
+           f"limit={sweep.limit:.9f} restricted={restricted:.9f} "
            f"gap={gap:.2e}; {elapsed:.2f}s")
     assert ok
 

@@ -212,6 +212,7 @@ class TestEpsilonGrids:
 
         monkeypatch.setattr(solvers, "solve_partial", no_solve)
         monkeypatch.setattr(solvers, "solve_relaxed_dual", no_solve)
+        monkeypatch.setattr(solvers, "_network", no_solve)
         if entry in LIBRARY_SWEEPS:
             values = [float(v) for v in grid.split(",") if v]
             with pytest.raises(InvariantError, match="epsilons must"):
@@ -240,7 +241,7 @@ class TestEpsilonGrids:
         rows = list(csv.DictReader(out.open()))
         assert [r["parameter"] for r in rows] == [_fmt(e) for e in sweep.epsilons] + ["0.0"]
         assert [r["value"] for r in rows] == (
-            [_fmt(v) for v in sweep.values] + [_fmt(sweep.extrapolated_limit)])
+            [_fmt(v) for v in sweep.values] + [_fmt(sweep.limit)])
 
 
 class TestDiagnose:
@@ -258,6 +259,20 @@ class TestDiagnose:
         rows = list(csv.DictReader(out.open()))
         assert len(rows) == 10  # two sequence entries, k = 1..5
         assert all(r["passed"] == "true" for r in rows)
+
+    def test_bound_solves_the_restricted_program_once(self, ap_instance, tmp_path,
+                                                      monkeypatch):
+        engine = solvers._network
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_network", counted)
+        assert main(["diagnose", ap_instance, "--diag", "bound",
+                     "--out", str(tmp_path / "bound.csv")]) == 0
+        assert len(solves) == 1  # one per budget before the solves were shared
 
     def test_bound_requires_ap(self, explicit_instance, tmp_path):
         assert main(["diagnose", explicit_instance, "--diag", "bound",

@@ -16,6 +16,7 @@ from mklab import (
     mixture_plan,
     plan_dominates,
     potential_plan_integral,
+    relaxed_dual_sweep,
     skew_step,
     solve_relaxed_dual,
     step_signs,
@@ -26,7 +27,7 @@ from mklab import network_simplex
 from mklab.fileformats import dumps_canonical, instance_to_jsonable, parse_instance, InstanceSpec
 from mklab.rotation import OrbitState
 
-from conftest import dense_relaxed_dual, nw_corner, shuffled_coupling
+from conftest import assert_same_report, dense_relaxed_dual, nw_corner, shuffled_coupling
 
 
 def marginals(draw, size):
@@ -218,3 +219,18 @@ def test_relaxed_dual_matches_dense_oracle(monkeypatch):
             assert float(np.sum(pi0.mass * breach)) <= eps + 1e-9 * scale
             assert abs(float(pots.phi @ mu.weights)) <= 1e-12 * scale
     assert searched and shifted
+
+
+def test_relaxed_dual_sweep_equals_cold_solves():
+    """A sweep shares its network solves across budgets, yet each report
+    equals a solve at that budget alone, counters included."""
+    rng = np.random.default_rng(47)
+    grid = (1.0, 0.1, 0.01, 1e-3, 1e-6)
+    for case in range(4):
+        n = int(rng.integers(5, 13))
+        pi0, mu, nu = sinkhorn_reference(rng, n)
+        cost = CostMatrix((rng.uniform(0.0, 5.0, (n, n)),
+                           rng.integers(0, 3, (n, n)).astype(float))[case % 2])
+        sweep = relaxed_dual_sweep(cost, mu, nu, pi0, grid)
+        for eps, report in zip(grid, sweep.reports):
+            assert_same_report(report, solve_relaxed_dual(cost, mu, nu, pi0, eps))

@@ -30,8 +30,8 @@ from mklab import (
 )
 from mklab.dense_simplex import solve_dense
 
-from conftest import (dense_coupling, dense_relaxed_dual, enumerate_vertex_minimum, nw_corner,
-                      random_cost, random_marginal)
+from conftest import (assert_same_report, dense_coupling, dense_relaxed_dual,
+                      enumerate_vertex_minimum, nw_corner, random_cost, random_marginal)
 
 
 def dense_partial_value(cost, mu, nu, eps):
@@ -204,7 +204,7 @@ class TestEstimateRelaxedPrimal:
         nu = random_marginal(rng, 4)
         sweep = estimate_relaxed_primal(c, mu, nu, (0.1, 0.01, 0.001))
         full = solve_primal(c, mu, nu).primal_value
-        assert sweep.extrapolated_limit == pytest.approx(full, abs=1e-6)
+        assert sweep.limit == pytest.approx(full, abs=1e-6)
 
     def test_values_nondecreasing_as_eps_shrinks(self, rng):
         c = random_cost(rng, 5, 5)
@@ -218,13 +218,22 @@ class TestEstimateRelaxedPrimal:
         c = ap_cost(inst)
         mu = uniform_marginal(inst)
         sweep = estimate_relaxed_primal(c, mu, mu, (0.1, 0.01, 0.001))
-        assert sweep.extrapolated_limit == pytest.approx(1.0, abs=1e-6)
+        assert sweep.limit == pytest.approx(1.0, abs=1e-6)
 
     def test_grid_validation(self, rng):
         c = random_cost(rng, 3, 3)
         mu = random_marginal(rng, 3)
         with pytest.raises(InvariantError):
             estimate_relaxed_primal(c, mu, mu, (0.01, 0.1))
+
+    def test_reports_keep_values_but_not_plans(self, rng):
+        c = random_cost(rng, 4, 4)
+        mu = random_marginal(rng, 4)
+        nu = random_marginal(rng, 4)
+        sweep = estimate_relaxed_primal(c, mu, nu, (0.1, 0.01))
+        for eps, report in zip(sweep.epsilons, sweep.reports):
+            assert report.optimal_plan is None
+            assert report.primal_value == solve_partial(c, mu, nu, eps).primal_value
 
 
 class TestRestrictedPrimal:
@@ -361,6 +370,7 @@ class TestRelaxedDual:
             raise AssertionError("a budget was solved before the grid was checked")
 
         monkeypatch.setattr(solvers, "solve_relaxed_dual", no_solve)
+        monkeypatch.setattr(solvers, "_network", no_solve)
         inst = make_instance(16)
         c = ap_cost(inst)
         mu = uniform_marginal(inst)
@@ -376,9 +386,50 @@ class TestRelaxedDual:
         c = ex33_cost(inst, 23)
         mu = uniform_marginal(inst)
         pi = graph_mixture_plan(inst, 4)
-        sweep = relaxed_dual_sweep(c, mu, mu, pi, (1e-1, 1e-2, 1e-3, 1e-4))
         restricted = solve_restricted_primal(c, pi).primal_value
-        assert sweep.extrapolated_limit == pytest.approx(restricted, abs=1e-5)
+        # exact, not extrapolated: the grid (0.5, 0.2) stops short of the
+        # last linear piece, where extrapolation reads about 1.0074
+        for grid in ((1e-1, 1e-2, 1e-3, 1e-4), (0.5, 0.2)):
+            assert relaxed_dual_sweep(c, mu, mu, pi, grid).limit == restricted
+
+
+def two_graph_case(kind, n):
+    """Cost, marginal and reference plan as ``mklab gen --kind ap|ex33`` builds them."""
+    from mklab import ex33_cost
+
+    inst = make_instance(n)
+    if kind == "ap":
+        pi = mixture_plan([shift_graph_plan(inst, 0), shift_graph_plan(inst, 1)], [0.5, 0.5])
+        return ap_cost(inst), uniform_marginal(inst), pi
+    return ex33_cost(inst, n - 1), uniform_marginal(inst), graph_mixture_plan(inst, 4)
+
+
+class TestRelaxedDualSweep:
+    GRID = (1e-1, 1e-2, 1e-3)
+
+    @pytest.mark.parametrize("kind,n", [("ap", 24), ("ex33", 24), ("ex33", 48)])
+    def test_reports_equal_cold_solves(self, kind, n):
+        c, mu, pi = two_graph_case(kind, n)
+        sweep = relaxed_dual_sweep(c, mu, mu, pi, self.GRID)
+        for eps, report in zip(self.GRID, sweep.reports):
+            assert_same_report(report, solve_relaxed_dual(c, mu, mu, pi, eps))
+
+    @pytest.mark.parametrize("kind,n,solves", [("ap", 24, 1), ("ex33", 48, 6)])
+    def test_each_network_solve_runs_once_per_grid(self, monkeypatch, kind, n, solves):
+        # one cold solve per grid point makes 3 on ap and 15 on ex33 n=48
+        from mklab import solvers
+
+        engine = solvers._network
+        counted = []
+
+        def counting(*args, **kwargs):
+            counted.append(1)
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_network", counting)
+        c, mu, pi = two_graph_case(kind, n)
+        relaxed_dual_sweep(c, mu, mu, pi, self.GRID)
+        assert len(counted) == solves
 
 
 class TestDualSequence:
