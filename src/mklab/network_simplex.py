@@ -9,7 +9,7 @@ survives at optimality certifies infeasibility.
 
 The basis is kept as a strongly feasible spanning tree (Cunningham,
 *A network simplex method*, Math. Prog. 11, 1976): every tree arc
-without flow points toward the root.  The starting star has this
+without flow points toward the root.  The start tree has this
 property, and the leaving-arc rule keeps it, so degenerate pivots
 cannot cycle and the method terminates with one pricing rule.  A pivot
 re-hangs only the subtree that the leaving arc cuts off, resetting
@@ -22,11 +22,24 @@ optimality (block search; Kovács, *Minimum-cost flow algorithms: an
 experimental evaluation*, OMS 2015).  Arcs are scanned in a fixed
 scattered order, so that the many tied costs of a structured instance
 are not all met in row-major order.
+
+The start tree is the star on the root, except that sources and sinks
+of equal positive mass begin matched: walking the arcs from the
+cheapest, each arc whose two ends are unmatched and carry the same mass
+hangs its sink below its source with that whole mass, and the source's
+artificial arc stays in the tree with zero flow, pointing up.  In an
+assignment problem (uniform marginals, as in the rotation models) most
+nodes begin matched, and most of the pivots that the plain star spends
+pushing artificial flow out are saved.  Without equal masses the start
+is the plain star.  Only equal masses are matched: hanging sinks of
+any mass below cheap sources makes each re-hang larger, which costs
+more than the pivots it saves.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +56,9 @@ from .core import (
 #: Python than a numpy scan of its block, so the blocks are large.
 _PRICING_BLOCKS = 8
 
+#: The matched start walks the cost-sorted arcs this many at a time.
+_MATCH_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class BipartiteFlow:
@@ -54,12 +70,52 @@ class BipartiteFlow:
     arcs_priced: int          # reduced costs computed, summed over the blocks scanned
 
 
-def _scattered_order(n_arcs: int) -> np.ndarray:
-    """Arc visiting order k * s mod n_arcs, s the first integer >= 0.618 n_arcs coprime to it."""
+def _scattered_stride(n_arcs: int) -> int:
+    """The first integer s >= 0.618 n_arcs coprime to n_arcs.
+
+    Slot k of the arc visiting order holds input arc k * s mod n_arcs, so
+    input arc a sits in slot a * s^-1 mod n_arcs.
+    """
     stride = max(1, math.ceil(0.618 * n_arcs))
     while math.gcd(stride, n_arcs) != 1:
         stride += 1
-    return np.arange(n_arcs, dtype=np.int64) * stride % max(n_arcs, 1)
+    return stride
+
+
+def _matched_pairs(supplies, demands, tails, heads, costs) -> list[tuple[int, int, int]]:
+    """Greedy (arc, source, sink) pairs of equal positive mass, cheapest arcs first.
+
+    Each source and each sink is in at most one pair; ties in cost keep
+    the input order.
+    """
+    # Python sets, not np.intersect1d, whose first call imports numpy.ma.
+    common = set(supplies[supplies > 0].tolist()) & set(demands[demands > 0].tolist())
+    if not common:
+        return []
+    src_free = np.isin(supplies, list(common))
+    snk_free = np.isin(demands, list(common))
+    # the walk stops once every mass value has run out on one side
+    sink_count = Counter(demands[snk_free].tolist())
+    left = sum(min(count, sink_count[value])
+               for value, count in Counter(supplies[src_free].tolist()).items())
+    candidates = np.flatnonzero(src_free[tails] & snk_free[heads])
+    by_cost = candidates[np.argsort(costs[candidates], kind="stable")]
+    # the arrays screen a chunk at once; their list copies answer the
+    # per-arc checks inside it
+    src_open, snk_open = src_free.tolist(), snk_free.tolist()
+    pairs: list[tuple[int, int, int]] = []
+    for lo in range(0, by_cost.size, _MATCH_CHUNK):
+        arcs = by_cost[lo:lo + _MATCH_CHUNK]
+        t, h = tails[arcs], heads[arcs]
+        keep = src_free[t] & snk_free[h] & (supplies[t] == demands[h])
+        for a, i, j in zip(arcs[keep].tolist(), t[keep].tolist(), h[keep].tolist()):
+            if src_open[i] and snk_open[j]:
+                src_open[i] = snk_open[j] = src_free[i] = snk_free[j] = False
+                pairs.append((a, i, j))
+                left -= 1
+                if not left:
+                    return pairs
+    return pairs
 
 
 def solve_bipartite(supplies, demands, tails, heads, costs, *,
@@ -91,7 +147,8 @@ def solve_bipartite(supplies, demands, tails, heads, costs, *,
     # so that every artificial arc without flow points up.
     root = m + n
     n_nodes = m + n + 1
-    order = _scattered_order(e_real)
+    stride = _scattered_stride(e_real)
+    order = np.arange(e_real, dtype=np.int64) * stride % max(e_real, 1)
     sinks = np.arange(n) + m
     sink_down = demands > 0
     g_tail = np.concatenate([tails[order], np.arange(m), np.where(sink_down, root, sinks)])
@@ -102,7 +159,7 @@ def solve_bipartite(supplies, demands, tails, heads, costs, *,
     g_cost = np.concatenate([costs[order], np.full(m + n, penalty)])
     n_arcs = e_real + m + n
 
-    # The starting tree is the star on the root.  up[v] says that the tree
+    # The tree starts as the star on the root.  up[v] says that the tree
     # arc joining v to its parent points from v to the parent; adj[v] maps
     # every basic arc at v to (other end, arc leaves v, cost).  Only basic
     # arcs carry flow.
@@ -115,6 +172,23 @@ def solve_bipartite(supplies, demands, tails, heads, costs, *,
     adj.append({e_real + v: (v, not up[v], penalty) for v in range(m + n)})
     flow = dict(zip(range(e_real, n_arcs),
                     np.concatenate([supplies, demands]).tolist()))
+    # Matched start: sink j hangs below source i by the real arc in slot
+    # k, which carries their common mass down; the artificial arc of i
+    # keeps zero flow pointing up, and that of j leaves the tree.
+    matched = _matched_pairs(supplies, demands, tails, heads, costs)
+    inverse = pow(stride, -1, e_real) if matched else 0
+    for a, i, j in matched:
+        k = a * inverse % e_real
+        v = m + j
+        c = float(costs[a])
+        del adj[root][e_real + v], flow[e_real + v]
+        adj[i][k] = (v, True, c)
+        adj[v] = {k: (i, False, c)}
+        flow[k] = flow[e_real + i]
+        flow[e_real + i] = 0.0
+        parent[v], parent_arc[v], up[v], depth[v] = i, k, False, 2
+        pi[v] = pi[i] - c
+        g_cost[k] = np.inf
 
     # (first arc, costs, tails, heads) of each pricing block, as views
     step = max(1, -(-e_real // _PRICING_BLOCKS))

@@ -80,8 +80,8 @@ class TestSolve:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_huge_tol_rejected(self, ap_instance, capsys):
-        # no reduced cost lies below -1e300, so a solve would stop at the
-        # artificial starting star and fail its coupling check instead
+        # no reduced cost lies below -1e300, so a solve would stop at its
+        # start tree, which need be neither optimal nor feasible
         assert main(["solve", ap_instance, "--problem", "primal", "--tol", "1e300"]) == 1
         assert capsys.readouterr().err.startswith("error: feasibility_tol must be below 1")
 

@@ -11,6 +11,16 @@ The relaxed-dual digest was pinned again when that program moved to the
 network engine: its optimal potentials are another vertex of the same
 optimal face, and its iteration and pivot counts changed.  The
 engine-independent facts of that file are asserted separately below.
+
+The ex33 primal and relaxed-dual digests were pinned again when the
+network simplex began from a matched start (sources and sinks of equal
+mass paired).  The ex33 primal file now holds another optimal plan, a
+primal value of exactly 1.0 (was 0.9999999999999999) and fewer
+iterations and pivots (19/18, were 104/103); the relaxed-dual file
+changed only in its counters (20/19, were 46/45).  The explicit
+instance has no two equal masses, so its three files did not move.
+The engine-independent facts of the ex33 primal file are asserted
+below as well.
 """
 
 import hashlib
@@ -20,7 +30,8 @@ import math
 import numpy as np
 import pytest
 
-from mklab import Marginal, ap_cost, make_instance, mixture_plan, shift_graph_plan
+from mklab import (Marginal, ap_cost, ex33_cost, make_instance, mixture_plan,
+                   shift_graph_plan)
 from mklab.cli import main
 
 from conftest import nw_corner
@@ -33,9 +44,9 @@ GOLDEN_SHA256 = {
     ("explicit", "partial:0.05"):
         "94db0a57f88e24d62c20b18dc250287802b0860747e2ae58ba3d98f5f72dd662",
     ("ex33", "primal"):
-        "f42e6c757641000e73e13d0ce05bc0b7f89f24ecb00f0222aabe5415ee15e4d2",
+        "0164bb6025b759a9ead06c46c72126828580eb7f129dd37c584d69eed1d26ae5",
     ("ap", "relaxed-dual:0.01"):
-        "fc35bb0e0ef8dfd21d891e3d5d84ed57d97bcbe0692a8c3b36d606ab056a6e4f",
+        "42971f7ff2d63346604c79a0d67d6813e28b17fb38caa5f97356e234a9de4447",
 }
 
 
@@ -85,6 +96,25 @@ def test_relaxed_dual_file_facts(tmp_path):
     support = pi0 > 0
     breach = np.maximum(phi[:, None] + psi[None, :] - cost, 0.0)[support]
     assert float(np.sum(pi0[support] * breach)) <= 0.01 + 1e-12
+
+
+def test_ex33_primal_file_facts(tmp_path):
+    """Value 1, a uniform coupling, and potentials feasible and tight on
+    it, whichever optimal vertex is written."""
+    result_sha256(tmp_path, "ex33", "primal")
+    doc = json.loads((tmp_path / "result.json").read_text())
+    n, tol = 24, 1e-12
+    assert abs(doc["primal_value"] - 1.0) <= tol
+    assert doc["gap"] >= -tol
+    cost = ex33_cost(make_instance(n), n - 1).entries
+    plan = np.array(doc["plan"])
+    assert np.all(plan >= 0.0) and not np.any(plan[np.isinf(cost)])
+    assert np.allclose(plan.sum(axis=1), 1.0 / n, rtol=0.0, atol=tol)
+    assert np.allclose(plan.sum(axis=0), 1.0 / n, rtol=0.0, atol=tol)
+    assert abs(float(np.sum(plan[plan > 0] * cost[plan > 0])) - doc["primal_value"]) <= tol
+    reduced = cost - (np.array(doc["phi"])[:, None] + np.array(doc["psi"])[None, :])
+    assert float(np.min(reduced)) >= -tol
+    assert float(np.max(np.abs(reduced[plan > 0]))) <= tol
 
 
 @pytest.mark.parametrize("kind,problem", sorted(GOLDEN_SHA256))

@@ -2,18 +2,26 @@ import numpy as np
 import pytest
 
 from mklab import (
+    CostMatrix,
     InfeasibleError,
     Marginal,
     RotationInstance,
+    ap_cost,
     ex33_cost,
     golden_shift,
+    make_instance,
+    mixture_plan,
+    shift_graph_plan,
+    solve_partial,
     solve_primal,
+    solve_restricted_primal,
+    solvers,
     uniform_marginal,
 )
 from mklab.dense_simplex import solve_dense
-from mklab.network_simplex import solve_bipartite
+from mklab.network_simplex import _matched_pairs, solve_bipartite
 
-from conftest import nw_corner
+from conftest import dense_coupling, nw_corner
 
 
 def full_arcs(m, n):
@@ -80,12 +88,14 @@ def test_deleted_arcs_respected():
 
 
 def test_infeasible_row_detected():
-    # source 1 can only reach sink 0, but sink 0 cannot absorb both sources
+    # source 1 can only reach sink 0, but sink 0 cannot absorb both
+    # sources; with equal masses, source 0 and sink 0 begin matched
     tails = np.array([0, 1])
     heads = np.array([0, 0])
     costs = np.array([1.0, 1.0])
-    with pytest.raises(InfeasibleError):
-        solve_bipartite([0.5, 0.5], [0.25, 0.75], tails, heads, costs)
+    for demands in ([0.25, 0.75], [0.5, 0.5]):
+        with pytest.raises(InfeasibleError):
+            solve_bipartite([0.5, 0.5], demands, tails, heads, costs)
 
 
 def test_zero_supply_nodes():
@@ -155,9 +165,10 @@ def test_arc_order_does_not_matter(rng):
 @pytest.mark.parametrize("n, bound", [(96, 800), (192, 2100)])
 def test_ex33_pivot_count(n, bound):
     # Pivot counts do not depend on the host.  Block pricing over the
-    # scattered arc order takes 516 pivots at n=96 and 1,377 at n=192; the
-    # bounds leave a margin of about 1.5x and sit far below the degenerate
-    # stall of Dantzig pricing in row-major order (1,944 and 7,887).
+    # scattered arc order takes 96 pivots at n=96 and 180 at n=192 from the
+    # matched start (516 and 1,377 from the plain star).  The bounds sit far
+    # below the degenerate stall of Dantzig pricing in row-major order
+    # (1,944 and 7,887).
     inst = RotationInstance(n=n, shift=golden_shift(n))
     mu = uniform_marginal(inst)
     report = solve_primal(ex33_cost(inst, n - 1), mu, mu)
@@ -167,7 +178,7 @@ def test_ex33_pivot_count(n, bound):
 
 def test_ex33_arcs_priced():
     # The final round scans all E arcs; a round that finds an entering arc
-    # stops at its block.  Measured: 603,648 arcs priced over 517
+    # stops at its block.  Measured: 119,808 arcs priced over 97
     # iterations, 0.13 E per iteration, where Dantzig pricing takes E.
     n = 96
     inst = RotationInstance(n=n, shift=golden_shift(n))
@@ -175,3 +186,100 @@ def test_ex33_arcs_priced():
     costs = ex33_cost(inst, n - 1).entries.ravel()
     res = solve_bipartite(mu, mu, *full_arcs(n, n), costs)
     assert costs.size <= res.arcs_priced < costs.size * res.iterations / 4
+
+
+def test_ex33_matched_start_pivots():
+    # Uniform masses make ex33 an assignment problem, and the matched start
+    # is feasible from the first pivot: 136 pivots, against 567 from the
+    # plain star.
+    n = 144
+    inst = RotationInstance(n=n, shift=golden_shift(n))
+    mu = uniform_marginal(inst)
+    report = solve_primal(ex33_cost(inst, n - 1), mu, mu)
+    assert report.primal_value == pytest.approx(1.0, abs=1e-12)
+    assert report.stats.pivots <= 200
+
+
+def test_ap_restricted_matched_start_pivots():
+    # The restricted solve inside every ap relaxed dual: 208 pivots on 384
+    # arcs, against 382 from the plain star.
+    inst = make_instance(192)
+    pi0 = mixture_plan([shift_graph_plan(inst, 0), shift_graph_plan(inst, 1)], [0.5, 0.5])
+    report = solve_restricted_primal(ap_cost(inst), pi0)
+    assert report.primal_value == pytest.approx(1.0, abs=1e-12)
+    assert report.stats.pivots <= 300
+
+
+def test_generic_masses_keep_the_star_start():
+    # No two masses are equal, so nothing is matched and the engine runs
+    # exactly as it did before the matched start existed.
+    rng = np.random.default_rng(3)
+    n = 40
+    cost = rng.uniform(0.0, 5.0, (n, n))
+    mu = random_masses(rng, n, 0.0)
+    nu = random_masses(rng, n, 0.0)
+    keep = nw_corner(Marginal(mu), Marginal(nu)).mass.ravel() > 0
+    keep |= rng.random(n * n) > 0.2
+    tails, heads = full_arcs(n, n)
+    tails, heads, costs = tails[keep], heads[keep], cost.ravel()[keep]
+    assert _matched_pairs(mu, nu, tails, heads, costs) == []
+    res = solve_bipartite(mu, nu, tails, heads, costs)
+    assert (res.iterations, res.pivots, res.arcs_priced) == (154, 153, 28420)
+
+
+def shared_masses(rng, m, n):
+    """Masses (mu, nu) of total 1 on each side where some values recur
+    exactly, on one side or on both, and some nodes carry nothing."""
+    sides = []
+    for size in (m, n):
+        w = rng.integers(0, 4, size) / 32.0
+        generic = rng.random(size) < 0.3
+        w[generic] = rng.uniform(0.01, 0.1, int(generic.sum()))
+        # one node takes up the slack, so that the side sums to one
+        w[rng.integers(size)] += 1.0 - w.sum()
+        sides.append(w)
+    return sides
+
+
+def test_matched_start_matches_dense_oracle(rng, monkeypatch):
+    """Random instances where only some masses are equal, against the
+    dense tableau: primal solves, and partial solves, whose dummy source
+    and dummy sink of mass eps are matched."""
+    runs = []
+    engine = solvers._network
+
+    def recording(cfg, *args):
+        runs.append((args, engine(cfg, *args)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(solvers, "_network", recording)
+    matched = unmatched = 0
+    for case in range(40):
+        m, n = int(rng.integers(3, 8)), int(rng.integers(3, 8))
+        mu, nu = shared_masses(rng, m, n)
+        entries = (rng.uniform(0, 5, (m, n)), rng.integers(0, 3, (m, n)).astype(float))[case % 2]
+        if case % 4 >= 2:
+            # forbid about a third of the cells off the north-west-corner support
+            off = nw_corner(Marginal(mu), Marginal(nu)).mass == 0
+            entries[off & (rng.random((m, n)) < 0.35)] = np.inf
+        cost = CostMatrix(entries)
+        eps = float(rng.uniform(0.05, 0.5))
+        aug = np.zeros((m + 1, n + 1))
+        aug[:m, :n] = entries
+        expected = (dense_coupling(cost, Marginal(mu), Marginal(nu)).value,
+                    dense_coupling(CostMatrix(aug), Marginal(np.append(mu, eps) / (1 + eps)),
+                                   Marginal(np.append(nu, eps) / (1 + eps))).value * (1 + eps))
+        runs.clear()
+        values = (solve_primal(cost, Marginal(mu), Marginal(nu)).primal_value,
+                  solve_partial(cost, Marginal(mu), Marginal(nu), eps).primal_value)
+        for value, oracle in zip(values, expected):
+            assert abs(value - oracle) <= 1e-9 * max(1.0, abs(oracle))
+        pairs = []
+        for (supplies, demands, tails, heads, costs), res in runs:
+            assert_potentials_feasible_and_tight(res, tails, heads, costs)
+            pairs.append(_matched_pairs(supplies, demands, tails, heads, costs))
+            unmatched += len(pairs[-1]) < np.count_nonzero(supplies)
+        matched += bool(pairs[0])
+        # the dummy pair of the partial solve begins matched
+        assert any(t == m and h == n for _, t, h in pairs[1])
+    assert matched >= 20 and unmatched >= 40
