@@ -77,13 +77,7 @@ def _load_problem(path: str) -> tuple[InstanceSpec, Problem, dict]:
 
 
 def _config(args: argparse.Namespace) -> solvers.SolverConfig:
-    kwargs = {}
-    if args.tol is not None:
-        kwargs["feasibility_tol"] = args.tol
-        kwargs["optimality_tol"] = args.tol
-    if args.max_iter is not None:
-        kwargs["max_iterations"] = args.max_iter
-    return solvers.SolverConfig(**kwargs)
+    return solvers.SolverConfig(tol=args.tol, max_iterations=args.max_iter)
 
 
 def _reference_plan(problem: Problem) -> TransportPlan:
@@ -99,6 +93,14 @@ def _write_text(path: Optional[str], text: str) -> None:
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
+
+
+def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    print(f"wrote {len(rows)} rows to {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +139,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     pots = report.optimal_potentials
     doc = fileformats.result_document(
         args.problem,
-        {"feasibility_tol": cfg.feasibility_tol, "optimality_tol": cfg.optimality_tol,
+        # the file schema keeps both tolerance keys; one tol sets both
+        {"feasibility_tol": cfg.tol, "optimality_tol": cfg.tol,
          "max_iterations": cfg.max_iterations},
         instance_doc,
         primal_value=report.primal_value, dual_value=report.dual_value,
@@ -175,8 +178,6 @@ def _scaled_spec(spec: InstanceSpec, n: int) -> InstanceSpec:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec, problem, _ = _load_problem(args.instance)
     cfg = _config(args)
-    if not args.grid:
-        raise UsageError("sweep needs --grid")
     rows: list[list[str]] = []
 
     if args.sweep in ("epsilon-primal", "epsilon-dual"):
@@ -203,12 +204,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                          str(report.stats.iterations), f"{report.stats.wall_ms:.3f}"])
     else:
         raise UsageError(f"unknown sweep {args.sweep!r}")
-
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "value", "iterations", "wall_ms"])
-        writer.writerows(rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    _write_csv(args.out, ["parameter", "value", "iterations", "wall_ms"], rows)
     return EXIT_OK
 
 
@@ -262,12 +258,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         rows.append(["estimate", "", _fmt(diag.singular_mass_estimate)])
     else:
         raise UsageError(f"unknown diagnostic {args.diag!r}")
-
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    _write_csv(args.out, header, rows)
     return EXIT_OK
 
 
@@ -295,7 +286,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     else:
         if args.n is None:
             raise UsageError(f"gen --kind {args.kind} needs --n")
-        shift: object = AUTO_SHIFT if args.shift in (None, AUTO_SHIFT) else int(args.shift)
+        shift: object = args.shift
+        if shift != AUTO_SHIFT:
+            try:
+                shift = int(shift)
+            except ValueError as exc:
+                raise UsageError(
+                    f'--shift must be an integer or "{AUTO_SHIFT}", got {shift!r}') from exc
         spec = InstanceSpec(kind=args.kind, n=args.n, shift=shift,
                             k_max=args.k_max, seed=args.seed)
     fileformats.materialize(spec)  # validate before writing
@@ -316,8 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mklab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     solver_opts = argparse.ArgumentParser(add_help=False)
-    solver_opts.add_argument("--tol", type=float)
-    solver_opts.add_argument("--max-iter", type=int)
+    default = solvers.DEFAULT_CONFIG
+    solver_opts.add_argument("--tol", type=float, default=default.tol, help="solver tolerance")
+    solver_opts.add_argument("--max-iter", type=int, default=default.max_iterations)
 
     solve = sub.add_parser("solve", parents=[solver_opts],
                            help="solve one problem on one instance")
@@ -348,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="write a template instance file")
     gen.add_argument("--kind", required=True, choices=list(fileformats.KINDS))
     gen.add_argument("--n", type=int)
-    gen.add_argument("--shift", help=f'integer or "{AUTO_SHIFT}"')
+    gen.add_argument("--shift", default=AUTO_SHIFT, help=f'integer or "{AUTO_SHIFT}"')
     gen.add_argument("--k-max", type=int, dest="k_max")
     gen.add_argument("--seed", type=int)
     gen.add_argument("--out")

@@ -30,6 +30,7 @@ from .core import (
 from .rotation import (
     RotationInstance,
     ap_cost,
+    check_grid_size,
     ex33_cost,
     golden_shift,
     graph_mixture_plan,
@@ -307,8 +308,9 @@ def materialize(spec: InstanceSpec) -> Problem:
                        reference_plan=reference)
 
     n = int(spec.n)  # type: ignore[arg-type]
-    shift = golden_shift(n) if spec.shift in (None, AUTO_SHIFT) else int(spec.shift)  # type: ignore[arg-type]
     try:
+        check_grid_size(n)
+        shift = golden_shift(n) if spec.shift in (None, AUTO_SHIFT) else int(spec.shift)  # type: ignore[arg-type]
         inst = RotationInstance(n=n, shift=shift)
     except InvariantError as exc:
         raise FileFormatError(f"invalid rotation instance: {exc}") from exc

@@ -119,14 +119,14 @@ def _matched_pairs(supplies, demands, tails, heads, costs) -> list[tuple[int, in
 
 
 def solve_bipartite(supplies, demands, tails, heads, costs, *,
-                    feasibility_tol: float = 1e-9,
-                    optimality_tol: float = 1e-9,
+                    tol: float = 1e-9,
                     max_iterations: int = 10 ** 6) -> BipartiteFlow:
     """Minimize sum(cost * flow) shipping supplies to demands over the arcs.
 
     ``tails`` index sources, ``heads`` index sinks.  On return the
-    potentials (u, v) satisfy u[i] + v[j] <= cost + optimality_tol on
-    every arc, with equality on arcs carrying flow (the returned basis).
+    potentials (u, v) satisfy u[i] + v[j] <= cost + tol on every arc,
+    with equality on arcs carrying flow (the returned basis); more than
+    tol of artificial flow left at optimality raises InfeasibleError.
     """
     supplies = np.asarray(supplies, dtype=float)
     demands = np.asarray(demands, dtype=float)
@@ -210,7 +210,7 @@ def solve_bipartite(supplies, demands, tails, heads, costs, *,
             arcs_priced += cost_b.size
             reduced = cost_b - pi[tail_b] + pi[head_b]
             k = int(reduced.argmin())
-            if reduced[k] < -optimality_tol:
+            if reduced[k] < -tol:
                 entering = lo + k
                 next_block = (next_block + b + 1) % n_blocks
                 break
@@ -293,12 +293,12 @@ def solve_bipartite(supplies, demands, tails, heads, costs, *,
             continue
         flow_exact[parent_arc[v]] = excess[v] if up[v] else -excess[v]
         excess[parent[v]] += excess[v]
-    if abs(float(excess[root])) > feasibility_tol:
+    if abs(float(excess[root])) > tol:
         raise MKLabError("flow conservation failed at the root")  # pragma: no cover
-    if float(np.min(flow_exact)) < -feasibility_tol:
+    if float(np.min(flow_exact)) < -tol:
         raise MKLabError("negative basic flow after recomputation")  # pragma: no cover
     np.clip(flow_exact, 0.0, None, out=flow_exact)
-    if float(np.sum(flow_exact[e_real:])) > feasibility_tol:
+    if float(np.sum(flow_exact[e_real:])) > tol:
         raise InfeasibleError("no feasible shipment avoids the deleted pairs")
 
     real_flow = np.empty(e_real)

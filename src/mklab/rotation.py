@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -34,6 +34,14 @@ from .core import (
 GOLDEN_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def check_grid_size(n: int) -> None:
+    """Raise unless 4 <= n <= MAX_SIDE, the sizes a rotation instance takes."""
+    if n < 4:
+        raise InvariantError("grid size must be at least 4")
+    if n > MAX_SIDE:
+        raise InvariantError(f"grid size {n} exceeds the {MAX_SIDE} cap")
+
+
 @dataclass(frozen=True)
 class RotationInstance:
     """Z_n with a coprime shift; the discrete stand-in for x -> x + alpha."""
@@ -42,10 +50,7 @@ class RotationInstance:
     shift: int
 
     def __post_init__(self) -> None:
-        if self.n < 4:
-            raise InvariantError("grid size must be at least 4")
-        if self.n > MAX_SIDE:
-            raise InvariantError(f"grid size {self.n} exceeds the {MAX_SIDE} cap")
+        check_grid_size(self.n)
         if not (0 < self.shift < self.n):
             raise InvariantError("shift must lie strictly between 0 and n")
         if math.gcd(self.shift, self.n) != 1:
@@ -65,12 +70,14 @@ class OrbitState:
 
 
 def golden_shift(n: int) -> int:
-    """The coprime shift closest to n times the golden-ratio conjugate."""
+    """The coprime shift closest to n times the golden-ratio conjugate, ties to the smaller.
+
+    n is checked first: the search costs time and memory in proportion to n.
+    """
+    check_grid_size(n)
     target = GOLDEN_CONJUGATE * n
-    for s in sorted(range(1, n), key=lambda v: (abs(v - target), v)):
-        if math.gcd(s, n) == 1:
-            return s
-    raise InvariantError(f"no coprime shift for n={n}")  # pragma: no cover
+    return min((s for s in range(1, n) if math.gcd(s, n) == 1),
+               key=lambda s: (abs(s - target), s))
 
 
 def make_instance(n: int, shift: Optional[int] = None) -> RotationInstance:
@@ -154,10 +161,7 @@ def level_matrix(inst: RotationInstance, k_max: int) -> np.ndarray:
     out = np.full((n, n), math.inf)
     idx = np.arange(n)
     for k in range(k_max + 1):
-        cols = (idx + k * s) % n
-        if np.any(np.isfinite(out[idx, cols])):
-            raise InvariantError("shift graphs collided; k_max must stay below n")
-        out[idx, cols] = levels[k]
+        out[idx, (idx + k * s) % n] = levels[k]
     return out
 
 
@@ -186,11 +190,9 @@ def first_passage(inst: RotationInstance, i: int, k_max: int) -> Optional[int]:
     Equivalently the first time the skew-product walk from (i, 0) dips to
     level -1 or below.
     """
-    if k_max < 0:
-        raise InvariantError("k_max must be nonnegative")
     if not 0 <= i < inst.n:
         raise InvariantError(f"point {i} outside Z_{inst.n}")
-    levels = birkhoff_levels(inst, k_max)
+    levels = birkhoff_levels(inst, k_max)  # rejects a negative k_max
     for k in range(1, k_max + 1):
         if levels[k, i] <= 0:
             return k
@@ -229,36 +231,28 @@ def orbit_certificate(inst: RotationInstance) -> tuple[TransportPlan, PotentialP
     return shift_graph_plan(inst, 0), PotentialPair(1.0 - primitive, primitive)
 
 
-def mixture_weights(inst: RotationInstance, k_max: int, levels: np.ndarray,
-                    potentials: Sequence[PotentialPair] = ()) -> np.ndarray:
+def mixture_weights(inst: RotationInstance, k_max: int, levels: np.ndarray) -> np.ndarray:
     """Geometric weights for the mixture of shift-graph plans.
 
-    weight[k] is proportional to 2**-k divided by the largest of 1, the
-    mean absolute level on the k-step graph, and the largest potential
-    L1 size among the sequence entries up to index k; the result is
-    normalized to sum 1.  Before normalization both decay conditions
-    weight[k] * mean|level_k| <= 2**-k and
-    weight[k] * (|phi_m|_1 + |psi_m|_1) <= 2**-k for m <= k hold with
-    constant 1 by construction.
+    weight[k] is proportional to 2**-k divided by the larger of 1 and
+    the mean absolute level on the k-step graph; the result is
+    normalized to sum 1.  Before normalization the decay condition
+    weight[k] * mean|level_k| <= 2**-k holds with constant 1 by
+    construction.
     """
     if levels.shape[0] < k_max + 1 or levels.shape[1] != inst.n:
         raise InvariantError("level table does not cover 0..k_max")
-    n = inst.n
-    pot_norms = [float(np.mean(np.abs(p.phi)) + np.mean(np.abs(p.psi)))
-                 for p in potentials]
     raw = np.empty(k_max + 1)
     for k in range(k_max + 1):
         level_norm = float(np.mean(np.abs(levels[k])))
-        pot_norm = max(pot_norms[:k + 1], default=0.0)
-        raw[k] = 2.0 ** (-k) / max(1.0, level_norm, pot_norm)
+        raw[k] = 2.0 ** (-k) / max(1.0, level_norm)
     return raw / raw.sum()
 
 
-def graph_mixture_plan(inst: RotationInstance, k_max: int,
-                       potentials: Sequence[PotentialPair] = ()) -> TransportPlan:
+def graph_mixture_plan(inst: RotationInstance, k_max: int) -> TransportPlan:
     """The weighted mixture of shift-graph plans for k = 0 .. k_max."""
     levels = birkhoff_levels(inst, k_max)
-    weights = mixture_weights(inst, k_max, levels, potentials)
+    weights = mixture_weights(inst, k_max, levels)
     plans = [shift_graph_plan(inst, k) for k in range(k_max + 1)]
     return mixture_plan(plans, weights)
 

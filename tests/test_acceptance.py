@@ -215,7 +215,7 @@ def test_criterion_6_randomized_property_suites():
         engines_ok &= abs(primal.primal_value - dense.value) <= 1e-7
 
         pots = primal.optimal_potentials
-        sup = primal.optimal_plan.mass > DEFAULT_CONFIG.feasibility_tol
+        sup = primal.optimal_plan.mass > DEFAULT_CONFIG.tol
         slack_ok &= bool(
             np.max(np.abs(pots.oplus()[sup] - cost.entries[sup]), initial=0.0) <= 1e-7)
 
@@ -313,8 +313,8 @@ def _solve_to_bytes(spec: InstanceSpec) -> bytes:
     rep = solve_primal(problem.cost, problem.mu, problem.nu)
     doc = result_document(
         "primal",
-        {"feasibility_tol": DEFAULT_CONFIG.feasibility_tol,
-         "optimality_tol": DEFAULT_CONFIG.optimality_tol,
+        {"feasibility_tol": DEFAULT_CONFIG.tol,
+         "optimality_tol": DEFAULT_CONFIG.tol,
          "max_iterations": DEFAULT_CONFIG.max_iterations},
         instance_to_jsonable(spec),
         primal_value=rep.primal_value, dual_value=rep.dual_value, gap=rep.gap,

@@ -83,7 +83,14 @@ class TestSolve:
         # no reduced cost lies below -1e300, so a solve would stop at its
         # start tree, which need be neither optimal nor feasible
         assert main(["solve", ap_instance, "--problem", "primal", "--tol", "1e300"]) == 1
-        assert capsys.readouterr().err.startswith("error: feasibility_tol must be below 1")
+        assert capsys.readouterr().err.startswith("error: tol must be below 1")
+
+    def test_tol_is_echoed_under_both_config_keys(self, ap_instance, tmp_path):
+        out = tmp_path / "res.json"
+        assert main(["solve", ap_instance, "--problem", "primal", "--tol", "1e-7",
+                     "--out", str(out)]) == 0
+        assert parse_result(out.read_text())["config"] == {
+            "feasibility_tol": 1e-07, "optimality_tol": 1e-07, "max_iterations": 10 ** 6}
 
     def test_infeasible_exit_code(self, tmp_path):
         inst = write_instance(tmp_path / "bad.json",
@@ -319,6 +326,14 @@ class TestGen:
 
     def test_gen_needs_n_for_rotation(self):
         assert main(["gen", "--kind", "ex33"]) == 1
+
+    @pytest.mark.parametrize("shift", ["abc", "2.5"])
+    def test_gen_non_integer_shift_is_a_usage_error(self, tmp_path, capsys, shift):
+        out = tmp_path / "ap.json"
+        assert main(["gen", "--kind", "ap", "--n", "8", "--shift", shift,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: --shift must be an integer")
+        assert not out.exists()
 
     def test_usage_error_is_exit_one(self):
         assert main(["solve"]) == 1

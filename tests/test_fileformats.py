@@ -218,6 +218,22 @@ class TestMaterialize:
         with pytest.raises(FileFormatError):
             materialize(InstanceSpec(kind="ap", n=9, shift=2))
 
+    @pytest.mark.parametrize("kind", ["ap", "ex33"])
+    @pytest.mark.parametrize("n", [1, 3, 2001, 2_000_000])
+    def test_size_checked_before_the_shift_is_derived(self, monkeypatch, kind, n):
+        def fail(n):
+            raise AssertionError(f"golden_shift({n}) called")
+
+        monkeypatch.setattr(fileformats, "golden_shift", fail)
+        with pytest.raises(FileFormatError, match="grid size"):
+            materialize(InstanceSpec(kind=kind, n=n, shift="auto-golden"))
+
+    def test_size_one_message(self):
+        spec = parse_instance('{"schema_version": 1, "kind": "ap", "n": 1}')
+        with pytest.raises(FileFormatError) as err:
+            materialize(spec)
+        assert str(err.value) == "invalid rotation instance: grid size must be at least 4"
+
 
 class TestResultFiles:
     def test_roundtrip_identity(self):

@@ -40,6 +40,13 @@ class TestInstance:
         with pytest.raises(InvariantError):
             RotationInstance(n=3, shift=1)
 
+    @pytest.mark.parametrize("n", [1, 3, 2001, 2_000_000])
+    def test_size_checked_before_the_shift_is_derived(self, n):
+        with pytest.raises(InvariantError, match="grid size"):
+            golden_shift(n)
+        with pytest.raises(InvariantError, match="grid size"):
+            make_instance(n)
+
     def test_golden_shift_values(self):
         assert golden_shift(8) == 5
         assert golden_shift(144) == 89   # consecutive Fibonacci numbers

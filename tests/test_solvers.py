@@ -91,6 +91,18 @@ class TestSolvePrimal:
         with pytest.raises(InfeasibleError):
             solve_primal(c, mu, mu)
 
+    def test_dead_row_mass_is_judged_at_the_solver_tolerance(self):
+        # the engine leaves a row with no finite cell on its artificial arc,
+        # so up to tol (1e-9) of its mass may go unshipped
+        c = CostMatrix(np.array([[np.inf, np.inf, np.inf],
+                                 [1.0, 2.0, 3.0],
+                                 [2.0, 1.0, 0.5]]))
+        nu = Marginal(np.array([0.25, 0.25, 0.5]))
+        report = solve_primal(c, Marginal(np.array([5e-10, 0.5, 0.5 - 5e-10])), nu)
+        assert report.optimal_plan.mass[0].sum() == 0.0
+        with pytest.raises(InfeasibleError):
+            solve_primal(c, Marginal(np.array([2e-9, 0.5, 0.5 - 2e-9])), nu)
+
     def test_infeasible_by_mass_pattern(self):
         # both sources can only reach sink 0, which holds mass 1/4
         c = CostMatrix(np.array([[1.0, np.inf], [1.0, np.inf]]))
@@ -520,12 +532,10 @@ def test_import_leaves_dense_engine_out():
 class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(InvariantError):
-            SolverConfig(feasibility_tol=0.0)
+            SolverConfig(tol=0.0)
         for bad in (float("nan"), float("inf")):
             with pytest.raises(InvariantError):
-                SolverConfig(feasibility_tol=bad)
-            with pytest.raises(InvariantError):
-                SolverConfig(optimality_tol=bad)
+                SolverConfig(tol=bad)
         for big in (1.0, 1e300):
-            with pytest.raises(InvariantError, match="feasibility_tol must be below 1"):
-                SolverConfig(feasibility_tol=big)
+            with pytest.raises(InvariantError, match="tol must be below 1"):
+                SolverConfig(tol=big)
