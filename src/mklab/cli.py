@@ -20,6 +20,7 @@ from .core import (
     InfeasibleError,
     InvariantError,
     IterationLimitError,
+    MAX_SIDE,
     MKLabError,
     ShapeError,
     TransportPlan,
@@ -65,15 +66,14 @@ def _parse_grid(text: str) -> list[float]:
         raise UsageError(f"bad grid {text!r}: {exc}") from exc
 
 
-def _load_problem(path: str) -> tuple[InstanceSpec, Problem, dict]:
+def _load_problem(path: str) -> tuple[InstanceSpec, Problem]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     spec = fileformats.parse_instance(text)
-    problem = fileformats.materialize(spec)
-    return spec, problem, fileformats.instance_to_jsonable(spec)
+    return spec, fileformats.materialize(spec)
 
 
 def _config(args: argparse.Namespace) -> solvers.SolverConfig:
@@ -108,7 +108,7 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    spec, problem, instance_doc = _load_problem(args.instance)
+    spec, problem = _load_problem(args.instance)
     cfg = _config(args)
     name, _, param = args.problem.partition(":")
     eps = None
@@ -136,18 +136,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         raise UsageError(f"unknown problem {args.problem!r}")
 
-    pots = report.optimal_potentials
     doc = fileformats.result_document(
-        args.problem,
-        # the file schema keeps both tolerance keys; one tol sets both
-        {"feasibility_tol": cfg.tol, "optimality_tol": cfg.tol,
-         "max_iterations": cfg.max_iterations},
-        instance_doc,
-        primal_value=report.primal_value, dual_value=report.dual_value,
-        gap=report.gap, plan=report.optimal_plan,
-        phi=None if pots is None else pots.phi,
-        psi=None if pots is None else pots.psi,
-        iterations=report.stats.iterations, pivots=report.stats.pivots)
+        args.problem, cfg, fileformats.instance_to_jsonable(spec), report)
     _write_text(args.out, fileformats.serialize_result(doc))
     print(f"problem        {args.problem}")
     print(f"primal value   {_fmt(report.primal_value)}")
@@ -176,7 +166,7 @@ def _scaled_spec(spec: InstanceSpec, n: int) -> InstanceSpec:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec, problem, _ = _load_problem(args.instance)
+    spec, problem = _load_problem(args.instance)
     cfg = _config(args)
     rows: list[list[str]] = []
 
@@ -213,7 +203,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    spec, problem, _ = _load_problem(args.instance)
+    spec, problem = _load_problem(args.instance)
     cfg = _config(args)
     rows: list[list[str]] = []
 
@@ -269,7 +259,9 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "explicit":
         if args.seed is not None:
-            size = args.n or 4
+            size = 4 if args.n is None else args.n
+            if not 1 <= size <= MAX_SIDE:
+                raise UsageError(f"--n must lie in [1, {MAX_SIDE}], got {size}")
             rng = np.random.default_rng(args.seed)
             cost = np.round(rng.uniform(0.0, 5.0, size=(size, size)), 6)
             mu = rng.uniform(0.2, 1.0, size)

@@ -28,6 +28,12 @@ _PIVOT_TOL = 1e-11
 _RATIO_TIE_TOL = 1e-12
 _DEGENERATE_TOL = 1e-12
 
+#: Phase-1 residual above which the program is infeasible, and the most
+#: negative reduced cost treated as zero.
+FEASIBILITY_TOL = 1e-9
+OPTIMALITY_TOL = 1e-9
+MAX_ITERATIONS = 10 ** 6
+
 #: Bland's rule engages after this many consecutive degenerate pivots
 #: per tableau dimension (rows + columns).
 BLAND_AFTER_DEGENERATE = 10
@@ -44,15 +50,12 @@ class DenseResult:
     pivots: int
 
 
-def solve_dense(objective, lhs, senses, rhs, *,
-                feasibility_tol: float = 1e-9,
-                optimality_tol: float = 1e-9,
-                max_iterations: int = 10 ** 6) -> DenseResult:
+def solve_dense(objective, lhs, senses, rhs) -> DenseResult:
     """Minimize objective @ x subject to lhs x (senses) rhs, x >= 0.
 
     Returns the optimizer, the optimal value, and one dual multiplier per
     row in the original row orientation (for a minimum problem the duals
-    satisfy objective - lhs.T @ y >= -optimality_tol componentwise).
+    satisfy objective - lhs.T @ y >= -OPTIMALITY_TOL componentwise).
     """
     c = np.asarray(objective, dtype=float).copy()
     a = np.asarray(lhs, dtype=float).copy()
@@ -150,18 +153,18 @@ def solve_dense(objective, lhs, senses, rhs, *,
     def run_phase(z: np.ndarray, allowed: np.ndarray) -> None:
         nonlocal iterations, degenerate_run, bland
         while True:
-            if iterations >= max_iterations:
-                raise IterationLimitError(f"simplex exceeded {max_iterations} iterations")
+            if iterations >= MAX_ITERATIONS:
+                raise IterationLimitError(f"simplex exceeded {MAX_ITERATIONS} iterations")
             iterations += 1
             reduced = np.where(allowed & ~basic_mask, z[:n_cols], np.inf)
             if bland:
-                cands = np.flatnonzero(reduced < -optimality_tol)
+                cands = np.flatnonzero(reduced < -OPTIMALITY_TOL)
                 if cands.size == 0:
                     return
                 entering = int(cands[0])
             else:
                 entering = int(np.argmin(reduced))
-                if reduced[entering] >= -optimality_tol:
+                if reduced[entering] >= -OPTIMALITY_TOL:
                     return
             column = tab[:, entering]
             pos = column > _PIVOT_TOL
@@ -184,8 +187,8 @@ def solve_dense(objective, lhs, senses, rhs, *,
     if is_art.any():
         run_phase(z1, allowed)
         infeas = float(np.sum(tab[is_art[basis], n_cols]))
-        if infeas > feasibility_tol:
-            raise InfeasibleError(f"phase-1 residual {infeas:.3e} exceeds {feasibility_tol:.1e}")
+        if infeas > FEASIBILITY_TOL:
+            raise InfeasibleError(f"phase-1 residual {infeas:.3e} exceeds {FEASIBILITY_TOL:.1e}")
         # Drive basic artificials out; rows with no eligible column are
         # redundant and keep a zero-valued artificial harmlessly.
         for i in range(n_rows):

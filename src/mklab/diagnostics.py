@@ -198,8 +198,8 @@ def singular_mass_estimate(pi0: TransportPlan, potentials: Sequence[PotentialPai
     deltas = tuple(float(d) for d in delta_grid)
     if len(deltas) == 0:
         raise InvariantError("empty delta grid")
-    if any(d <= 0 for d in deltas):
-        raise InvariantError("deltas must be positive")
+    if not all(0 < d < math.inf for d in deltas):
+        raise InvariantError("deltas must be positive and finite")
     if any(later >= earlier for later, earlier in zip(deltas[1:], deltas)):
         raise InvariantError("deltas must be strictly decreasing")
     if len(potentials) == 0:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import (
     CostMatrix,
+    DualityReport,
     InvariantError,
     Marginal,
     MKLabError,
@@ -37,6 +38,7 @@ from .rotation import (
     shift_graph_plan,
     uniform_marginal,
 )
+from .solvers import SolverConfig
 
 SCHEMA_VERSION = 1
 KINDS = ("explicit", "ap", "ex33")
@@ -68,15 +70,14 @@ def _format_float(value: float) -> str:
 _FLOAT_TEMPLATES = np.array(["%.17g", "%.17g.0", '"%.17g"'], dtype=object)
 
 
-def _format_float_list(values: list, pad: str) -> str:
-    """Write a nonempty list of Python floats as ``_format_float`` would, in one pass."""
-    arr = np.array(values)
+def _format_floats(arr: np.ndarray, pad: str) -> str:
+    """Write a nonempty 1-D float64 array as ``_format_float`` would each value, in one pass."""
     if np.isnan(arr).any():
         raise FileFormatError("NaN is not serializable")
     kind = ((arr == np.trunc(arr)) & (np.abs(arr) < 1e17)) + 2 * np.isinf(arr)
     item_pad = pad + "  "
     template = (",\n" + item_pad).join(_FLOAT_TEMPLATES[kind].tolist())
-    return f"[\n{item_pad}{template % tuple(values)}\n{pad}]"
+    return f"[\n{item_pad}{template % tuple(arr.tolist())}\n{pad}]"
 
 
 def _write_canonical(obj: Any, pieces: list[str], indent: int) -> None:
@@ -103,19 +104,19 @@ def _write_canonical(obj: Any, pieces: list[str], indent: int) -> None:
             _write_canonical(value, pieces, indent + 1)
             pieces.append(",\n" if i + 1 < len(obj) else "\n")
         pieces.append(pad + "}")
+    elif (isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 1
+          and obj.size):
+        pieces.append(_format_floats(obj, pad))
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
+        # a 2-D array goes row by row, so each row takes the array path above
+        if not len(obj):
             pieces.append("[]")
             return
-        if set(map(type, seq)) == {float}:
-            pieces.append(_format_float_list(seq, pad))
-            return
         pieces.append("[\n")
-        for i, value in enumerate(seq):
+        for i, value in enumerate(obj):
             pieces.append(pad + "  ")
             _write_canonical(value, pieces, indent + 1)
-            pieces.append(",\n" if i + 1 < len(seq) else "\n")
+            pieces.append(",\n" if i + 1 < len(obj) else "\n")
         pieces.append(pad + "]")
     else:
         raise FileFormatError(f"cannot serialize {type(obj).__name__}")
@@ -248,20 +249,15 @@ def parse_instance(text: str) -> InstanceSpec:
     return InstanceSpec(kind=kind, n=n, shift=shift, k_max=k_max, seed=seed)
 
 
-def _float_lists(values: Any) -> list:
-    """A vector or matrix as (nested) lists of Python floats."""
-    return np.asarray(values, dtype=float).tolist()
-
-
 def instance_to_jsonable(spec: InstanceSpec) -> dict:
     doc: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "kind": spec.kind}
     if spec.kind == "explicit":
         assert spec.cost is not None and spec.mu is not None and spec.nu is not None
-        doc["cost"] = _float_lists(spec.cost)
-        doc["mu"] = _float_lists(spec.mu)
-        doc["nu"] = _float_lists(spec.nu)
+        doc["cost"] = np.asarray(spec.cost, dtype=float)
+        doc["mu"] = np.asarray(spec.mu, dtype=float)
+        doc["nu"] = np.asarray(spec.nu, dtype=float)
         if spec.pi0 is not None:
-            doc["pi0"] = _float_lists(spec.pi0)
+            doc["pi0"] = np.asarray(spec.pi0, dtype=float)
     else:
         doc["n"] = int(spec.n)  # type: ignore[arg-type]
         doc["shift"] = spec.shift if spec.shift is not None else AUTO_SHIFT
@@ -339,30 +335,33 @@ def materialize(spec: InstanceSpec) -> Problem:
 # result files
 
 
-def result_document(problem_name: str, config: dict, instance_doc: dict,
-                    *, primal_value: float, dual_value: float, gap: float,
-                    plan: Optional[TransportPlan], phi: Optional[np.ndarray],
-                    psi: Optional[np.ndarray], iterations: int, pivots: int) -> dict:
-    """Assemble a result document; deterministic, so no wall-clock data."""
+def result_document(problem_name: str, cfg: SolverConfig, instance_doc: dict,
+                    report: DualityReport) -> dict:
+    """Assemble a result document; deterministic, so no wall-clock data.
+
+    The schema keeps both tolerance keys; the one solver tolerance
+    ``cfg.tol`` sets both.
+    """
+    plan, pots = report.optimal_plan, report.optimal_potentials
     return {
         "schema_version": SCHEMA_VERSION,
         "problem": problem_name,
         "config": {
-            "feasibility_tol": float(config["feasibility_tol"]),
-            "optimality_tol": float(config["optimality_tol"]),
-            "max_iterations": int(config["max_iterations"]),
+            "feasibility_tol": float(cfg.tol),
+            "optimality_tol": float(cfg.tol),
+            "max_iterations": int(cfg.max_iterations),
         },
         "instance": instance_doc,
         "status": "solved",
-        "primal_value": float(primal_value),
-        "dual_value": float(dual_value),
-        "gap": float(gap),
-        "plan": None if plan is None else _float_lists(plan.mass),
+        "primal_value": float(report.primal_value),
+        "dual_value": float(report.dual_value),
+        "gap": float(report.gap),
+        "plan": None if plan is None else plan.mass,
         "plan_kind": None if plan is None else plan.kind.value,
-        "phi": None if phi is None else _float_lists(phi),
-        "psi": None if psi is None else _float_lists(psi),
-        "iterations": int(iterations),
-        "pivots": int(pivots),
+        "phi": None if pots is None else pots.phi,
+        "psi": None if pots is None else pots.psi,
+        "iterations": int(report.stats.iterations),
+        "pivots": int(report.stats.pivots),
     }
 
 

@@ -56,10 +56,6 @@ class RotationInstance:
         if math.gcd(self.shift, self.n) != 1:
             raise InvariantError(f"gcd({self.shift}, {self.n}) != 1: orbit is not the whole space")
 
-    @property
-    def lower_half_size(self) -> int:
-        return (self.n + 1) // 2
-
 
 @dataclass(frozen=True)
 class OrbitState:

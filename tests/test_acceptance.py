@@ -311,16 +311,7 @@ def _twenty_specs():
 def _solve_to_bytes(spec: InstanceSpec) -> bytes:
     problem = materialize(spec)
     rep = solve_primal(problem.cost, problem.mu, problem.nu)
-    doc = result_document(
-        "primal",
-        {"feasibility_tol": DEFAULT_CONFIG.tol,
-         "optimality_tol": DEFAULT_CONFIG.tol,
-         "max_iterations": DEFAULT_CONFIG.max_iterations},
-        instance_to_jsonable(spec),
-        primal_value=rep.primal_value, dual_value=rep.dual_value, gap=rep.gap,
-        plan=rep.optimal_plan,
-        phi=rep.optimal_potentials.phi, psi=rep.optimal_potentials.psi,
-        iterations=rep.stats.iterations, pivots=rep.stats.pivots)
+    doc = result_document("primal", DEFAULT_CONFIG, instance_to_jsonable(spec), rep)
     return serialize_result(doc).encode()
 
 

@@ -1,10 +1,11 @@
 import csv
 
+import numpy as np
 import pytest
 
-from mklab import solvers
+from mklab import cli, solvers
 from mklab.cli import _fmt, main
-from mklab.core import InvariantError
+from mklab.core import MAX_SIDE, InvariantError
 from mklab.fileformats import dumps_canonical, materialize, parse_instance, parse_result
 
 
@@ -296,6 +297,17 @@ class TestDiagnose:
         kinds = {r["record"] for r in rows}
         assert {"l1_distance", "positive_part", "small_set", "estimate"} <= kinds
 
+    @pytest.mark.parametrize("grid", ["0.5,nan", "inf,0.5", "0.5,-inf"])
+    def test_singular_rejects_non_finite_deltas(self, tmp_path, capsys, grid):
+        inst = write_instance(tmp_path / "ex33.json",
+                              {"schema_version": 1, "kind": "ex33", "n": 12,
+                               "shift": 5, "k_max": 11})
+        out = tmp_path / "singular.csv"
+        assert main(["diagnose", inst, "--diag", "singular", "--grid", grid,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: deltas must be positive and finite\n"
+        assert not out.exists()
+
 
 class TestGen:
     def test_gen_ap_then_solve(self, tmp_path):
@@ -323,6 +335,28 @@ class TestGen:
         assert main(["gen", "--kind", "explicit", "--n", "5", "--out", str(out)]) == 1
         assert "--seed" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["-3", "0", str(MAX_SIDE + 1)])
+    def test_gen_explicit_size_out_of_range_is_a_usage_error(self, tmp_path, capsys,
+                                                               monkeypatch, n):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the matrix was drawn before its size was checked")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        out = tmp_path / "rand.json"
+        assert main(["gen", "--kind", "explicit", "--n", n, "--seed", "1",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: --n must lie in [1, {MAX_SIDE}], got {n}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["1", str(MAX_SIDE)])
+    def test_gen_explicit_size_bounds_are_accepted(self, tmp_path, monkeypatch, n):
+        out = tmp_path / "rand.json"
+        # the largest size is checked without writing its 4 million cells
+        monkeypatch.setattr(cli.fileformats, "dumps_canonical", lambda doc: "")
+        assert main(["gen", "--kind", "explicit", "--n", n, "--seed", "1",
+                     "--out", str(out)]) == 0
 
     def test_gen_needs_n_for_rotation(self):
         assert main(["gen", "--kind", "ex33"]) == 1

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mklab import fileformats
+from mklab import (
+    DualityReport,
+    PlanKind,
+    PotentialPair,
+    SolverConfig,
+    SolverStats,
+    TransportPlan,
+    fileformats,
+)
 from mklab.fileformats import (
     FileFormatError,
     InstanceSpec,
@@ -85,6 +93,7 @@ class TestFloatListWriter:
         nested = dumps_canonical({"rows": [values, values]})
         inner = per_value(values, "    ")
         assert nested == f'{{\n  "rows": [\n    {inner},\n    {inner}\n  ]\n}}\n'
+        assert dumps_canonical({"rows": np.array([values, values])}) == nested
 
     @given(st.lists(finite_or_edge, max_size=20), st.data())
     def test_nan_anywhere_rejected(self, values, data):
@@ -237,13 +246,22 @@ class TestMaterialize:
 
 class TestResultFiles:
     def test_roundtrip_identity(self):
-        doc = fileformats.result_document(
-            "primal",
-            {"feasibility_tol": 1e-9, "optimality_tol": 1e-9, "max_iterations": 10 ** 6},
-            {"schema_version": 1, "kind": "ap", "n": 8, "shift": "auto-golden"},
-            primal_value=1.0, dual_value=1.0, gap=0.0,
-            plan=None, phi=np.zeros(2), psi=np.ones(2), iterations=3, pivots=2)
-        text = fileformats.serialize_result(doc)
-        back = fileformats.parse_result(text)
-        assert back == doc
-        assert fileformats.serialize_result(back) == text
+        plan = TransportPlan(np.array([[0.5, 0.0], [0.0, 0.5]]), PlanKind.EXACT)
+        for optimal_plan in (None, plan):
+            report = DualityReport(
+                primal_value=1.0, dual_value=1.0, optimal_plan=optimal_plan,
+                optimal_potentials=PotentialPair(np.zeros(2), np.array([1.0, -math.inf])),
+                stats=SolverStats(iterations=3, pivots=2, wall_ms=0.5))
+            doc = fileformats.result_document(
+                "primal", SolverConfig(tol=1e-9),
+                {"schema_version": 1, "kind": "ap", "n": 8, "shift": "auto-golden"}, report)
+            text = fileformats.serialize_result(doc)
+            back = fileformats.parse_result(text)
+            # the doc holds arrays where the parsed file holds lists
+            assert list(back) == list(doc)
+            for key, value in doc.items():
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(np.array(back[key]), value), key
+                else:
+                    assert back[key] == value, key
+            assert fileformats.serialize_result(back) == text

@@ -1,0 +1,23 @@
+"""The study scripts run to completion at small sizes."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("script, args", [
+    ("budget_dual_study.py", ["--n", "12"]),
+    ("rotation_value_study.py", ["--sizes", "12,13"]),
+])
+def test_script_exits_zero(script, args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout
