@@ -28,6 +28,7 @@ from .core import (
 from .diagnostics import (
     LP_TOL,
     check_strong_ccm,
+    checked_deltas,
     singular_mass_estimate,
     telescoping_bound_check,
 )
@@ -76,10 +77,6 @@ def _load_problem(path: str) -> tuple[InstanceSpec, Problem]:
     return spec, fileformats.materialize(spec)
 
 
-def _config(args: argparse.Namespace) -> solvers.SolverConfig:
-    return solvers.SolverConfig(tol=args.tol, max_iterations=args.max_iter)
-
-
 def _reference_plan(problem: Problem) -> TransportPlan:
     if problem.reference_plan is None:
         raise UsageError(
@@ -109,7 +106,6 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     spec, problem = _load_problem(args.instance)
-    cfg = _config(args)
     name, _, param = args.problem.partition(":")
     eps = None
     if name in ("partial", "relaxed-dual"):
@@ -123,21 +119,21 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise UsageError(f"problem {name} takes no parameter")
 
     if name == "primal":
-        report = solvers.solve_primal(problem.cost, problem.mu, problem.nu, cfg)
+        report = solvers.solve_primal(problem.cost, problem.mu, problem.nu)
     elif name == "dual":
-        report = solvers.solve_dual(problem.cost, problem.mu, problem.nu, cfg)
+        report = solvers.solve_dual(problem.cost, problem.mu, problem.nu)
     elif name == "partial":
-        report = solvers.solve_partial(problem.cost, problem.mu, problem.nu, eps, cfg)
+        report = solvers.solve_partial(problem.cost, problem.mu, problem.nu, eps)
     elif name == "restricted":
-        report = solvers.solve_restricted_primal(problem.cost, _reference_plan(problem), cfg)
+        report = solvers.solve_restricted_primal(problem.cost, _reference_plan(problem))
     elif name == "relaxed-dual":
         report = solvers.solve_relaxed_dual(
-            problem.cost, problem.mu, problem.nu, _reference_plan(problem), eps, cfg)
+            problem.cost, problem.mu, problem.nu, _reference_plan(problem), eps)
     else:
         raise UsageError(f"unknown problem {args.problem!r}")
 
     doc = fileformats.result_document(
-        args.problem, cfg, fileformats.instance_to_jsonable(spec), report)
+        args.problem, fileformats.instance_to_jsonable(spec), report)
     _write_text(args.out, fileformats.serialize_result(doc))
     print(f"problem        {args.problem}")
     print(f"primal value   {_fmt(report.primal_value)}")
@@ -167,17 +163,16 @@ def _scaled_spec(spec: InstanceSpec, n: int) -> InstanceSpec:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec, problem = _load_problem(args.instance)
-    cfg = _config(args)
     rows: list[list[str]] = []
 
     if args.sweep in ("epsilon-primal", "epsilon-dual"):
         grid = _parse_grid(args.grid)
         if args.sweep == "epsilon-primal":
             sweep = solvers.estimate_relaxed_primal(
-                problem.cost, problem.mu, problem.nu, grid, cfg)
+                problem.cost, problem.mu, problem.nu, grid)
         else:
             sweep = solvers.relaxed_dual_sweep(
-                problem.cost, problem.mu, problem.nu, _reference_plan(problem), grid, cfg)
+                problem.cost, problem.mu, problem.nu, _reference_plan(problem), grid)
         for eps, value, report in zip(sweep.epsilons, sweep.values, sweep.reports):
             rows.append([_fmt(eps), _fmt(value), str(report.stats.iterations),
                          f"{report.stats.wall_ms:.3f}"])
@@ -189,7 +184,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise UsageError("n grid must be strictly increasing integers >= 4")
         for n in map(int, grid_n):
             scaled = fileformats.materialize(_scaled_spec(spec, n))
-            report = solvers.solve_primal(scaled.cost, scaled.mu, scaled.nu, cfg)
+            report = solvers.solve_primal(scaled.cost, scaled.mu, scaled.nu)
             rows.append([str(n), _fmt(report.primal_value),
                          str(report.stats.iterations), f"{report.stats.wall_ms:.3f}"])
     else:
@@ -204,11 +199,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     spec, problem = _load_problem(args.instance)
-    cfg = _config(args)
     rows: list[list[str]] = []
 
     if args.diag == "ccm":
-        report = solvers.solve_primal(problem.cost, problem.mu, problem.nu, cfg)
+        report = solvers.solve_primal(problem.cost, problem.mu, problem.nu)
         result = check_strong_ccm(problem.cost, report.optimal_plan,
                                   report.optimal_potentials, LP_TOL)
         header = ["check", "passed", "witness_i", "witness_j"]
@@ -219,24 +213,23 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
             raise UsageError("the bound diagnostic needs an ap instance")
         inst = problem.rotation
         eps_list = _parse_grid(args.grid) if args.grid else list(DEFAULT_BOUND_EPS)
-        k_max = args.k_max if args.k_max is not None else min(5, inst.n - 1)
         pots = solvers.dual_sequence(problem.cost, problem.mu, problem.nu,
-                                     _reference_plan(problem), eps_list, cfg)
-        levels = rotation.birkhoff_levels(inst, k_max)
-        records = telescoping_bound_check(inst, problem.cost, pots, levels, k_max)
+                                     _reference_plan(problem), eps_list)
+        levels = rotation.birkhoff_levels(inst, problem.k_max)
+        records = telescoping_bound_check(inst, problem.cost, pots, levels, problem.k_max)
         header = ["sequence_index", "k", "lhs", "rhs", "passed"]
         for rec in records:
             rows.append([str(rec.sequence_index), str(rec.k), _fmt(rec.lhs),
                          _fmt(rec.rhs), str(rec.passed).lower()])
     elif args.diag == "singular":
         pi0 = _reference_plan(problem)
+        deltas = checked_deltas(_parse_grid(args.grid) if args.grid else DEFAULT_DELTAS)
         pots = solvers.dual_sequence(problem.cost, problem.mu, problem.nu, pi0,
-                                     list(DEFAULT_SINGULAR_EPS), cfg)
+                                     DEFAULT_SINGULAR_EPS)
         if problem.rotation is not None and spec.kind == "ex33":
             h_ref = rotation.level_matrix(problem.rotation, problem.k_max)
         else:
             h_ref = problem.cost.entries
-        deltas = _parse_grid(args.grid) if args.grid else list(DEFAULT_DELTAS)
         diag = singular_mass_estimate(pi0, pots, h_ref, deltas)
         header = ["record", "index", "value"]
         for i, v in enumerate(diag.l1_distances_to_limit):
@@ -304,21 +297,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mklab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    solver_opts = argparse.ArgumentParser(add_help=False)
-    default = solvers.DEFAULT_CONFIG
-    solver_opts.add_argument("--tol", type=float, default=default.tol, help="solver tolerance")
-    solver_opts.add_argument("--max-iter", type=int, default=default.max_iterations)
 
-    solve = sub.add_parser("solve", parents=[solver_opts],
-                           help="solve one problem on one instance")
+    solve = sub.add_parser("solve", help="solve one problem on one instance")
     solve.add_argument("instance")
     solve.add_argument("--problem", required=True,
                        help="primal | dual | partial:EPS | restricted | relaxed-dual:EPS")
     solve.add_argument("--out", help="result JSON path")
     solve.set_defaults(func=_cmd_solve)
 
-    sweep = sub.add_parser("sweep", parents=[solver_opts],
-                           help="run a parameter sweep, write CSV")
+    sweep = sub.add_parser("sweep", help="run a parameter sweep, write CSV")
     sweep.add_argument("instance")
     sweep.add_argument("--sweep", required=True,
                        choices=["epsilon-primal", "epsilon-dual", "n-scaling"])
@@ -326,13 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", required=True)
     sweep.set_defaults(func=_cmd_sweep)
 
-    diagnose = sub.add_parser("diagnose", parents=[solver_opts],
-                              help="run a diagnostic, write CSV")
+    diagnose = sub.add_parser("diagnose", help="run a diagnostic, write CSV")
     diagnose.add_argument("instance")
     diagnose.add_argument("--diag", required=True, choices=["ccm", "bound", "singular"])
     diagnose.add_argument("--out", required=True)
     diagnose.add_argument("--grid", help="eps list (bound) or delta list (singular)")
-    diagnose.add_argument("--k-max", type=int, dest="k_max")
     diagnose.set_defaults(func=_cmd_diagnose)
 
     gen = sub.add_parser("gen", help="write a template instance file")

@@ -183,6 +183,18 @@ class SequenceDiagnostics:
     small_set_profile: tuple[tuple[float, float], ...]
 
 
+def checked_deltas(values) -> tuple[float, ...]:
+    """The deltas as floats; raises unless nonempty, positive, finite and strictly decreasing."""
+    deltas = tuple(float(d) for d in values)
+    if len(deltas) == 0:
+        raise InvariantError("empty delta grid")
+    if not all(0 < d < math.inf for d in deltas):
+        raise InvariantError("deltas must be positive and finite")
+    if any(later >= earlier for later, earlier in zip(deltas[1:], deltas)):
+        raise InvariantError("deltas must be strictly decreasing")
+    return deltas
+
+
 def singular_mass_estimate(pi0: TransportPlan, potentials: Sequence[PotentialPair],
                            h_ref: np.ndarray, delta_grid) -> SequenceDiagnostics:
     """Small-set mass profile of an optimizing sequence against pi0.
@@ -193,15 +205,10 @@ def singular_mass_estimate(pi0: TransportPlan, potentials: Sequence[PotentialPai
     contribution (exact for this objective).  On a finite space the true
     vanishing-set limit is zero; the profile shows how much escaping
     negative mass the sequence exhibits at each scale.  Reference values
-    h_ref feed the per-entry L1 distances and positive-part norms.
+    h_ref feed the per-entry L1 distances and positive-part norms.  The
+    deltas must pass :func:`checked_deltas`.
     """
-    deltas = tuple(float(d) for d in delta_grid)
-    if len(deltas) == 0:
-        raise InvariantError("empty delta grid")
-    if not all(0 < d < math.inf for d in deltas):
-        raise InvariantError("deltas must be positive and finite")
-    if any(later >= earlier for later, earlier in zip(deltas[1:], deltas)):
-        raise InvariantError("deltas must be strictly decreasing")
+    deltas = checked_deltas(delta_grid)
     if len(potentials) == 0:
         raise InvariantError("empty potential sequence")
     if h_ref.shape != pi0.shape:

@@ -18,6 +18,7 @@ from typing import Any, Optional
 
 import numpy as np
 
+from . import network_simplex
 from .core import (
     CostMatrix,
     DualityReport,
@@ -38,7 +39,6 @@ from .rotation import (
     shift_graph_plan,
     uniform_marginal,
 )
-from .solvers import SolverConfig
 
 SCHEMA_VERSION = 1
 KINDS = ("explicit", "ap", "ex33")
@@ -335,21 +335,20 @@ def materialize(spec: InstanceSpec) -> Problem:
 # result files
 
 
-def result_document(problem_name: str, cfg: SolverConfig, instance_doc: dict,
-                    report: DualityReport) -> dict:
+def result_document(problem_name: str, instance_doc: dict, report: DualityReport) -> dict:
     """Assemble a result document; deterministic, so no wall-clock data.
 
-    The schema keeps both tolerance keys; the one solver tolerance
-    ``cfg.tol`` sets both.
+    The schema keeps both tolerance keys; the one engine tolerance
+    ``network_simplex.TOL`` sets both.
     """
     plan, pots = report.optimal_plan, report.optimal_potentials
     return {
         "schema_version": SCHEMA_VERSION,
         "problem": problem_name,
         "config": {
-            "feasibility_tol": float(cfg.tol),
-            "optimality_tol": float(cfg.tol),
-            "max_iterations": int(cfg.max_iterations),
+            "feasibility_tol": float(network_simplex.TOL),
+            "optimality_tol": float(network_simplex.TOL),
+            "max_iterations": int(network_simplex.MAX_ITERATIONS),
         },
         "instance": instance_doc,
         "status": "solved",

@@ -52,6 +52,14 @@ from .core import (
     UnboundedError,
 )
 
+#: Feasibility and optimality tolerance alike: the largest reduced cost
+#: below zero that counts as optimal, and the most artificial flow left
+#: at optimality that counts as feasible.
+TOL = 1e-9
+
+#: Pivoting iterations allowed before IterationLimitError.
+MAX_ITERATIONS = 10 ** 6
+
 #: Pricing scans the arcs in this many blocks.  A pivot costs far more in
 #: Python than a numpy scan of its block, so the blocks are large.
 _PRICING_BLOCKS = 8
@@ -118,16 +126,16 @@ def _matched_pairs(supplies, demands, tails, heads, costs) -> list[tuple[int, in
     return pairs
 
 
-def solve_bipartite(supplies, demands, tails, heads, costs, *,
-                    tol: float = 1e-9,
-                    max_iterations: int = 10 ** 6) -> BipartiteFlow:
+def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
     """Minimize sum(cost * flow) shipping supplies to demands over the arcs.
 
     ``tails`` index sources, ``heads`` index sinks.  On return the
-    potentials (u, v) satisfy u[i] + v[j] <= cost + tol on every arc,
+    potentials (u, v) satisfy u[i] + v[j] <= cost + TOL on every arc,
     with equality on arcs carrying flow (the returned basis); more than
-    tol of artificial flow left at optimality raises InfeasibleError.
+    TOL of artificial flow left at optimality raises InfeasibleError.
+    More than MAX_ITERATIONS iterations raise IterationLimitError.
     """
+    tol, max_iterations = TOL, MAX_ITERATIONS
     supplies = np.asarray(supplies, dtype=float)
     demands = np.asarray(demands, dtype=float)
     tails = np.asarray(tails, dtype=int)

@@ -47,24 +47,8 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """``tol`` is the network engine's feasibility and optimality tolerance
-    alike (see :func:`mklab.network_simplex.solve_bipartite`)."""
-
-    tol: float = 1e-9
-    max_iterations: int = 10 ** 6
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise InvariantError("tol must be positive and finite")
-        if self.tol >= 1:
-            raise InvariantError("tol must be below 1: marginals are probability vectors")
-        if self.max_iterations <= 0:
-            raise InvariantError("max_iterations must be positive")
-
-
-DEFAULT_CONFIG = SolverConfig()
+#: Network solves one relaxed-dual call may rest on before IterationLimitError.
+MAX_NETWORK_SOLVES = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -116,13 +100,6 @@ def _stats(t0: float, iterations: int, pivots: int) -> SolverStats:
                        wall_ms=(time.perf_counter() - t0) * 1e3)
 
 
-def _network(cfg: SolverConfig, supplies, demands, tails, heads,
-             costs) -> network_simplex.BipartiteFlow:
-    return network_simplex.solve_bipartite(
-        supplies, demands, tails, heads, costs,
-        tol=cfg.tol, max_iterations=cfg.max_iterations)
-
-
 def _exact_report(cost: CostMatrix, mu: Marginal, nu: Marginal, tails, heads,
                   flows, pots: PotentialPair, res, t0: float) -> DualityReport:
     """Verify an exact plan from arc flows and report it with its gauged duals."""
@@ -137,8 +114,7 @@ def _exact_report(cost: CostMatrix, mu: Marginal, nu: Marginal, tails, heads,
         stats=_stats(t0, res.iterations, res.pivots))
 
 
-def solve_primal(cost: CostMatrix, mu: Marginal, nu: Marginal,
-                 cfg: SolverConfig = DEFAULT_CONFIG) -> DualityReport:
+def solve_primal(cost: CostMatrix, mu: Marginal, nu: Marginal) -> DualityReport:
     """Minimum-cost exact coupling of (mu, nu) over finite-cost cells.
 
     Returns the optimal plan together with the LP potentials, which are
@@ -148,13 +124,12 @@ def solve_primal(cost: CostMatrix, mu: Marginal, nu: Marginal,
     t0 = time.perf_counter()
     _check_shapes(cost, mu, nu)
     tails, heads, costs = _finite_arcs(cost)
-    res = _network(cfg, mu.weights, nu.weights, tails, heads, costs)
+    res = network_simplex.solve_bipartite(mu.weights, nu.weights, tails, heads, costs)
     pots = PotentialPair(res.source_potentials, res.sink_potentials)
     return _exact_report(cost, mu, nu, tails, heads, res.flow, pots, res, t0)
 
 
-def solve_dual(cost: CostMatrix, mu: Marginal, nu: Marginal,
-               cfg: SolverConfig = DEFAULT_CONFIG) -> DualityReport:
+def solve_dual(cost: CostMatrix, mu: Marginal, nu: Marginal) -> DualityReport:
     """Maximize sum(phi mu) + sum(psi nu) subject to phi + psi <= c.
 
     The optimal potentials are the node potentials of the network basis
@@ -163,11 +138,10 @@ def solve_dual(cost: CostMatrix, mu: Marginal, nu: Marginal,
     the optimal plan as the primal witness of the gap (infinite-cost
     cells impose no constraint).
     """
-    return solve_primal(cost, mu, nu, cfg)
+    return solve_primal(cost, mu, nu)
 
 
-def solve_partial(cost: CostMatrix, mu: Marginal, nu: Marginal, eps: float,
-                  cfg: SolverConfig = DEFAULT_CONFIG) -> DualityReport:
+def solve_partial(cost: CostMatrix, mu: Marginal, nu: Marginal, eps: float) -> DualityReport:
     """Cheapest sub-coupling carrying mass at least 1 - eps.
 
     Row sums are dominated by mu, column sums by nu, and the plan avoids
@@ -187,7 +161,7 @@ def solve_partial(cost: CostMatrix, mu: Marginal, nu: Marginal, eps: float,
     aug_costs = np.concatenate([costs, np.zeros(m + n + 1)])
     supplies = np.concatenate([mu.weights, [eps]])
     demands = np.concatenate([nu.weights, [eps]])
-    res = _network(cfg, supplies, demands, aug_tails, aug_heads, aug_costs)
+    res = network_simplex.solve_bipartite(supplies, demands, aug_tails, aug_heads, aug_costs)
     plan = _plan_from_flows(cost.shape, tails, heads, res.flow[:n_real], PlanKind.SUB)
     verify_sub_coupling(plan, mu, nu, MARGINAL_TOL)
     value = transport_cost(cost, plan)
@@ -207,18 +181,17 @@ def extrapolate_to_zero(epsilons: tuple[float, ...], values: tuple[float, ...]) 
     return v0 - slope * e0
 
 
-def _sweep(eps: tuple[float, ...], solve, value, sign: float, limit,
-           cfg: SolverConfig) -> EpsilonSweep:
+def _sweep(eps: tuple[float, ...], solve, value, sign: float, limit) -> EpsilonSweep:
     """Solve at each epsilon of a grid checked by :func:`_grid`, and take the limit at 0.
 
     ``value`` reads a report's value and ``limit(eps, values)`` gives the
     value at 0.  As epsilon falls the values may only rise (``sign`` = 1)
-    or only drop (``sign`` = -1); a step the other way by more than the
-    solver tolerance raises.  Plans are dropped as each solve returns.
+    or only drop (``sign`` = -1); a step the other way by more than ten
+    times the engine tolerance raises.  Plans are dropped as each solve returns.
     """
     reports = tuple(replace(solve(e), optimal_plan=None) for e in eps)
     values = tuple(value(r) for r in reports)
-    if any(sign * (later - earlier) < -10 * cfg.tol
+    if any(sign * (later - earlier) < -10 * network_simplex.TOL
            for earlier, later in zip(values, values[1:])):
         raise MKLabError(f"values {values} move the wrong way along the grid {eps}")
     return EpsilonSweep(epsilons=eps, reports=reports, values=values,
@@ -226,7 +199,7 @@ def _sweep(eps: tuple[float, ...], solve, value, sign: float, limit,
 
 
 def estimate_relaxed_primal(cost: CostMatrix, mu: Marginal, nu: Marginal,
-                            eps_grid, cfg: SolverConfig = DEFAULT_CONFIG) -> EpsilonSweep:
+                            eps_grid) -> EpsilonSweep:
     """Partial-transport values along a decreasing grid with their limit at 0.
 
     The value function is convex and piecewise linear in eps, so the last
@@ -234,8 +207,8 @@ def estimate_relaxed_primal(cost: CostMatrix, mu: Marginal, nu: Marginal,
     limit whenever the grid reaches that segment.  The feasible set
     shrinks as eps falls, so the values may only rise.
     """
-    return _sweep(_grid(eps_grid), lambda e: solve_partial(cost, mu, nu, e, cfg),
-                  lambda r: r.primal_value, 1.0, extrapolate_to_zero, cfg)
+    return _sweep(_grid(eps_grid), lambda e: solve_partial(cost, mu, nu, e),
+                  lambda r: r.primal_value, 1.0, extrapolate_to_zero)
 
 
 def _require_reference_plan(cost: CostMatrix, pi0: TransportPlan) -> None:
@@ -249,7 +222,7 @@ def _require_reference_plan(cost: CostMatrix, pi0: TransportPlan) -> None:
         raise InvariantError("reference plan must have finite cost")
 
 
-def _solve_on_support(cost: CostMatrix, pi0: TransportPlan, cfg: SolverConfig):
+def _solve_on_support(cost: CostMatrix, pi0: TransportPlan):
     """The coupling program on supp(pi0) with pi0's own marginals, on the network engine.
 
     Returns those marginals, the support cells as (tails, heads, costs)
@@ -259,12 +232,11 @@ def _solve_on_support(cost: CostMatrix, pi0: TransportPlan, cfg: SolverConfig):
     nu = Marginal(pi0.col_sums() / pi0.total_mass())
     tails, heads = np.nonzero(pi0.support())
     costs = cost.entries[tails, heads]
-    res = _network(cfg, mu.weights, nu.weights, tails, heads, costs)
+    res = network_simplex.solve_bipartite(mu.weights, nu.weights, tails, heads, costs)
     return mu, nu, tails, heads, costs, res
 
 
-def solve_restricted_primal(cost: CostMatrix, pi0: TransportPlan,
-                            cfg: SolverConfig = DEFAULT_CONFIG) -> DualityReport:
+def solve_restricted_primal(cost: CostMatrix, pi0: TransportPlan) -> DualityReport:
     """Minimum cost over couplings supported inside supp(pi0).
 
     The marginals are those of pi0 itself; on a finite space the bounded
@@ -272,7 +244,7 @@ def solve_restricted_primal(cost: CostMatrix, pi0: TransportPlan,
     """
     t0 = time.perf_counter()
     _require_reference_plan(cost, pi0)
-    mu, nu, tails, heads, _costs, res = _solve_on_support(cost, pi0, cfg)
+    mu, nu, tails, heads, _costs, res = _solve_on_support(cost, pi0)
     pots = PotentialPair(res.source_potentials, res.sink_potentials)
     return _exact_report(cost, mu, nu, tails, heads, res.flow, pots, res, t0)
 
@@ -313,18 +285,18 @@ class _RelaxedDual:
     """
 
     def __init__(self, cost: CostMatrix, mu: Marginal, nu: Marginal,
-                 pi0: TransportPlan, cfg: SolverConfig) -> None:
+                 pi0: TransportPlan) -> None:
         self._since = time.perf_counter()
         _require_reference_plan(cost, pi0)
         # matching marginals keep the program bounded: every phi/psi
         # coordinate with mass is charged by some support cell
         verify_exact_coupling(pi0, mu, nu, MARGINAL_TOL)
-        mu0, nu0, tails, heads, costs, res = _solve_on_support(cost, pi0, cfg)
-        self._cost, self._mu, self._nu, self._cfg = cost, mu, nu, cfg
+        mu0, nu0, tails, heads, costs, res = _solve_on_support(cost, pi0)
+        self._cost, self._mu, self._nu = cost, mu, nu
         self._tails, self._heads, self._costs, self._restricted = tails, heads, costs, res
         self._m, self._k = mu.size, costs.size
         self._density = pi0.mass[tails, heads] / pi0.total_mass()
-        self._tol = cfg.tol * (1.0 + float(np.max(np.abs(costs))))
+        self._tol = network_simplex.TOL * (1.0 + float(np.max(np.abs(costs))))
         self._supplies = (mu0.weights, nu0.weights)
         self._split = (np.concatenate([tails, self._m + heads]),
                        np.tile(np.arange(self._k), 2),
@@ -351,8 +323,8 @@ class _RelaxedDual:
     def _solve_at(self, lam: float) -> tuple[_Tangent, int, int]:
         """The line that supports R at ``lam``, and the counters of its network solve."""
         mu0, nu0 = self._supplies
-        run = _network(self._cfg, np.concatenate([mu0, (lam - 1.0) * nu0]),
-                       lam * self._density, *self._split)
+        run = network_simplex.solve_bipartite(np.concatenate([mu0, (lam - 1.0) * nu0]),
+                                              lam * self._density, *self._split)
         u = run.source_potentials
         pair = gauge_normalized(PotentialPair(u[:self._m], -u[self._m:]), self._mu)
         breach = np.maximum(pair.phi[self._tails] + pair.psi[self._heads] - self._costs, 0.0)
@@ -367,13 +339,13 @@ class _RelaxedDual:
         ones included; ``wall_ms`` is the time since the previous answer,
         or since the checks began.
         """
-        cfg, tol, res = self._cfg, self._tol, self._restricted
+        tol, res = self._tol, self._restricted
         runs = [(res.iterations, res.pivots)]
 
         def probe(lam: float) -> _Tangent:
-            if len(runs) >= cfg.max_iterations:
+            if len(runs) >= MAX_NETWORK_SOLVES:
                 raise IterationLimitError(
-                    f"relaxed dual exceeded {cfg.max_iterations} network solves")
+                    f"relaxed dual exceeded {MAX_NETWORK_SOLVES} network solves")
             if lam not in self._probes:
                 self._probes[lam] = self._solve_at(lam)
             line, iterations, pivots = self._probes[lam]
@@ -412,8 +384,7 @@ class _RelaxedDual:
 
 
 def solve_relaxed_dual(cost: CostMatrix, mu: Marginal, nu: Marginal,
-                       pi0: TransportPlan, eps: float,
-                       cfg: SolverConfig = DEFAULT_CONFIG) -> DualityReport:
+                       pi0: TransportPlan, eps: float) -> DualityReport:
     """Maximize sum(phi mu) + sum(psi nu) under a budgeted feasibility breach.
 
     The constraint charges the positive part of phi + psi - c against
@@ -444,24 +415,22 @@ def solve_relaxed_dual(cost: CostMatrix, mu: Marginal, nu: Marginal,
     """
     if not 0.0 < eps < math.inf:
         raise InvariantError(f"eps must be positive and finite, got {eps!r}")
-    return _RelaxedDual(cost, mu, nu, pi0, cfg).answer(eps)
+    return _RelaxedDual(cost, mu, nu, pi0).answer(eps)
 
 
 def dual_sequence(cost: CostMatrix, mu: Marginal, nu: Marginal,
-                  pi0: TransportPlan, eps_list,
-                  cfg: SolverConfig = DEFAULT_CONFIG) -> list[PotentialPair]:
+                  pi0: TransportPlan, eps_list) -> list[PotentialPair]:
     """Optimizing potentials of the budgeted dual along a decreasing grid.
 
     Each pair is gauge-normalized (sum(phi * mu) = 0), which pins down
     the additive degeneracy and makes the sequence reproducible.
     """
-    sweep = relaxed_dual_sweep(cost, mu, nu, pi0, eps_list, cfg)
+    sweep = relaxed_dual_sweep(cost, mu, nu, pi0, eps_list)
     return [r.optimal_potentials for r in sweep.reports]
 
 
 def relaxed_dual_sweep(cost: CostMatrix, mu: Marginal, nu: Marginal,
-                       pi0: TransportPlan, eps_grid,
-                       cfg: SolverConfig = DEFAULT_CONFIG) -> EpsilonSweep:
+                       pi0: TransportPlan, eps_grid) -> EpsilonSweep:
     """Budgeted-dual values along a decreasing grid with their limit at 0.
 
     The vanishing-budget limit of this concave piecewise-linear value
@@ -473,6 +442,6 @@ def relaxed_dual_sweep(cost: CostMatrix, mu: Marginal, nu: Marginal,
     included.
     """
     eps = _grid(eps_grid)
-    dual = _RelaxedDual(cost, mu, nu, pi0, cfg)
+    dual = _RelaxedDual(cost, mu, nu, pi0)
     return _sweep(eps, dual.answer, lambda r: r.dual_value, -1.0,
-                  lambda _eps, _values: dual.restricted_value(), cfg)
+                  lambda _eps, _values: dual.restricted_value())

@@ -47,7 +47,7 @@ from mklab.fileformats import (
     serialize_result,
 )
 from mklab.rotation import OrbitState
-from mklab.solvers import DEFAULT_CONFIG
+from mklab.network_simplex import TOL
 
 from conftest import (dense_coupling, nw_corner, random_cost, random_marginal,
                       shuffled_coupling)
@@ -215,7 +215,7 @@ def test_criterion_6_randomized_property_suites():
         engines_ok &= abs(primal.primal_value - dense.value) <= 1e-7
 
         pots = primal.optimal_potentials
-        sup = primal.optimal_plan.mass > DEFAULT_CONFIG.tol
+        sup = primal.optimal_plan.mass > TOL
         slack_ok &= bool(
             np.max(np.abs(pots.oplus()[sup] - cost.entries[sup]), initial=0.0) <= 1e-7)
 
@@ -311,7 +311,7 @@ def _twenty_specs():
 def _solve_to_bytes(spec: InstanceSpec) -> bytes:
     problem = materialize(spec)
     rep = solve_primal(problem.cost, problem.mu, problem.nu)
-    doc = result_document("primal", DEFAULT_CONFIG, instance_to_jsonable(spec), rep)
+    doc = result_document("primal", instance_to_jsonable(spec), rep)
     return serialize_result(doc).encode()
 
 

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from mklab import cli, solvers
+from mklab import cli, network_simplex, solvers
 from mklab.cli import _fmt, main
 from mklab.core import MAX_SIDE, InvariantError
 from mklab.fileformats import dumps_canonical, materialize, parse_instance, parse_result
@@ -75,23 +75,14 @@ class TestSolve:
         assert main(["solve", ap_instance, "--problem", f"relaxed-dual:{eps}"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
-    def test_non_finite_tol_rejected(self, ap_instance, capsys, tol):
-        assert main(["solve", ap_instance, "--problem", "primal", "--tol", tol]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
-
-    def test_huge_tol_rejected(self, ap_instance, capsys):
-        # no reduced cost lies below -1e300, so a solve would stop at its
-        # start tree, which need be neither optimal nor feasible
-        assert main(["solve", ap_instance, "--problem", "primal", "--tol", "1e300"]) == 1
-        assert capsys.readouterr().err.startswith("error: tol must be below 1")
-
-    def test_tol_is_echoed_under_both_config_keys(self, ap_instance, tmp_path):
+    def test_tol_is_echoed_under_both_config_keys(self, ap_instance, tmp_path, capsys):
         out = tmp_path / "res.json"
-        assert main(["solve", ap_instance, "--problem", "primal", "--tol", "1e-7",
-                     "--out", str(out)]) == 0
+        assert main(["solve", ap_instance, "--problem", "primal", "--out", str(out)]) == 0
         assert parse_result(out.read_text())["config"] == {
-            "feasibility_tol": 1e-07, "optimality_tol": 1e-07, "max_iterations": 10 ** 6}
+            "feasibility_tol": 1e-09, "optimality_tol": 1e-09, "max_iterations": 1000000}
+        # the engine tolerance is fixed: there is no flag to set it
+        assert main(["solve", ap_instance, "--problem", "primal", "--tol", "1e-7"]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
 
     def test_infeasible_exit_code(self, tmp_path):
         inst = write_instance(tmp_path / "bad.json",
@@ -100,9 +91,9 @@ class TestSolve:
                                "mu": [0.5, 0.5], "nu": [0.5, 0.5]})
         assert main(["solve", inst, "--problem", "primal"]) == 2
 
-    def test_iteration_limit_exit_code(self, ap_instance):
-        assert main(["solve", ap_instance, "--problem", "primal",
-                     "--max-iter", "2"]) == 3
+    def test_iteration_limit_exit_code(self, ap_instance, monkeypatch):
+        monkeypatch.setattr(network_simplex, "MAX_ITERATIONS", 2)
+        assert main(["solve", ap_instance, "--problem", "primal"]) == 3
 
     def test_malformed_json_exit_code(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -220,7 +211,7 @@ class TestEpsilonGrids:
 
         monkeypatch.setattr(solvers, "solve_partial", no_solve)
         monkeypatch.setattr(solvers, "solve_relaxed_dual", no_solve)
-        monkeypatch.setattr(solvers, "_network", no_solve)
+        monkeypatch.setattr(network_simplex, "solve_bipartite", no_solve)
         if entry in LIBRARY_SWEEPS:
             values = [float(v) for v in grid.split(",") if v]
             with pytest.raises(InvariantError, match="epsilons must"):
@@ -270,17 +261,29 @@ class TestDiagnose:
 
     def test_bound_solves_the_restricted_program_once(self, ap_instance, tmp_path,
                                                       monkeypatch):
-        engine = solvers._network
+        engine = network_simplex.solve_bipartite
         solves = []
 
         def counted(*args, **kwargs):
             solves.append(1)
             return engine(*args, **kwargs)
 
-        monkeypatch.setattr(solvers, "_network", counted)
+        monkeypatch.setattr(network_simplex, "solve_bipartite", counted)
         assert main(["diagnose", ap_instance, "--diag", "bound",
                      "--out", str(tmp_path / "bound.csv")]) == 0
         assert len(solves) == 1  # one per budget before the solves were shared
+
+    def test_bound_reads_k_max_from_the_instance(self, tmp_path):
+        inst = write_instance(tmp_path / "ap3.json",
+                              {"schema_version": 1, "kind": "ap", "n": 8,
+                               "shift": "auto-golden", "k_max": 3})
+        out = tmp_path / "bound.csv"
+        assert main(["diagnose", inst, "--diag", "bound", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert [(r["sequence_index"], r["k"]) for r in rows] == [
+            (str(i), str(k)) for i in range(2) for k in range(1, 4)]
+        assert main(["diagnose", inst, "--diag", "bound", "--k-max", "2",
+                     "--out", str(out)]) == 1
 
     def test_bound_requires_ap(self, explicit_instance, tmp_path):
         assert main(["diagnose", explicit_instance, "--diag", "bound",
@@ -307,6 +310,23 @@ class TestDiagnose:
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: deltas must be positive and finite\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("grid,message", [
+        ("0.5,nan", "deltas must be positive and finite"),
+        ("0.1,0.5", "deltas must be strictly decreasing"),
+        (",", "empty delta grid")])
+    def test_singular_deltas_checked_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                      grid, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the deltas were checked")
+
+        monkeypatch.setattr(network_simplex, "solve_bipartite", no_solve)
+        inst = write_instance(tmp_path / "ex33.json",
+                              {"schema_version": 1, "kind": "ex33", "n": 12,
+                               "shift": 5, "k_max": 11})
+        assert main(["diagnose", inst, "--diag", "singular", "--grid", grid,
+                     "--out", str(tmp_path / "singular.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestGen:

@@ -9,7 +9,6 @@ from mklab import (
     DualityReport,
     PlanKind,
     PotentialPair,
-    SolverConfig,
     SolverStats,
     TransportPlan,
     fileformats,
@@ -253,8 +252,7 @@ class TestResultFiles:
                 optimal_potentials=PotentialPair(np.zeros(2), np.array([1.0, -math.inf])),
                 stats=SolverStats(iterations=3, pivots=2, wall_ms=0.5))
             doc = fileformats.result_document(
-                "primal", SolverConfig(tol=1e-9),
-                {"schema_version": 1, "kind": "ap", "n": 8, "shift": "auto-golden"}, report)
+                "primal", {"schema_version": 1, "kind": "ap", "n": 8, "shift": "auto-golden"}, report)
             text = fileformats.serialize_result(doc)
             back = fileformats.parse_result(text)
             # the doc holds arrays where the parsed file holds lists

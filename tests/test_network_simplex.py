@@ -15,7 +15,7 @@ from mklab import (
     solve_partial,
     solve_primal,
     solve_restricted_primal,
-    solvers,
+    network_simplex,
     uniform_marginal,
 )
 from mklab.dense_simplex import solve_dense
@@ -246,13 +246,12 @@ def test_matched_start_matches_dense_oracle(rng, monkeypatch):
     dense tableau: primal solves, and partial solves, whose dummy source
     and dummy sink of mass eps are matched."""
     runs = []
-    engine = solvers._network
 
-    def recording(cfg, *args):
-        runs.append((args, engine(cfg, *args)))
+    def recording(*args):
+        runs.append((args, solve_bipartite(*args)))
         return runs[-1][1]
 
-    monkeypatch.setattr(solvers, "_network", recording)
+    monkeypatch.setattr(network_simplex, "solve_bipartite", recording)
     matched = unmatched = 0
     for case in range(40):
         m, n = int(rng.integers(3, 8)), int(rng.integers(3, 8))

@@ -9,7 +9,6 @@ from mklab import (
     InvariantError,
     Marginal,
     PlanKind,
-    SolverConfig,
     TransportPlan,
     ap_cost,
     dual_sequence,
@@ -353,17 +352,16 @@ class TestRelaxedDual:
             assert report.optimal_plan is None
 
     def test_probe_count_is_capped(self, monkeypatch):
-        from mklab import IterationLimitError, ex33_cost, network_simplex
+        from mklab import IterationLimitError, ex33_cost, network_simplex, solvers
 
         engine = network_simplex.solve_bipartite
         solves = []
 
-        def uncapped(*args, **kwargs):
-            # leave only the cap on the number of network solves
+        def counting(*args):
             solves.append(1)
-            return engine(*args, **{**kwargs, "max_iterations": 10 ** 6})
+            return engine(*args)
 
-        monkeypatch.setattr(network_simplex, "solve_bipartite", uncapped)
+        monkeypatch.setattr(network_simplex, "solve_bipartite", counting)
         inst = make_instance(24)
         c = ex33_cost(inst, 23)
         mu = uniform_marginal(inst)
@@ -371,18 +369,20 @@ class TestRelaxedDual:
         solve_relaxed_dual(c, mu, mu, pi, 0.01)
         needed = len(solves)
         assert needed >= 3
-        solve_relaxed_dual(c, mu, mu, pi, 0.01, SolverConfig(max_iterations=needed))
+        monkeypatch.setattr(solvers, "MAX_NETWORK_SOLVES", needed)
+        solve_relaxed_dual(c, mu, mu, pi, 0.01)
+        monkeypatch.setattr(solvers, "MAX_NETWORK_SOLVES", needed - 1)
         with pytest.raises(IterationLimitError):
-            solve_relaxed_dual(c, mu, mu, pi, 0.01, SolverConfig(max_iterations=needed - 1))
+            solve_relaxed_dual(c, mu, mu, pi, 0.01)
 
     def test_sweep_rejects_budget_above_one_before_solving(self, monkeypatch):
-        from mklab import solvers
+        from mklab import network_simplex, solvers
 
         def no_solve(*args, **kwargs):
             raise AssertionError("a budget was solved before the grid was checked")
 
         monkeypatch.setattr(solvers, "solve_relaxed_dual", no_solve)
-        monkeypatch.setattr(solvers, "_network", no_solve)
+        monkeypatch.setattr(network_simplex, "solve_bipartite", no_solve)
         inst = make_instance(16)
         c = ap_cost(inst)
         mu = uniform_marginal(inst)
@@ -429,16 +429,16 @@ class TestRelaxedDualSweep:
     @pytest.mark.parametrize("kind,n,solves", [("ap", 24, 1), ("ex33", 48, 6)])
     def test_each_network_solve_runs_once_per_grid(self, monkeypatch, kind, n, solves):
         # one cold solve per grid point makes 3 on ap and 15 on ex33 n=48
-        from mklab import solvers
+        from mklab import network_simplex
 
-        engine = solvers._network
+        engine = network_simplex.solve_bipartite
         counted = []
 
         def counting(*args, **kwargs):
             counted.append(1)
             return engine(*args, **kwargs)
 
-        monkeypatch.setattr(solvers, "_network", counting)
+        monkeypatch.setattr(network_simplex, "solve_bipartite", counting)
         c, mu, pi = two_graph_case(kind, n)
         relaxed_dual_sweep(c, mu, mu, pi, self.GRID)
         assert len(counted) == solves
@@ -508,14 +508,15 @@ class TestReportInvariants:
         j = potential_plan_integral(report.optimal_potentials, report.optimal_plan)
         assert j == pytest.approx(report.primal_value, abs=1e-7)
 
-    def test_iteration_limit_raises(self, rng):
+    def test_iteration_limit_raises(self, rng, monkeypatch):
         c = random_cost(rng, 6, 6)
         mu = random_marginal(rng, 6)
         nu = random_marginal(rng, 6)
-        from mklab import IterationLimitError
+        from mklab import IterationLimitError, network_simplex
 
+        monkeypatch.setattr(network_simplex, "MAX_ITERATIONS", 2)
         with pytest.raises(IterationLimitError):
-            solve_primal(c, mu, nu, SolverConfig(max_iterations=2))
+            solve_primal(c, mu, nu)
 
 
 def test_import_leaves_dense_engine_out():
@@ -528,14 +529,3 @@ def test_import_leaves_dense_engine_out():
                          check=True)
     assert out.stdout.strip() == "False"
 
-
-class TestSolverConfig:
-    def test_validation(self):
-        with pytest.raises(InvariantError):
-            SolverConfig(tol=0.0)
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(InvariantError):
-                SolverConfig(tol=bad)
-        for big in (1.0, 1e300):
-            with pytest.raises(InvariantError, match="tol must be below 1"):
-                SolverConfig(tol=big)
