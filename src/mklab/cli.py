@@ -17,6 +17,7 @@ import numpy as np
 
 from . import fileformats, rotation, solvers
 from .core import (
+    DualityReport,
     InfeasibleError,
     InvariantError,
     IterationLimitError,
@@ -42,6 +43,9 @@ EXIT_ITERATIONS = 3
 DEFAULT_BOUND_EPS = (1e-2, 1e-4)
 DEFAULT_SINGULAR_EPS = (1e-1, 1e-2, 1e-3, 1e-4)
 DEFAULT_DELTAS = (0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
+
+#: Characters of an output file encoded and written at a time.
+WRITE_SLICE = 1 << 18
 
 
 class UsageError(MKLabError):
@@ -86,10 +90,12 @@ def _reference_plan(problem: Problem) -> TransportPlan:
 
 
 def _write_text(path: Optional[str], text: str) -> None:
+    # in slices, so that no encoded copy of a whole large file is held
     if path is None:
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        for start in range(0, len(text), WRITE_SLICE):
+            fh.write(text[start:start + WRITE_SLICE])
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
@@ -104,7 +110,8 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
 # solve
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _solve(args: argparse.Namespace) -> tuple[InstanceSpec, DualityReport]:
+    """Load the instance and solve the problem that ``--problem`` names on it."""
     spec, problem = _load_problem(args.instance)
     name, _, param = args.problem.partition(":")
     eps = None
@@ -131,7 +138,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             problem.cost, problem.mu, problem.nu, _reference_plan(problem), eps)
     else:
         raise UsageError(f"unknown problem {args.problem!r}")
+    return spec, report
 
+
+def _cmd_solve(args: argparse.Namespace) -> int:
+    # the problem, its cost and its arcs are freed before the result is written
+    spec, report = _solve(args)
     doc = fileformats.result_document(
         args.problem, fileformats.instance_to_jsonable(spec), report)
     _write_text(args.out, fileformats.serialize_result(doc))

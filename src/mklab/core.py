@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -142,6 +143,19 @@ class CostMatrix:
     @property
     def finite_mask(self) -> np.ndarray:
         return np.isfinite(self.entries)
+
+    @cached_property
+    def finite_arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, columns, costs) of the finite cells in row-major order, read-only.
+
+        Computed on the first read and kept, so every solve on this cost
+        shares one scan of the entries.
+        """
+        rows, cols = np.nonzero(self.finite_mask)
+        arcs = (rows, cols, self.entries[rows, cols])
+        for arr in arcs:
+            arr.setflags(write=False)
+        return arcs
 
 
 class PlanKind(str, Enum):

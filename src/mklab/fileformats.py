@@ -7,6 +7,13 @@ shift graphs).  Unknown fields are rejected.  Result documents are
 emitted by a canonical writer: fixed key order, every float with 17
 significant digits, infinities as the strings "inf"/"-inf", so equal
 inputs produce byte-identical files.
+
+The writer takes float64 arrays as they are, one row at a time.  A row
+that is mostly +0.0, as the rows of an optimal plan are (it has at most
+m + n - 1 nonzero cells), is cut from the text of the all-zero row with
+its other cells spliced in, so its cost grows with its nonzeros rather
+than its length.  A rotation instance builds its reference plan only
+when a command reads it.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Optional
 
 import numpy as np
@@ -69,15 +77,65 @@ def _format_float(value: float) -> str:
 #: prints for an infinity is quoted.
 _FLOAT_TEMPLATES = np.array(["%.17g", "%.17g.0", '"%.17g"'], dtype=object)
 
+#: A row in which more than this share of the cells are not +0.0 is
+#: formatted in one pass; a sparser row is spliced into the all-zero row.
+_SPLICE_SHARE = 0.25
 
-def _format_floats(arr: np.ndarray, pad: str) -> str:
-    """Write a nonempty 1-D float64 array as ``_format_float`` would each value, in one pass."""
-    if np.isnan(arr).any():
+
+def _templates(values: np.ndarray) -> np.ndarray:
+    """The `%`-template of each value of a float64 array, as an object array."""
+    kind = ((values == np.trunc(values)) & (np.abs(values) < 1e17)) + 2 * np.isinf(values)
+    return _FLOAT_TEMPLATES[kind]
+
+
+def _format_float_rows(mat: np.ndarray, pad: str) -> list[str]:
+    """Each row of a nonempty 2-D float64 array, as ``_format_float`` would write its values.
+
+    ``pad`` is the indent of a row's brackets.  A dense row joins the
+    `%`-templates of all its cells and formats them in one pass.  In a
+    sparse row every +0.0 cell is written "0.0", the same width each, so
+    the row is the text of the all-zero row (built once per array) with
+    the templates of its other cells spliced in at computed offsets.
+    """
+    if np.isnan(mat).any():
         raise FileFormatError("NaN is not serializable")
-    kind = ((arr == np.trunc(arr)) & (np.abs(arr) < 1e17)) + 2 * np.isinf(arr)
     item_pad = pad + "  "
-    template = (",\n" + item_pad).join(_FLOAT_TEMPLATES[kind].tolist())
-    return f"[\n{item_pad}{template % tuple(arr.tolist())}\n{pad}]"
+    sep = ",\n" + item_pad
+    # -0.0 == 0.0, so its sign bit tells it from +0.0
+    live = (mat != 0.0) | np.signbit(mat)
+    counts = live.sum(axis=1)
+    spliced = counts <= _SPLICE_SHARE * mat.shape[1]
+
+    def one_pass(row: np.ndarray) -> str:
+        return (f"[\n{item_pad}{sep.join(_templates(row).tolist())}\n{pad}]"
+                % tuple(row.tolist()))
+
+    if not spliced.any():
+        return [one_pass(row) for row in mat]
+    zero = f"[\n{item_pad}{sep.join(['0.0'] * mat.shape[1])}\n{pad}]"
+    # the cells other than +0.0 of the spliced rows, in row-major order,
+    # and where each one's "0.0" starts in the all-zero row
+    cells = live & spliced[:, None]
+    values = mat[cells]
+    templates = _templates(values)
+    starts = len(item_pad) + 2 + (len(sep) + 3) * np.nonzero(cells)[1]
+    rows: list[str] = []
+    lo = 0
+    for row, splice, hi in zip(mat, spliced.tolist(),
+                               np.cumsum(np.where(spliced, counts, 0)).tolist()):
+        if not splice:
+            rows.append(one_pass(row))
+        elif lo == hi:
+            rows.append(zero)
+        else:
+            parts, prev = [], 0
+            for start, template in zip(starts[lo:hi].tolist(), templates[lo:hi].tolist()):
+                parts += (zero[prev:start], template)
+                prev = start + 3
+            parts.append(zero[prev:])
+            rows.append("".join(parts) % tuple(values[lo:hi].tolist()))
+        lo = hi
+    return rows
 
 
 def _write_canonical(obj: Any, pieces: list[str], indent: int) -> None:
@@ -104,11 +162,15 @@ def _write_canonical(obj: Any, pieces: list[str], indent: int) -> None:
             _write_canonical(value, pieces, indent + 1)
             pieces.append(",\n" if i + 1 < len(obj) else "\n")
         pieces.append(pad + "}")
-    elif (isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 1
-          and obj.size):
-        pieces.append(_format_floats(obj, pad))
+    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.size and obj.ndim == 1:
+        pieces.append(_format_float_rows(obj[None], pad)[0])
+    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.size and obj.ndim == 2:
+        item_pad = pad + "  "
+        pieces.append("[\n")
+        for row in _format_float_rows(obj, item_pad):
+            pieces += (item_pad, row, ",\n")
+        pieces[-1] = f"\n{pad}]"
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        # a 2-D array goes row by row, so each row takes the array path above
         if not len(obj):
             pieces.append("[]")
             return
@@ -270,38 +332,51 @@ def instance_to_jsonable(spec: InstanceSpec) -> dict:
 
 @dataclass(frozen=True)
 class Problem:
-    """A fully materialized instance ready for the solvers."""
+    """A fully materialized instance ready for the solvers.
 
+    ``reference_plan`` backs the restricted and budgeted-dual problems:
+    for "ap" it is the half/half mixture of the two graph plans, for
+    "ex33" the weighted mixture of the first min(5, k_max + 1) graph
+    plans, and for "explicit" the optional pi0 matrix, checked when the
+    instance is materialized.  A rotation instance builds its plan on the
+    first read, since only the commands that need it read it.
+    """
+
+    kind: str
     cost: CostMatrix
     mu: Marginal
     nu: Marginal
     rotation: Optional[RotationInstance]
     k_max: Optional[int]
-    reference_plan: Optional[TransportPlan]
+    pi0: Optional[TransportPlan]
+
+    @cached_property
+    def reference_plan(self) -> Optional[TransportPlan]:
+        inst = self.rotation
+        if inst is None:
+            return self.pi0
+        if self.kind == "ap":
+            return mixture_plan(
+                [shift_graph_plan(inst, 0), shift_graph_plan(inst, 1)], [0.5, 0.5])
+        return graph_mixture_plan(inst, min(4, self.k_max))  # type: ignore[type-var]
 
 
 def materialize(spec: InstanceSpec) -> Problem:
-    """Build the cost, marginals, and default reference plan of an instance.
-
-    The reference plan backs the restricted and budgeted-dual problems:
-    for "ap" it is the half/half mixture of the two graph plans, for
-    "ex33" the weighted mixture of the first min(5, k_max + 1) graph
-    plans, and for "explicit" the optional pi0 matrix when present.
-    """
+    """Build the cost and marginals of an instance, and check its pi0 if it has one."""
     if spec.kind == "explicit":
         try:
             cost = CostMatrix(spec.cost)
             mu = Marginal(spec.mu)
             nu = Marginal(spec.nu)
-            reference = None
+            pi0 = None
             if spec.pi0 is not None:
-                reference = TransportPlan(spec.pi0, PlanKind.EXACT)
+                pi0 = TransportPlan(spec.pi0, PlanKind.EXACT)
         except (InvariantError, MKLabError) as exc:
             raise FileFormatError(f"invalid explicit instance: {exc}") from exc
         if cost.shape != (mu.size, nu.size):
             raise FileFormatError("cost shape does not match the marginals")
-        return Problem(cost=cost, mu=mu, nu=nu, rotation=None, k_max=None,
-                       reference_plan=reference)
+        return Problem(kind=spec.kind, cost=cost, mu=mu, nu=nu, rotation=None, k_max=None,
+                       pi0=pi0)
 
     n = int(spec.n)  # type: ignore[arg-type]
     try:
@@ -319,16 +394,13 @@ def materialize(spec: InstanceSpec) -> Problem:
             cost = ap_cost(inst)
         except InvariantError as exc:
             raise FileFormatError(str(exc)) from exc
-        reference = mixture_plan(
-            [shift_graph_plan(inst, 0), shift_graph_plan(inst, 1)], [0.5, 0.5])
     else:
         k_max = spec.k_max if spec.k_max is not None else n - 1
         if not 0 <= k_max < n:
             raise FileFormatError(f"k_max must lie in [0, {n - 1}]")
         cost = ex33_cost(inst, k_max)
-        reference = graph_mixture_plan(inst, min(4, k_max))
-    return Problem(cost=cost, mu=mu, nu=mu, rotation=inst, k_max=k_max,
-                   reference_plan=reference)
+    return Problem(kind=spec.kind, cost=cost, mu=mu, nu=mu, rotation=inst, k_max=k_max,
+                   pi0=None)
 
 
 # ---------------------------------------------------------------------------

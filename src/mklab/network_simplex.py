@@ -53,8 +53,8 @@ from .core import (
 )
 
 #: Feasibility and optimality tolerance alike: the largest reduced cost
-#: below zero that counts as optimal, and the most artificial flow left
-#: at optimality that counts as feasible.
+#: below zero that counts as optimal, and the most mass left unshipped at
+#: optimality that counts as feasible.
 TOL = 1e-9
 
 #: Pivoting iterations allowed before IterationLimitError.
@@ -132,7 +132,7 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
     ``tails`` index sources, ``heads`` index sinks.  On return the
     potentials (u, v) satisfy u[i] + v[j] <= cost + TOL on every arc,
     with equality on arcs carrying flow (the returned basis); more than
-    TOL of artificial flow left at optimality raises InfeasibleError.
+    TOL of mass left unshipped at optimality raises InfeasibleError.
     More than MAX_ITERATIONS iterations raise IterationLimitError.
     """
     tol, max_iterations = TOL, MAX_ITERATIONS
@@ -306,7 +306,9 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
     if float(np.min(flow_exact)) < -tol:
         raise MKLabError("negative basic flow after recomputation")  # pragma: no cover
     np.clip(flow_exact, 0.0, None, out=flow_exact)
-    if float(np.sum(flow_exact[e_real:])) > tol:
+    # An unshipped unit crosses two artificial arcs, up into the root and
+    # down out of it, so half the artificial flow is the mass not shipped.
+    if 0.5 * float(np.sum(flow_exact[e_real:])) > tol:
         raise InfeasibleError("no feasible shipment avoids the deleted pairs")
 
     real_flow = np.empty(e_real)

@@ -84,11 +84,6 @@ def _check_shapes(cost: CostMatrix, mu: Marginal, nu: Marginal) -> None:
         raise ShapeError(f"cost {cost.shape} does not match marginals ({mu.size}, {nu.size})")
 
 
-def _finite_arcs(cost: CostMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    tails, heads = np.nonzero(cost.finite_mask)
-    return tails, heads, cost.entries[tails, heads]
-
-
 def _plan_from_flows(shape, tails, heads, flows, kind: PlanKind) -> TransportPlan:
     mass = np.zeros(shape)
     mass[tails, heads] = flows
@@ -123,7 +118,7 @@ def solve_primal(cost: CostMatrix, mu: Marginal, nu: Marginal) -> DualityReport:
     """
     t0 = time.perf_counter()
     _check_shapes(cost, mu, nu)
-    tails, heads, costs = _finite_arcs(cost)
+    tails, heads, costs = cost.finite_arcs
     res = network_simplex.solve_bipartite(mu.weights, nu.weights, tails, heads, costs)
     pots = PotentialPair(res.source_potentials, res.sink_potentials)
     return _exact_report(cost, mu, nu, tails, heads, res.flow, pots, res, t0)
@@ -153,7 +148,7 @@ def solve_partial(cost: CostMatrix, mu: Marginal, nu: Marginal, eps: float) -> D
     _check_shapes(cost, mu, nu)
     if not (0.0 <= eps <= 1.0):
         raise InvariantError(f"eps must lie in [0, 1], got {eps!r}")
-    tails, heads, costs = _finite_arcs(cost)
+    tails, heads, costs = cost.finite_arcs
     m, n = cost.shape
     n_real = costs.size
     aug_tails = np.concatenate([tails, np.arange(m), np.full(n + 1, m)])

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from mklab import cli, network_simplex, solvers
+from mklab import cli, fileformats, network_simplex, solvers
 from mklab.cli import _fmt, main
 from mklab.core import MAX_SIDE, InvariantError
 from mklab.fileformats import dumps_canonical, materialize, parse_instance, parse_result
@@ -116,6 +116,99 @@ class TestDeterminism:
         assert main(["solve", ap_instance, "--problem", "primal", "--out", str(out1)]) == 0
         assert main(["solve", ap_instance, "--problem", "primal", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("size", [1, 7, 1 << 18])
+    def test_result_written_in_slices_keeps_its_text(self, ap_instance, tmp_path,
+                                                     monkeypatch, size):
+        texts = []
+        serialize = fileformats.serialize_result
+
+        def keep(doc):
+            texts.append(serialize(doc))
+            return texts[-1]
+        monkeypatch.setattr(fileformats, "serialize_result", keep)
+        monkeypatch.setattr(cli, "WRITE_SLICE", size)
+        out = tmp_path / "res.json"
+        assert main(["solve", ap_instance, "--problem", "primal", "--out", str(out)]) == 0
+        assert out.read_bytes() == texts[0].encode()
+
+
+class TestReferencePlanOnDemand:
+    """Only the commands that read a rotation instance's reference plan build it."""
+
+    @pytest.fixture
+    def rotation_instances(self, tmp_path):
+        return [write_instance(tmp_path / f"{kind}.json",
+                               {"schema_version": 1, "kind": kind, "n": 12,
+                                "shift": "auto-golden"})
+                for kind in ("ap", "ex33")]
+
+    @staticmethod
+    def count_builds(monkeypatch, fail: bool) -> list:
+        built = []
+        for name in ("graph_mixture_plan", "mixture_plan"):
+            real = getattr(fileformats, name)
+
+            def builder(*args, _name=name, _real=real, **kwargs):
+                built.append(_name)
+                if fail:
+                    raise AssertionError(f"{_name} was called")
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(fileformats, name, builder)
+        return built
+
+    def test_primal_builds_no_reference(self, rotation_instances, tmp_path, monkeypatch):
+        out = tmp_path / "res.json"
+        expected = []
+        for path in rotation_instances:
+            assert main(["solve", path, "--problem", "primal", "--out", str(out)]) == 0
+            expected.append(out.read_bytes())
+        self.count_builds(monkeypatch, fail=True)
+        for path, text in zip(rotation_instances, expected):
+            assert main(["solve", path, "--problem", "primal", "--out", str(out)]) == 0
+            assert out.read_bytes() == text
+
+    def test_restricted_builds_the_reference(self, rotation_instances, tmp_path,
+                                             monkeypatch):
+        built = self.count_builds(monkeypatch, fail=False)
+        for path in rotation_instances:
+            assert main(["solve", path, "--problem", "restricted",
+                         "--out", str(tmp_path / "res.json")]) == 0
+        assert built == ["mixture_plan", "graph_mixture_plan"]
+
+    def test_invalid_pi0_fails_primal_at_load(self, tmp_path, capsys, monkeypatch):
+        inst = write_instance(tmp_path / "bad.json",
+                              {"schema_version": 1, "kind": "explicit",
+                               "cost": [[0.0, 1.0], [1.0, 0.0]],
+                               "mu": [0.5, 0.5], "nu": [0.5, 0.5],
+                               "pi0": [[0.0, -0.5], [0.5, 0.0]]})
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved an instance with an invalid pi0")
+        monkeypatch.setattr(network_simplex, "solve_bipartite", no_solve)
+        assert main(["solve", inst, "--problem", "primal"]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid explicit instance")
+
+
+def test_cli_runs_leave_numpy_ma_unloaded(tmp_path):
+    """numpy.ma costs a fresh CLI process about 2 MiB of peak RSS; no solve path may load it."""
+    import subprocess
+    import sys
+
+    ap, out = tmp_path / "ap.json", tmp_path / "out"
+    probe = f"""
+import sys
+from mklab import cli
+runs = [["gen", "--kind", "ap", "--n", "12", "--out", {str(ap)!r}],
+        ["solve", {str(ap)!r}, "--problem", "primal", "--out", {str(out)!r} + ".json"],
+        ["sweep", {str(ap)!r}, "--sweep", "epsilon-primal", "--grid", "0.1,0.01",
+         "--out", {str(out)!r} + ".csv"],
+        ["solve", {str(ap)!r}, "--problem", "relaxed-dual:0.01", "--out", {str(out)!r} + ".json"]]
+print([cli.main(argv) for argv in runs], "numpy.ma" in sys.modules)
+"""
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0] False"
 
 
 class TestSweep:

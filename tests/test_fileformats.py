@@ -1,9 +1,10 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mklab import (
     DualityReport,
@@ -110,6 +111,72 @@ class TestFloatListWriter:
                     max_size=20))
     def test_mixed_ints_and_floats_keep_their_bytes(self, values):
         assert dumps_canonical(values) == per_value(values) + "\n"
+
+
+# Values planted in rows that are otherwise +0.0: the edge values above and
+# any float, integers past 2**53 among them.
+planted = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=False),
+    st.integers(2 ** 53, 2 ** 70).map(float),
+    st.integers(2 ** 53, 2 ** 70).map(lambda v: -float(v)),
+)
+
+
+@st.composite
+def zero_heavy_rows(draw, min_rows=1, max_rows=1, max_size=300):
+    """Rows of one length, each +0.0 but for planted values at random cells.
+
+    A row's share of planted cells runs from none to all, so rows fall on
+    both sides of the writer's switch between splicing into the all-zero
+    row and formatting in one pass.
+    """
+    size = draw(st.integers(1, max_size))
+    values = draw(st.lists(planted, min_size=1, max_size=12))
+    rnd = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(min_rows, max_rows))):
+        row = [0.0] * size
+        for i in rnd.sample(range(size), draw(st.integers(0, size))):
+            row[i] = rnd.choice(values)
+        rows.append(row)
+    return rows
+
+
+class TestZeroHeavyRows:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(zero_heavy_rows())
+    def test_row_matches_per_value_format(self, rows):
+        row, = rows
+        assert dumps_canonical(np.array(row)) == per_value(row) + "\n"
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(zero_heavy_rows(max_rows=6))
+    def test_matrix_is_its_rows_written_one_by_one(self, rows):
+        one_by_one = dumps_canonical({"m": [np.array(row) for row in rows]})
+        assert dumps_canonical({"m": np.array(rows)}) == one_by_one
+        inner = ",\n    ".join(per_value(row, "    ") for row in rows)
+        assert one_by_one == f'{{\n  "m": [\n    {inner}\n  ]\n}}\n'
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(zero_heavy_rows(max_rows=3), st.data())
+    def test_nan_anywhere_rejected(self, rows, data):
+        mat = np.array(rows)
+        cell = data.draw(st.tuples(st.integers(0, mat.shape[0] - 1),
+                                   st.integers(0, mat.shape[1] - 1)))
+        mat[cell] = math.nan
+        for arr in (mat, mat[cell[0]]):
+            with pytest.raises(FileFormatError, match="NaN"):
+                dumps_canonical({"values": arr})
+
+    @pytest.mark.parametrize("planted_cells", [0, 1, 74, 75, 76, 299, 300])
+    def test_rows_on_both_sides_of_the_switch(self, planted_cells):
+        # the writer splices a row of 300 with up to 75 cells other than +0.0
+        row = [0.0] * 300
+        for i in range(planted_cells):
+            row[(7 * i) % 300] = EDGE_FLOATS[1 + i % (len(EDGE_FLOATS) - 1)]
+        assert dumps_canonical(np.array(row)) == per_value(row) + "\n"
+        assert dumps_canonical(np.array([row, row[::-1]])) == dumps_canonical([row, row[::-1]])
 
 
 class TestInstanceFiles:

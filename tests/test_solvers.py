@@ -16,6 +16,7 @@ from mklab import (
     graph_mixture_plan,
     make_instance,
     mixture_plan,
+    network_simplex,
     potential_plan_integral,
     relaxed_dual_sweep,
     shift_graph_plan,
@@ -92,15 +93,18 @@ class TestSolvePrimal:
 
     def test_dead_row_mass_is_judged_at_the_solver_tolerance(self):
         # the engine leaves a row with no finite cell on its artificial arc,
-        # so up to tol (1e-9) of its mass may go unshipped
+        # so up to tol (1e-9) of its mass may go unshipped; the unshipped
+        # mass counts once, not on both of the artificial arcs it crosses
         c = CostMatrix(np.array([[np.inf, np.inf, np.inf],
                                  [1.0, 2.0, 3.0],
                                  [2.0, 1.0, 0.5]]))
         nu = Marginal(np.array([0.25, 0.25, 0.5]))
-        report = solve_primal(c, Marginal(np.array([5e-10, 0.5, 0.5 - 5e-10])), nu)
-        assert report.optimal_plan.mass[0].sum() == 0.0
-        with pytest.raises(InfeasibleError):
-            solve_primal(c, Marginal(np.array([2e-9, 0.5, 0.5 - 2e-9])), nu)
+        for dead in (5e-10, 9e-10):
+            report = solve_primal(c, Marginal(np.array([dead, 0.5, 0.5 - dead])), nu)
+            assert report.optimal_plan.mass[0].sum() == 0.0
+        for dead in (1.1e-9, 2e-9):
+            with pytest.raises(InfeasibleError):
+                solve_primal(c, Marginal(np.array([dead, 0.5, 0.5 - dead])), nu)
 
     def test_infeasible_by_mass_pattern(self):
         # both sources can only reach sink 0, which holds mass 1/4
@@ -517,6 +521,28 @@ class TestReportInvariants:
         monkeypatch.setattr(network_simplex, "MAX_ITERATIONS", 2)
         with pytest.raises(IterationLimitError):
             solve_primal(c, mu, nu)
+
+
+def test_solves_on_one_cost_share_its_finite_arcs(rng, monkeypatch):
+    """The finite cells of a cost are found once, as read-only arrays, for every solve on it."""
+    entries = rng.uniform(0.0, 5.0, (5, 5))
+    entries[1, 3] = entries[4, 0] = np.inf
+    c, mu, nu = CostMatrix(entries), random_marginal(rng, 5), random_marginal(rng, 5)
+    seen = []
+    engine = network_simplex.solve_bipartite
+
+    def spy(supplies, demands, tails, heads, costs):
+        seen.append((tails, heads, costs))
+        return engine(supplies, demands, tails, heads, costs)
+    monkeypatch.setattr(network_simplex, "solve_bipartite", spy)
+    solve_primal(c, mu, nu)
+    estimate_relaxed_primal(c, mu, nu, (0.1, 0.01))
+    solve_dual(c, mu, nu)
+    first, last = seen[0], seen[-1]
+    assert all(a is b for a, b in zip(first, last))
+    assert all(a is b for a, b in zip(first, c.finite_arcs))
+    assert not any(a.flags.writeable for a in first)
+    assert first[2].size == 23 and np.isfinite(first[2]).all()
 
 
 def test_import_leaves_dense_engine_out():
