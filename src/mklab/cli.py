@@ -89,10 +89,8 @@ def _reference_plan(problem: Problem) -> TransportPlan:
     return problem.reference_plan
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+def _write_text(path: str, text: str) -> None:
     # in slices, so that no encoded copy of a whole large file is held
-    if path is None:
-        return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for start in range(0, len(text), WRITE_SLICE):
             fh.write(text[start:start + WRITE_SLICE])
@@ -144,9 +142,10 @@ def _solve(args: argparse.Namespace) -> tuple[InstanceSpec, DualityReport]:
 def _cmd_solve(args: argparse.Namespace) -> int:
     # the problem, its cost and its arcs are freed before the result is written
     spec, report = _solve(args)
-    doc = fileformats.result_document(
-        args.problem, fileformats.instance_to_jsonable(spec), report)
-    _write_text(args.out, fileformats.serialize_result(doc))
+    if args.out:
+        doc = fileformats.result_document(
+            args.problem, fileformats.instance_to_jsonable(spec), report)
+        _write_text(args.out, fileformats.serialize_result(doc))
     print(f"problem        {args.problem}")
     print(f"primal value   {_fmt(report.primal_value)}")
     print(f"dual value     {_fmt(report.dual_value)}")
@@ -294,8 +293,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
                             k_max=args.k_max, seed=args.seed)
     fileformats.materialize(spec)  # validate before writing
     text = fileformats.dumps_canonical(fileformats.instance_to_jsonable(spec))
-    _write_text(args.out, text)
     if args.out:
+        _write_text(args.out, text)
         print(f"wrote {args.kind} instance to {args.out}")
     else:
         sys.stdout.write(text)

@@ -230,19 +230,12 @@ def singular_mass_estimate(pi0: TransportPlan, potentials: Sequence[PotentialPai
 
     last = potentials[-1].oplus()[sup]
     contrib = last * weights
-    order = np.argsort(contrib, kind="stable")
-    profile = []
-    for delta in deltas:
-        total = 0.0
-        mass = 0.0
-        for cell in order:
-            if contrib[cell] >= 0.0:
-                break
-            if mass + weights[cell] >= delta:
-                break
-            mass += float(weights[cell])
-            total -= float(contrib[cell])
-        profile.append((delta, total))
+    # the negative cells, most negative first, taken while their running
+    # mass stays below delta; cumsum adds in the same order a loop would
+    order = np.argsort(contrib, kind="stable")[:int(np.sum(contrib < 0.0))]
+    taken = np.searchsorted(np.cumsum(weights[order]), deltas)
+    totals = np.cumsum(contrib[order])
+    profile = [(delta, -float(totals[t - 1]) if t else 0.0) for delta, t in zip(deltas, taken)]
     return SequenceDiagnostics(
         l1_distances_to_limit=tuple(l1_list),
         positive_part_norms=tuple(pos_list),

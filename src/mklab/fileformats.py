@@ -237,10 +237,10 @@ class InstanceSpec:
 
 def _numbers_or_inf(values: list) -> bool:
     """Whether a raw JSON list holds only numbers and "inf"/"-inf" markers (no bools)."""
-    types = list(map(type, values))
-    if not set(types) <= {int, float, str}:
+    types = set(map(type, values))
+    if not types <= {int, float, str}:
         return False
-    return types.count(str) == values.count("inf") + values.count("-inf")
+    return str not in types or all(v in ("inf", "-inf") for v in values if type(v) is str)
 
 
 def _as_float_matrix(rows: Any, what: str) -> np.ndarray:

@@ -4,8 +4,10 @@ The finite model replaces the circle by Z_n and an irrational angle by
 a shift s coprime to n: point i stands for i/n and one rotation step
 sends i to i + s (mod n), so the whole space is a single orbit.  The
 lower half {i : 2i < n} plays the role of [0, 1/2): walking the orbit
-gains a level on the lower half and loses one on the upper half, and
-the running level of that walk prices the k-step shift graphs.
+gains a level on the lower half and loses one on the upper half.  Every
+level is read off one running sum of the signs along the orbit of 0,
+and prices the k-step shift graphs: ``ap`` is the one-step level cost
+and ``ex33`` its clamp over k_max steps.
 
 Everything here is exact integer arithmetic; the shift defaults to the
 nearest coprime approximation of the golden-ratio conjugate times n,
@@ -28,7 +30,6 @@ from .core import (
     PotentialPair,
     TransportPlan,
     MAX_SIDE,
-    mixture_plan,
 )
 
 GOLDEN_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
@@ -92,8 +93,7 @@ def step_sign(inst: RotationInstance, i: int) -> int:
 
 
 def step_signs(inst: RotationInstance) -> np.ndarray:
-    idx = np.arange(inst.n)
-    return np.where(2 * idx < inst.n, 1, -1).astype(np.int64)
+    return np.where(2 * np.arange(inst.n) < inst.n, 1, -1).astype(np.int64)
 
 
 def birkhoff_level(inst: RotationInstance, i: int, k: int) -> int:
@@ -112,65 +112,60 @@ def birkhoff_level(inst: RotationInstance, i: int, k: int) -> int:
     return total
 
 
+def _orbit_walk(inst: RotationInstance, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Running sums of the step signs along the orbit of 0, and each point's place on it.
+
+    walk[t] is the sum of sign(j * shift) over j < t, for t = 0 .. steps;
+    place[i] = i / shift (mod n), so level(i, k) = 1 + walk[place[i] + k] - walk[place[i]].
+    """
+    orbit = np.arange(steps) * inst.shift % inst.n
+    walk = np.concatenate(([0], np.cumsum(step_signs(inst)[orbit])))
+    return walk, np.arange(inst.n) * pow(inst.shift, -1, inst.n) % inst.n
+
+
+def _graph_columns(inst: RotationInstance, k) -> np.ndarray:
+    """Column (i + k * shift) mod n of every row i, for a step count k or a column of them."""
+    return (np.arange(inst.n) + k * inst.shift) % inst.n
+
+
 def birkhoff_levels(inst: RotationInstance, k_max: int) -> np.ndarray:
     """Level table of shape (k_max + 1, n): row k holds level(i, k) for all i."""
     if k_max < 0:
         raise InvariantError("step count must be nonnegative")
-    g = step_signs(inst)
-    idx = np.arange(inst.n)
-    out = np.empty((k_max + 1, inst.n), dtype=np.int64)
-    out[0] = 1
-    for k in range(k_max):
-        out[k + 1] = out[k] + g[(idx + k * inst.shift) % inst.n]
-    return out
+    walk, place = _orbit_walk(inst, inst.n + k_max)
+    levels = walk[place + np.arange(k_max + 1)[:, None]]
+    levels -= walk[place] - 1
+    return levels
 
 
 def ap_cost(inst: RotationInstance) -> CostMatrix:
-    """The two-permutation cost: 1 on the diagonal, 2 / 0 on the shift graph.
+    """The two-permutation cost, which is the one-step level cost.
 
-    The one-step graph costs 2 where the source sits in the lower half
-    and 0 where it sits in the upper half; everything off the two graphs
-    is forbidden.  Requires even n so the halves carry equal mass.
+    1 on the diagonal, 2 / 0 on the shift graph from the lower / upper half,
+    forbidden elsewhere.  Requires even n so the halves carry equal mass.
     """
     if inst.n % 2:
         raise InvariantError("the two-permutation cost needs an even grid")
-    n, s = inst.n, inst.shift
-    entries = np.full((n, n), math.inf)
-    idx = np.arange(n)
-    entries[idx, idx] = 1.0
-    entries[idx, (idx + s) % n] = np.where(2 * idx < n, 2.0, 0.0)
-    return CostMatrix(entries)
+    return CostMatrix(level_matrix(inst, 1))
 
 
 def level_matrix(inst: RotationInstance, k_max: int) -> np.ndarray:
     """Extended-real matrix carrying level(i, k) at cell (i, i + k*shift).
 
-    Finite exactly on the union of the k-step shift graphs for
-    0 <= k <= k_max; requires k_max < n so distinct k never collide on a
-    cell (the shift is coprime, so i -> i + k*shift are distinct
-    permutations for k = 0 .. n-1).
+    Finite exactly on the k-step shift graphs for 0 <= k <= k_max < n,
+    which share no cell, as the shift is coprime.
     """
     if not 0 <= k_max < inst.n:
         raise InvariantError(f"k_max must lie in [0, {inst.n - 1}]")
-    n, s = inst.n, inst.shift
     levels = birkhoff_levels(inst, k_max)
-    out = np.full((n, n), math.inf)
-    idx = np.arange(n)
-    for k in range(k_max + 1):
-        out[idx, (idx + k * s) % n] = levels[k]
+    out = np.full((inst.n, inst.n), math.inf)
+    out[np.arange(inst.n), _graph_columns(inst, np.arange(k_max + 1)[:, None])] = levels
     return out
 
 
 def ex33_cost(inst: RotationInstance, k_max: int) -> CostMatrix:
-    """Clamped level matrix: cost = max(level, 0) on the shift graphs.
-
-    Cells whose level is <= 0 become free; off the graphs the cost is
-    infinite.
-    """
-    lm = level_matrix(inst, k_max)
-    fin = np.isfinite(lm)
-    entries = np.where(fin, np.maximum(lm, 0.0), math.inf)
-    return CostMatrix(entries)
+    """Clamped level matrix: max(level, 0) on the shift graphs, infinite off them."""
+    return CostMatrix(np.maximum(level_matrix(inst, k_max), 0.0))
 
 
 def skew_step(inst: RotationInstance, state: OrbitState) -> OrbitState:
@@ -188,21 +183,16 @@ def first_passage(inst: RotationInstance, i: int, k_max: int) -> Optional[int]:
     """
     if not 0 <= i < inst.n:
         raise InvariantError(f"point {i} outside Z_{inst.n}")
-    levels = birkhoff_levels(inst, k_max)  # rejects a negative k_max
-    for k in range(1, k_max + 1):
-        if levels[k, i] <= 0:
-            return k
-    return None
+    hits = np.flatnonzero(birkhoff_levels(inst, k_max)[1:, i] <= 0)  # rejects a negative k_max
+    return int(hits[0]) + 1 if hits.size else None
 
 
 def shift_graph_plan(inst: RotationInstance, k: int) -> TransportPlan:
     """The uniform coupling supported on the k-step shift graph."""
     if not 0 <= k < inst.n:
         raise InvariantError(f"k must lie in [0, {inst.n - 1}]")
-    n, s = inst.n, inst.shift
-    mass = np.zeros((n, n))
-    idx = np.arange(n)
-    mass[idx, (idx + k * s) % n] = 1.0 / n
+    mass = np.zeros((inst.n, inst.n))
+    mass[np.arange(inst.n), _graph_columns(inst, k)] = 1.0 / inst.n
     return TransportPlan(mass, PlanKind.EXACT)
 
 
@@ -218,12 +208,10 @@ def orbit_certificate(inst: RotationInstance) -> tuple[TransportPlan, PotentialP
     certify each other's optimality without an LP.  At odd n the signs
     sum to 1 and no primitive exists.
     """
-    n = inst.n
-    if n % 2:
-        raise InvariantError(f"odd n={n}: the step signs sum to 1, no primitive exists")
-    orbit = (np.arange(n) * inst.shift) % n
-    primitive = np.empty(n)
-    primitive[orbit] = np.concatenate(([0], np.cumsum(step_signs(inst)[orbit])[:-1]))
+    if inst.n % 2:
+        raise InvariantError(f"odd n={inst.n}: the step signs sum to 1, no primitive exists")
+    walk, place = _orbit_walk(inst, inst.n)
+    primitive = walk[place].astype(float)
     return shift_graph_plan(inst, 0), PotentialPair(1.0 - primitive, primitive)
 
 
@@ -238,19 +226,23 @@ def mixture_weights(inst: RotationInstance, k_max: int, levels: np.ndarray) -> n
     """
     if levels.shape[0] < k_max + 1 or levels.shape[1] != inst.n:
         raise InvariantError("level table does not cover 0..k_max")
-    raw = np.empty(k_max + 1)
-    for k in range(k_max + 1):
-        level_norm = float(np.mean(np.abs(levels[k])))
-        raw[k] = 2.0 ** (-k) / max(1.0, level_norm)
+    level_norms = np.mean(np.abs(levels[:k_max + 1]), axis=1)
+    raw = 0.5 ** np.arange(k_max + 1) / np.maximum(1.0, level_norms)
     return raw / raw.sum()
 
 
 def graph_mixture_plan(inst: RotationInstance, k_max: int) -> TransportPlan:
-    """The weighted mixture of shift-graph plans for k = 0 .. k_max."""
-    levels = birkhoff_levels(inst, k_max)
-    weights = mixture_weights(inst, k_max, levels)
-    plans = [shift_graph_plan(inst, k) for k in range(k_max + 1)]
-    return mixture_plan(plans, weights)
+    """The weighted mixture of shift-graph plans for k = 0 .. k_max, as one n x n array.
+
+    The graphs are disjoint, so cell (i, i + k*shift) holds weight[k] / n.
+    """
+    if not 0 <= k_max < inst.n:
+        raise InvariantError(f"k_max must lie in [0, {inst.n - 1}]")
+    weights = mixture_weights(inst, k_max, birkhoff_levels(inst, k_max))[:, None]
+    mass = np.zeros((inst.n, inst.n))
+    mass[np.arange(inst.n), _graph_columns(inst, np.arange(k_max + 1)[:, None])] = \
+        weights * (1.0 / inst.n)
+    return TransportPlan(mass, PlanKind.EXACT)
 
 
 def ap_coupling_space(inst: RotationInstance) -> tuple[int, int]:

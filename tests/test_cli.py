@@ -38,6 +38,22 @@ class TestSolve:
         assert doc["primal_value"] == pytest.approx(1.0, abs=1e-9)
         assert "primal value" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("problem", ["primal", "dual", "relaxed-dual:0.01"])
+    def test_no_result_document_without_out(self, ap_instance, tmp_path, monkeypatch,
+                                            capsys, problem):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a result was built with no --out to write it to")
+
+        monkeypatch.setattr(fileformats, "result_document", refuse)
+        monkeypatch.setattr(fileformats, "serialize_result", refuse)
+        before = sorted(tmp_path.iterdir())
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", ap_instance, "--problem", problem]) == 0
+        out = capsys.readouterr().out
+        assert f"problem        {problem}" in out and "primal value" in out
+        assert "result " not in out
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_explicit_zero_diagonal(self, explicit_instance, tmp_path):
         out = tmp_path / "res.json"
         assert main(["solve", explicit_instance, "--problem", "primal",

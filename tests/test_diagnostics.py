@@ -260,6 +260,38 @@ class TestSingularMass:
         assert diag.positive_part_norms[0] == pytest.approx(
             float(np.sum(np.maximum(dev, 0.0) * w)))
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_profile_matches_the_greedy_cell_walk(self, seed):
+        # the cell-by-cell walk that defines the profile, kept as the oracle
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        if seed % 3:
+            pi0 = nw_corner(random_marginal(rng, n), random_marginal(rng, n))
+            deltas = tuple(sorted(rng.uniform(1e-3, 1.0, size=4), reverse=True))
+        else:   # equal masses and deltas on their running sums: the >= boundary
+            pi0 = TransportPlan(np.eye(n) / n)
+            deltas = tuple(k / n for k in range(n, 0, -1))
+        phi = rng.normal(size=n) * 3
+        psi = rng.integers(-2, 3, size=n).astype(float)   # ties among contributions
+        if seed % 4 == 0:
+            phi[0] = -math.inf
+        pair = PotentialPair(phi, psi)
+        sup = pi0.support()
+        weights = pi0.mass[sup]
+        contrib = pair.oplus()[sup] * weights
+        expected = []
+        for delta in deltas:
+            total = 0.0
+            mass = 0.0
+            for cell in np.argsort(contrib, kind="stable"):
+                if contrib[cell] >= 0.0 or mass + weights[cell] >= delta:
+                    break
+                mass += float(weights[cell])
+                total -= float(contrib[cell])
+            expected.append((delta, total))
+        diag = singular_mass_estimate(pi0, [pair], np.zeros((n, n)), deltas)
+        assert diag.small_set_profile == tuple(expected)
+
     def test_estimate_is_smallest_delta_value(self, rng):
         n = 6
         mu = random_marginal(rng, n)

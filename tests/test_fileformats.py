@@ -217,7 +217,7 @@ class TestInstanceFiles:
         with pytest.raises(FileFormatError, match="kind"):
             parse_instance(dumps_canonical({"schema_version": 1, "kind": "nope"}))
 
-    @pytest.mark.parametrize("cell", [True, "nan", "Infinity", " inf", None, [1.0]])
+    @pytest.mark.parametrize("cell", [True, "nan", "Infinity", " inf", None, [1.0], False])
     def test_cost_cells_are_numbers_or_inf_markers(self, cell):
         doc = {"schema_version": 1, "kind": "explicit",
                "cost": [[1.0, 2.0], [3.0, cell]], "mu": [0.5, 0.5], "nu": [0.5, 0.5]}
@@ -232,7 +232,8 @@ class TestInstanceFiles:
         assert spec.cost.tolist() == [[1.0, math.inf], [-math.inf, 0.5]]
         assert spec.mu.tolist() == [1.0, 0.0]
 
-    @pytest.mark.parametrize("values", [[0.5, True], [0.5, "x"], [0.5, [0.5]]])
+    @pytest.mark.parametrize("values", [[0.5, True], [0.5, "x"], [0.5, [0.5]], [0.5, False],
+                                        [1, "inf", "x"]])
     def test_marginal_cells_are_numbers(self, values):
         doc = {"schema_version": 1, "kind": "explicit",
                "cost": [[1.0, 2.0], [3.0, 4.0]], "mu": values, "nu": [0.5, 0.5]}

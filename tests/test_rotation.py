@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mklab import (
     graph_mixture_plan,
     level_matrix,
     make_instance,
+    mixture_plan,
     mixture_weights,
     orbit_certificate,
     shift_graph_plan,
@@ -112,6 +114,16 @@ class TestBirkhoffLevel:
             for k in range(12):
                 assert levels[k, i] == birkhoff_level(inst, i, k)
 
+    @pytest.mark.parametrize("n", [4, 5, 9, 12, 13, 24, 31])
+    def test_table_matches_scalar_for_every_shift(self, n):
+        # k = n crosses one full orbit, where odd n gains a level
+        for shift in (s for s in range(1, n) if math.gcd(s, n) == 1):
+            inst = make_instance(n, shift)
+            levels = birkhoff_levels(inst, n)
+            assert levels.dtype == np.int64 and levels.shape == (n + 1, n)
+            expected = [[birkhoff_level(inst, i, k) for i in range(n)] for k in range(n + 1)]
+            assert np.array_equal(levels, expected)
+
 
 class TestApCost:
     def test_entry_count(self):
@@ -130,6 +142,15 @@ class TestApCost:
         with pytest.raises(InvariantError):
             ap_cost(make_instance(9, 2))
 
+    @pytest.mark.parametrize("n, shift", [(4, 1), (4, 3), (8, 3), (10, 7), (24, None), (96, 1)])
+    def test_matches_its_definition(self, n, shift):
+        inst = make_instance(n, shift)
+        expected = np.full((n, n), math.inf)
+        for i in range(n):
+            expected[i, i] = 1.0
+            expected[i, (i + inst.shift) % n] = 2.0 if 2 * i < n else 0.0
+        assert np.array_equal(ap_cost(inst).entries, expected)
+
     def test_primal_value_one(self):
         inst = make_instance(8, 3)
         mu = uniform_marginal(inst)
@@ -143,8 +164,6 @@ class TestApCost:
             assert dim == 1
 
     def test_every_graph_coupling_costs_one(self):
-        from mklab import mixture_plan
-
         inst = make_instance(8, 3)
         c = ap_cost(inst)
         p0 = shift_graph_plan(inst, 0)
@@ -310,7 +329,7 @@ class TestMixtureWeights:
         for k in range(k_max + 1):
             level_norm = float(np.mean(np.abs(levels[k])))
             assert w[k] * level_norm <= big_c * 2.0 ** (-k) + 1e-12
-        assert np.allclose(w, raw / raw.sum())
+        assert np.array_equal(w, raw / raw.sum())
 
     def test_mixture_plan_has_union_support(self):
         inst = make_instance(12, 5)
@@ -324,3 +343,30 @@ class TestMixtureWeights:
         from mklab import verify_exact_coupling
 
         verify_exact_coupling(plan, mu, mu, 1e-12)
+
+    @pytest.mark.parametrize("n, shift, k_max", [
+        (4, 1, 3), (8, 3, 0), (12, 5, 3), (13, None, 12), (24, None, 4), (60, 7, 59)])
+    def test_mixture_plan_is_the_mixture_of_graph_plans(self, n, shift, k_max):
+        inst = make_instance(n, shift)
+        weights = mixture_weights(inst, k_max, birkhoff_levels(inst, k_max))
+        expected = mixture_plan([shift_graph_plan(inst, k) for k in range(k_max + 1)], weights)
+        assert np.array_equal(graph_mixture_plan(inst, k_max).mass, expected.mass)
+
+    def test_mixture_plan_holds_one_dense_array(self):
+        n = 192
+        inst = make_instance(n)
+        tracemalloc.start()
+        try:
+            graph_mixture_plan(inst, n - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n * n * 8
+
+    @pytest.mark.parametrize("k", [-1, 8])
+    def test_graph_step_count_out_of_range(self, k):
+        inst = make_instance(8, 3)
+        with pytest.raises(InvariantError, match="must lie in"):
+            shift_graph_plan(inst, k)
+        with pytest.raises(InvariantError, match="must lie in"):
+            graph_mixture_plan(inst, k)
