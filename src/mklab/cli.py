@@ -58,10 +58,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value: float) -> str:
-    text = format(float(value), ".17g")
-    if not any(ch in text for ch in ".eE") and "inf" not in text:
-        text += ".0"
-    return text
+    """A float as the result files write it, unquoted; NaN raises FileFormatError."""
+    return fileformats._format_float(float(value)).strip('"')
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -209,7 +207,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    spec, problem = _load_problem(args.instance)
+    _, problem = _load_problem(args.instance)
     rows: list[list[str]] = []
 
     if args.diag == "ccm":
@@ -220,14 +218,12 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         wi, wj = ("", "") if result.witness is None else result.witness
         rows.append(["strong-ccm", str(result.passed).lower(), str(wi), str(wj)])
     elif args.diag == "bound":
-        if spec.kind != "ap" or problem.rotation is None:
+        if problem.kind != "ap":
             raise UsageError("the bound diagnostic needs an ap instance")
-        inst = problem.rotation
         eps_list = _parse_grid(args.grid) if args.grid else list(DEFAULT_BOUND_EPS)
         pots = solvers.dual_sequence(problem.cost, problem.mu, problem.nu,
                                      _reference_plan(problem), eps_list)
-        levels = rotation.birkhoff_levels(inst, problem.k_max)
-        records = telescoping_bound_check(inst, problem.cost, pots, levels, problem.k_max)
+        records = telescoping_bound_check(problem.rotation, pots, problem.k_max)
         header = ["sequence_index", "k", "lhs", "rhs", "passed"]
         for rec in records:
             rows.append([str(rec.sequence_index), str(rec.k), _fmt(rec.lhs),
@@ -237,7 +233,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         deltas = checked_deltas(_parse_grid(args.grid) if args.grid else DEFAULT_DELTAS)
         pots = solvers.dual_sequence(problem.cost, problem.mu, problem.nu, pi0,
                                      DEFAULT_SINGULAR_EPS)
-        if problem.rotation is not None and spec.kind == "ex33":
+        if problem.kind == "ex33":
             h_ref = rotation.level_matrix(problem.rotation, problem.k_max)
         else:
             h_ref = problem.cost.entries

@@ -330,11 +330,13 @@ def transport_cost(cost: CostMatrix, plan: TransportPlan) -> float:
     cost.
     """
     _require_same_shape(cost.entries, plan.mass)
-    mass = plan.mass
-    fin = cost.finite_mask
-    if np.any(mass[~fin] > 0):
+    rows, cols, costs = cost.finite_arcs
+    carried = plan.mass[rows, cols]
+    # the mass is nonnegative, so some lies on an infinite cell iff the
+    # plan has more nonzero cells than its finite cells carry
+    if np.count_nonzero(plan.mass) > np.count_nonzero(carried):
         return math.inf
-    return float(np.sum(cost.entries[fin] * mass[fin]))
+    return float(np.sum(costs * carried))
 
 
 def potential_plan_integral(pair: PotentialPair, plan: TransportPlan) -> float:

@@ -24,7 +24,7 @@ from .core import (
     potential_plan_integral,
     transport_cost,
 )
-from .rotation import RotationInstance
+from . import rotation
 
 #: Default tolerance for LP-produced certificates.
 LP_TOL = 1e-7
@@ -133,36 +133,31 @@ class BoundRecord:
     passed: bool
 
 
-def telescoping_bound_check(inst: RotationInstance, base_cost: CostMatrix,
-                            potentials: Sequence[PotentialPair],
-                            levels: np.ndarray, k_max: int) -> list[BoundRecord]:
+def telescoping_bound_check(inst: rotation.RotationInstance, potentials: Sequence[PotentialPair],
+                            k_max: int) -> list[BoundRecord]:
     """Check the telescoped L1 bound along shift graphs, for k = 1 .. k_max.
 
     For each potential pair the L1 distance between phi + psi and the
     level values on the k-step graph is bounded by k times the L1
-    distance between phi + psi and the two-graph base cost, measured
-    against the sum of the uniform plans on the diagonal and the
-    one-step graph.  The k = 0 case is the degenerate base of the
-    telescope and is excluded.  A bound passes within ``BOUND_SLACK``.
+    distance between phi + psi and the two-graph base cost (the ``ap``
+    cost, level rows 0 and 1), measured against the sum of the uniform
+    plans on the diagonal and the one-step graph.  The instance fixes
+    both costs.  The k = 0 case is the degenerate base of the telescope
+    and is excluded.  A bound passes within ``BOUND_SLACK``.
     """
     n, s = inst.n, inst.shift
-    if base_cost.shape != (n, n):
-        raise ShapeError("base cost does not match the instance size")
-    if levels.shape[0] < k_max + 1 or levels.shape[1] != n:
-        raise ShapeError("level table does not cover 0..k_max")
     if not 1 <= k_max < n:
         raise InvariantError(f"k_max must lie in [1, {n - 1}]")
+    levels = rotation.birkhoff_levels(inst, k_max)
     idx = np.arange(n)
-    diag_cost = base_cost.entries[idx, idx]
-    step_cost = base_cost.entries[idx, (idx + s) % n]
     records = []
     for seq_i, pair in enumerate(potentials):
         phi, psi = pair.phi, pair.psi
         if phi.size != n or psi.size != n:
             raise ShapeError("potential length does not match the instance size")
         base_norm = float(
-            np.mean(np.abs(diag_cost - (phi + psi)))
-            + np.mean(np.abs(step_cost - (phi + psi[(idx + s) % n])))
+            np.mean(np.abs(levels[0] - (phi + psi)))
+            + np.mean(np.abs(levels[1] - (phi + psi[(idx + s) % n])))
         )
         for k in range(1, k_max + 1):
             oplus_k = phi + psi[(idx + k * s) % n]

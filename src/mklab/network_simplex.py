@@ -24,13 +24,13 @@ scattered order, so that the many tied costs of a structured instance
 are not all met in row-major order.
 
 The start tree is the star on the root, except that sources and sinks
-of equal positive mass begin matched: walking the arcs from the
-cheapest, each arc whose two ends are unmatched and carry the same mass
-hangs its sink below its source with that whole mass, and the source's
-artificial arc stays in the tree with zero flow, pointing up.  In an
-assignment problem (uniform marginals, as in the rotation models) most
-nodes begin matched, and most of the pivots that the plain star spends
-pushing artificial flow out are saved.  Without equal masses the start
+of equal positive mass begin matched: walking the arcs whose two ends
+carry the same positive mass from the cheapest, each arc whose two ends
+are unmatched hangs its sink below its source with that whole mass, and
+the source's artificial arc stays in the tree with zero flow, pointing
+up.  In an assignment problem (uniform marginals, as in the rotation
+models) most nodes begin matched, and most of the pivots that the plain
+star spends pushing artificial flow out are saved.  Without equal masses the start
 is the plain star.  Only equal masses are matched: hanging sinks of
 any mass below cheap sources makes each re-hang larger, which costs
 more than the pivots it saves.
@@ -39,7 +39,6 @@ more than the pivots it saves.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,36 +92,25 @@ def _scattered_stride(n_arcs: int) -> int:
 def _matched_pairs(supplies, demands, tails, heads, costs) -> list[tuple[int, int, int]]:
     """Greedy (arc, source, sink) pairs of equal positive mass, cheapest arcs first.
 
-    Each source and each sink is in at most one pair; ties in cost keep
-    the input order.
+    Each arc whose ends carry the same positive mass and are both still
+    unmatched joins them; ties in cost keep the input order.
     """
-    # Python sets, not np.intersect1d, whose first call imports numpy.ma.
-    common = set(supplies[supplies > 0].tolist()) & set(demands[demands > 0].tolist())
-    if not common:
-        return []
-    src_free = np.isin(supplies, list(common))
-    snk_free = np.isin(demands, list(common))
-    # the walk stops once every mass value has run out on one side
-    sink_count = Counter(demands[snk_free].tolist())
-    left = sum(min(count, sink_count[value])
-               for value, count in Counter(supplies[src_free].tolist()).items())
-    candidates = np.flatnonzero(src_free[tails] & snk_free[heads])
+    mass = supplies[tails]
+    candidates = np.flatnonzero((mass > 0) & (mass == demands[heads]))
     by_cost = candidates[np.argsort(costs[candidates], kind="stable")]
     # the arrays screen a chunk at once; their list copies answer the
     # per-arc checks inside it
+    src_free, snk_free = np.ones(supplies.size, bool), np.ones(demands.size, bool)
     src_open, snk_open = src_free.tolist(), snk_free.tolist()
     pairs: list[tuple[int, int, int]] = []
     for lo in range(0, by_cost.size, _MATCH_CHUNK):
         arcs = by_cost[lo:lo + _MATCH_CHUNK]
         t, h = tails[arcs], heads[arcs]
-        keep = src_free[t] & snk_free[h] & (supplies[t] == demands[h])
+        keep = src_free[t] & snk_free[h]
         for a, i, j in zip(arcs[keep].tolist(), t[keep].tolist(), h[keep].tolist()):
             if src_open[i] and snk_open[j]:
                 src_open[i] = snk_open[j] = src_free[i] = snk_free[j] = False
                 pairs.append((a, i, j))
-                left -= 1
-                if not left:
-                    return pairs
     return pairs
 
 

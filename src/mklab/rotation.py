@@ -183,7 +183,11 @@ def first_passage(inst: RotationInstance, i: int, k_max: int) -> Optional[int]:
     """
     if not 0 <= i < inst.n:
         raise InvariantError(f"point {i} outside Z_{inst.n}")
-    hits = np.flatnonzero(birkhoff_levels(inst, k_max)[1:, i] <= 0)  # rejects a negative k_max
+    if k_max < 0:
+        raise InvariantError("step count must be nonnegative")
+    walk, place = _orbit_walk(inst, inst.n + k_max)
+    p = place[i]
+    hits = np.flatnonzero(walk[p + 1:p + k_max + 1] - walk[p] <= -1)  # level(i, k) - 1
     return int(hits[0]) + 1 if hits.size else None
 
 

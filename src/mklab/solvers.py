@@ -96,11 +96,11 @@ def _stats(t0: float, iterations: int, pivots: int) -> SolverStats:
 
 
 def _exact_report(cost: CostMatrix, mu: Marginal, nu: Marginal, tails, heads,
-                  flows, pots: PotentialPair, res, t0: float) -> DualityReport:
-    """Verify an exact plan from arc flows and report it with its gauged duals."""
-    plan = _plan_from_flows(cost.shape, tails, heads, flows, PlanKind.EXACT)
+                  res, t0: float) -> DualityReport:
+    """Verify the exact plan of an engine result and report it with its gauged duals."""
+    plan = _plan_from_flows(cost.shape, tails, heads, res.flow, PlanKind.EXACT)
     verify_exact_coupling(plan, mu, nu, MARGINAL_TOL)
-    pots = gauge_normalized(pots, mu)
+    pots = gauge_normalized(PotentialPair(res.source_potentials, res.sink_potentials), mu)
     primal = transport_cost(cost, plan)
     dual = float(np.dot(pots.phi, mu.weights) + np.dot(pots.psi, nu.weights))
     return DualityReport(
@@ -120,8 +120,7 @@ def solve_primal(cost: CostMatrix, mu: Marginal, nu: Marginal) -> DualityReport:
     _check_shapes(cost, mu, nu)
     tails, heads, costs = cost.finite_arcs
     res = network_simplex.solve_bipartite(mu.weights, nu.weights, tails, heads, costs)
-    pots = PotentialPair(res.source_potentials, res.sink_potentials)
-    return _exact_report(cost, mu, nu, tails, heads, res.flow, pots, res, t0)
+    return _exact_report(cost, mu, nu, tails, heads, res, t0)
 
 
 def solve_dual(cost: CostMatrix, mu: Marginal, nu: Marginal) -> DualityReport:
@@ -240,8 +239,7 @@ def solve_restricted_primal(cost: CostMatrix, pi0: TransportPlan) -> DualityRepo
     t0 = time.perf_counter()
     _require_reference_plan(cost, pi0)
     mu, nu, tails, heads, _costs, res = _solve_on_support(cost, pi0)
-    pots = PotentialPair(res.source_potentials, res.sink_potentials)
-    return _exact_report(cost, mu, nu, tails, heads, res.flow, pots, res, t0)
+    return _exact_report(cost, mu, nu, tails, heads, res, t0)
 
 
 @dataclass(frozen=True)

@@ -182,8 +182,7 @@ def test_criterion_5_telescoping_bound_suite():
     pi_half = mixture_plan(
         [shift_graph_plan(inst, 0), shift_graph_plan(inst, 1)], [0.5, 0.5])
     pots = dual_sequence(cost, mu, mu, pi_half, (1e-2, 1e-4))
-    levels = birkhoff_levels(inst, 5)
-    records = telescoping_bound_check(inst, cost, pots, levels, 5)
+    records = telescoping_bound_check(inst, pots, 5)
     elapsed = time.perf_counter() - t0
     ok = len(records) == 10 and all(r.passed for r in records) and elapsed < 10.0
     report("criterion 5: telescoped L1 bound holds for k = 1..5", ok,

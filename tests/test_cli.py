@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,13 @@ import pytest
 from mklab import cli, fileformats, network_simplex, solvers
 from mklab.cli import _fmt, main
 from mklab.core import MAX_SIDE, InvariantError
-from mklab.fileformats import dumps_canonical, materialize, parse_instance, parse_result
+from mklab.fileformats import (
+    FileFormatError,
+    dumps_canonical,
+    materialize,
+    parse_instance,
+    parse_result,
+)
 
 
 def write_instance(path, doc):
@@ -501,3 +508,23 @@ class TestGen:
     def test_usage_error_is_exit_one(self):
         assert main(["solve"]) == 1
         assert main(["frobnicate"]) == 1
+
+
+def own_rule_fmt(value):
+    """The CLI's own float rule before it took the result files' rule."""
+    text = format(float(value), ".17g")
+    if not any(ch in text for ch in ".eE") and "inf" not in text:
+        text += ".0"
+    return text
+
+
+@pytest.mark.parametrize("value", [
+    math.inf, -math.inf, -0.0, 0.0, 1e16, 1e17, 0.1, 1.0, -3.0, 2.5e16, 123456789012345678.0,
+    1e-300, 5e-324, np.float64(0.1), np.float64(-1e16), 7])
+def test_fmt_keeps_the_csv_text(value):
+    assert _fmt(value) == own_rule_fmt(value)
+
+
+def test_fmt_refuses_nan():
+    with pytest.raises(FileFormatError, match="NaN"):
+        _fmt(math.nan)

@@ -97,6 +97,43 @@ class TestTransportCost:
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+def masked_transport_cost(cost, plan):
+    """The plan's cost over a mask of the finite cells, the oracle of the
+    one that reads the cost's finite arcs."""
+    fin = np.isfinite(cost.entries)
+    if np.any(plan.mass[~fin] > 0):
+        return math.inf
+    return float(np.sum(cost.entries[fin] * plan.mass[fin]))
+
+
+class TestTransportCostOnFiniteArcs:
+    def test_equals_the_masked_sum(self, rng):
+        for case in range(60):
+            m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            entries = rng.uniform(0.0, 3.0, (m, n))
+            entries[rng.random((m, n)) < 0.3] = np.inf
+            fin = np.isfinite(entries)
+            mass = rng.random((m, n)) * (rng.random((m, n)) < 0.5) * fin
+            if case % 3 == 0:
+                mass[~fin] = -0.0
+            if mass.sum() > 0:
+                mass /= 2.0 * mass.sum()
+            if case % 4 == 1 and not fin.all():
+                mass[tuple(np.argwhere(~fin)[0])] = 0.25
+            cost, plan = CostMatrix(entries), TransportPlan(mass, PlanKind.SUB)
+            assert transport_cost(cost, plan) == masked_transport_cost(cost, plan)
+
+    @pytest.mark.parametrize("mass", [
+        np.zeros((3, 3)),
+        np.array([[-0.0, 0.5, 0.0], [0.0, -0.0, 0.25], [0.25, 0.0, -0.0]]),
+        np.array([[0.0, 0.5, 0.0], [0.0, 0.0, 0.25], [0.25, 0.0, 1e-300]]),
+    ], ids=["all-zero", "negative-zero-on-inf", "mass-on-inf"])
+    def test_edge_plans(self, mass):
+        cost = CostMatrix(np.array([[np.inf, 1.0, 2.0], [3.0, np.inf, 0.5], [0.1, 7.0, np.inf]]))
+        plan = TransportPlan(mass, PlanKind.SUB)
+        assert transport_cost(cost, plan) == masked_transport_cost(cost, plan)
+
+
 class TestPotentialPlanIntegral:
     def test_zero_potentials(self):
         pp = PotentialPair(np.zeros(2), np.zeros(2))

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mklab import (
     CostMatrix,
@@ -282,3 +285,74 @@ def test_matched_start_matches_dense_oracle(rng, monkeypatch):
         # the dummy pair of the partial solve begins matched
         assert any(t == m and h == n for _, t, h in pairs[1])
     assert matched >= 20 and unmatched >= 40
+
+
+def counted_matched_pairs(supplies, demands, tails, heads, costs):
+    """The matched start as it was found with the common masses, their
+    counts and a stop once every mass value ran out on one side: the
+    oracle of the single equal-mass filter."""
+    common = set(supplies[supplies > 0].tolist()) & set(demands[demands > 0].tolist())
+    if not common:
+        return []
+    src_free = np.isin(supplies, list(common))
+    snk_free = np.isin(demands, list(common))
+    sink_count = Counter(demands[snk_free].tolist())
+    left = sum(min(count, sink_count[value])
+               for value, count in Counter(supplies[src_free].tolist()).items())
+    candidates = np.flatnonzero(src_free[tails] & snk_free[heads])
+    by_cost = candidates[np.argsort(costs[candidates], kind="stable")]
+    src_open, snk_open = src_free.tolist(), snk_free.tolist()
+    pairs = []
+    for lo in range(0, by_cost.size, network_simplex._MATCH_CHUNK):
+        arcs = by_cost[lo:lo + network_simplex._MATCH_CHUNK]
+        t, h = tails[arcs], heads[arcs]
+        keep = src_free[t] & snk_free[h] & (supplies[t] == demands[h])
+        for a, i, j in zip(arcs[keep].tolist(), t[keep].tolist(), h[keep].tolist()):
+            if src_open[i] and snk_open[j]:
+                src_open[i] = snk_open[j] = src_free[i] = snk_free[j] = False
+                pairs.append((a, i, j))
+                left -= 1
+                if not left:
+                    return pairs
+    return pairs
+
+
+@st.composite
+def matching_problems(draw):
+    """Masses that recur on one side or both, zero masses, tied costs,
+    parallel arcs, empty arc sets, and a chunk as small as one arc."""
+    mass = st.sampled_from([0.0, 0.125, 0.25, 1.0 / 3.0, 0.5, 0.3, 0.7])
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    supplies = np.array(draw(st.lists(mass, min_size=m, max_size=m)), dtype=float)
+    demands = np.array(draw(st.lists(mass, min_size=n, max_size=n)), dtype=float)
+    cells = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
+    arcs = draw(st.lists(cells, max_size=40) if m and n else st.just([]))
+    costs = draw(st.lists(st.sampled_from([0.0, 1.0, 1.5, 2.0]), min_size=len(arcs),
+                          max_size=len(arcs)))
+    tails = np.array([a for a, _ in arcs], dtype=int)
+    heads = np.array([b for _, b in arcs], dtype=int)
+    chunk = draw(st.sampled_from([1, 2, 3, 4096]))
+    return (supplies, demands, tails, heads, np.array(costs, dtype=float)), chunk
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(matching_problems())
+def test_matched_pairs_equal_the_counted_walk(problem):
+    args, chunk = problem
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network_simplex, "_MATCH_CHUNK", chunk)
+        assert _matched_pairs(*args) == counted_matched_pairs(*args)
+
+
+@pytest.mark.parametrize("cost", [
+    lambda: ap_cost(make_instance(192)),
+    lambda: ex33_cost(make_instance(48), 47),
+    lambda: ex33_cost(make_instance(144), 143),
+], ids=["ap-192", "ex33-48", "ex33-144"])
+def test_matched_pairs_on_rotation_costs_equal_the_counted_walk(cost):
+    c = cost()
+    n = c.shape[0]
+    uniform = np.full(n, 1.0 / n)
+    tails, heads, costs = c.finite_arcs
+    pairs = _matched_pairs(uniform, uniform, tails, heads, costs)
+    assert pairs and pairs == counted_matched_pairs(uniform, uniform, tails, heads, costs)

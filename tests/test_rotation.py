@@ -285,6 +285,32 @@ class TestFirstPassage:
                     break
             assert first_passage(inst, i, k_max) == expected
 
+    @pytest.mark.parametrize("n, shift", [(4, 1), (8, 3), (9, 2), (16, None), (25, 7),
+                                          (60, None)])
+    def test_first_nonpositive_level_of_the_table(self, n, shift):
+        inst = make_instance(n, shift)
+        for k_max in (0, 1, 5, n - 1, 2 * n + 3):
+            levels = birkhoff_levels(inst, k_max)[1:]
+            for i in range(n):
+                hits = np.flatnonzero(levels[:, i] <= 0)
+                expected = int(hits[0]) + 1 if hits.size else None
+                assert first_passage(inst, i, k_max) == expected
+
+    def test_negative_step_count_raises(self):
+        with pytest.raises(InvariantError, match="nonnegative"):
+            first_passage(make_instance(8, 3), 2, -1)
+
+    def test_reads_one_column_without_the_table(self):
+        # the (k_max + 1) x n level table would take 61 MiB here
+        inst = make_instance(2000)
+        tracemalloc.start()
+        try:
+            first_passage(inst, 7, 1999)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
+
 
 class TestOrbitCertificate:
     def test_lp_cross_check(self):

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-module-level private name (`_name`) a module defines is read in it."""
+"""Every name a package module imports is used in that module, every
+module-level private name (`_name`) a module defines is read in it, and
+every parameter of a function is read in its body."""
 
 import ast
 from pathlib import Path
@@ -42,6 +43,26 @@ def _unread_private_names(source: str) -> list[str]:
             if name.startswith("_") and not name.startswith("__") and name not in read]
 
 
+def _unread_parameters(source: str) -> list[str]:
+    """Parameters that their function's body never loads; `self`, `cls` and
+    `_`-prefixed names are exempt."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + [args.vararg]
+                  + args.kwonlyargs + [args.kwarg] if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        unread += [f"{name}({param}) (line {node.lineno})" for param in params
+                   if param not in read and param not in ("self", "cls")
+                   and not param.startswith("_")]
+    return unread
+
+
 def test_the_guard_sees_an_unused_name():
     assert _unused_imports("from typing import Optional, Sequence\nx: Optional[int]\n") == [
         "Sequence (line 1)"]
@@ -56,6 +77,17 @@ def test_the_guard_sees_an_unread_private_name():
         "_DEAD (line 2)", "_ALSO (line 2)", "_typed (line 3)", "_Dead (line 7)"]
 
 
+def test_the_guard_sees_an_unread_parameter():
+    source = ("def f(a, b, *args, c, _d, **kwargs):\n    return a + len(kwargs)\n"
+              "class K:\n    def m(self, x, y=0):\n        def inner():\n"
+              "            return x\n        return inner\n"
+              "    @classmethod\n    def k(cls, z=None):\n        return z\n"
+              "g = lambda u, w: u\n")
+    assert _unread_parameters(source) == [
+        "f(b) (line 1)", "f(args) (line 1)", "f(c) (line 1)",
+        "m(y) (line 4)", "<lambda>(w) (line 11)"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
@@ -64,3 +96,8 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_private_names(path):
     assert _unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    assert _unread_parameters(path.read_text(encoding="utf-8")) == []
