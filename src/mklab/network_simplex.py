@@ -11,17 +11,27 @@ The basis is kept as a strongly feasible spanning tree (Cunningham,
 *A network simplex method*, Math. Prog. 11, 1976): every tree arc
 without flow points toward the root.  The start tree has this
 property, and the leaving-arc rule keeps it, so degenerate pivots
-cannot cycle and the method terminates with one pricing rule.  A pivot
-re-hangs only the subtree that the leaving arc cuts off, resetting
-parent, depth and potential there.  Each potential is summed from the
-root down its tree path, so potentials do not drift as pivots
-accumulate.  Pricing scans blocks of arcs, resuming where the last
-scan stopped, and enters the most negative reduced cost of the first
-block that has one; a full round of blocks without one proves
-optimality (block search; Kovács, *Minimum-cost flow algorithms: an
-experimental evaluation*, OMS 2015).  Arcs are scanned in a fixed
-scattered order, so that the many tied costs of a structured instance
-are not all met in row-major order.
+cannot cycle and the method terminates with one pricing rule.  The tree
+is held per node in flat lists: the parent, the arc to it with its
+direction, cost and flow, and the depth, with each node's children in
+an ordered set (Ahuja, Magnanti and Orlin, *Network Flows*, 1993,
+ch. 11).  A pivot turns over the stem from the entering arc up to the
+leaving arc, then walks the cut-off subtree once to reset depth and
+potential there.  Each potential is summed from its parent's, so
+potentials do not drift as pivots accumulate.
+
+Pricing is block search (Kovács, *Minimum-cost flow algorithms: an
+experimental evaluation*, OMS 2015): it scans blocks of arcs, resuming
+where the last scan stopped, and enters the most negative reduced cost
+of the first block that has one; a full round of blocks without one
+proves optimality.  Arcs are scanned in a fixed scattered order, so
+that the many tied costs of a structured instance are not all met in
+row-major order.  Blocks start coarse: a pivot costs far more in Python
+than a numpy scan, and while artificial flow remains or entering arcs
+are rare, the best arc of a large block saves pivots.  Once no
+artificial arc carries flow and a scan finds 1% of its block below
+zero, the solve turns for good to fine blocks of about 2 sqrt(E) arcs,
+whose scans cost little next to the pivot they find.
 
 The start tree is the star on the root, except that sources and sinks
 of equal positive mass begin matched: walking the arcs whose two ends
@@ -59,9 +69,14 @@ TOL = 1e-9
 #: Pivoting iterations allowed before IterationLimitError.
 MAX_ITERATIONS = 10 ** 6
 
-#: Pricing scans the arcs in this many blocks.  A pivot costs far more in
-#: Python than a numpy scan of its block, so the blocks are large.
-_PRICING_BLOCKS = 8
+#: Coarse blocks hold min(ceil(E / 8), ceil(34 sqrt(E))) of the E real
+#: arcs, fine ones max(256, ceil(2 sqrt(E))).  Pricing turns fine when a
+#: fine block is at most a quarter of a coarse one, no artificial tree arc
+#: carries more than TOL, and a successful scan finds at least 1% of its
+#: block below -TOL.
+_COARSE_BLOCKS, _COARSE_ROOT = 8, 34
+_FINE_MIN, _FINE_ROOT = 256, 2
+_FINE_RATIO, _FINE_SHARE = 4, 0.01
 
 #: The matched start walks the cost-sorted arcs this many at a time.
 _MATCH_CHUNK = 4096
@@ -87,6 +102,12 @@ def _scattered_stride(n_arcs: int) -> int:
     while math.gcd(stride, n_arcs) != 1:
         stride += 1
     return stride
+
+
+def _blocks(g_cost, g_tail, g_head, e_real: int, step: int) -> list[tuple]:
+    """(first arc, costs, tails, heads) of each block of ``step`` real arcs, as views."""
+    bounds = [(lo, min(lo + step, e_real)) for lo in range(0, e_real, step)]
+    return [(lo, g_cost[lo:hi], g_tail[lo:hi], g_head[lo:hi]) for lo, hi in bounds]
 
 
 def _matched_pairs(supplies, demands, tails, heads, costs) -> list[tuple[int, int, int]]:
@@ -133,7 +154,10 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
     e_real = costs.size
     if tails.shape != (e_real,) or heads.shape != (e_real,):
         raise ShapeError("arc arrays must have equal length")
-    if np.any(supplies < 0) or np.any(demands < 0):
+    masses = np.concatenate([supplies, demands])
+    if not np.all(np.isfinite(masses)):
+        raise MKLabError("supplies and demands must be finite")
+    if np.any(masses < 0):
         raise MKLabError("negative supply or demand")
     if not np.all(np.isfinite(costs)):
         raise MKLabError("arc costs must be finite (forbidden pairs are deleted, not priced)")
@@ -155,19 +179,17 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
     g_cost = np.concatenate([costs[order], np.full(m + n, penalty)])
     n_arcs = e_real + m + n
 
-    # The tree starts as the star on the root.  up[v] says that the tree
-    # arc joining v to its parent points from v to the parent; adj[v] maps
-    # every basic arc at v to (other end, arc leaves v, cost).  Only basic
-    # arcs carry flow.
+    # The tree, per node: up[v] says that the arc to the parent points from
+    # v to it, and arc_cost and flow belong to that arc; children[v] is a
+    # dict used as an ordered set.  The tree starts as the star on the root.
     up = [True] * m + (~sink_down).tolist() + [False]
     parent = [root] * (m + n) + [-1]
     parent_arc = list(range(e_real, n_arcs)) + [-1]
+    arc_cost = [penalty] * (m + n) + [0.0]
+    flow = masses.tolist() + [0.0]
     depth = [1] * (m + n) + [0]
+    children: list[dict] = [{} for _ in range(m + n)] + [dict.fromkeys(range(m + n))]
     pi = np.array([penalty if up[v] else -penalty for v in range(m + n)] + [0.0])
-    adj: list[dict] = [{e_real + v: (root, up[v], penalty)} for v in range(m + n)]
-    adj.append({e_real + v: (v, not up[v], penalty) for v in range(m + n)})
-    flow = dict(zip(range(e_real, n_arcs),
-                    np.concatenate([supplies, demands]).tolist()))
     # Matched start: sink j hangs below source i by the real arc in slot
     # k, which carries their common mass down; the artificial arc of i
     # keeps zero flow pointing up, and that of j leaves the tree.
@@ -177,19 +199,19 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
         k = a * inverse % e_real
         v = m + j
         c = float(costs[a])
-        del adj[root][e_real + v], flow[e_real + v]
-        adj[i][k] = (v, True, c)
-        adj[v] = {k: (i, False, c)}
-        flow[k] = flow[e_real + i]
-        flow[e_real + i] = 0.0
-        parent[v], parent_arc[v], up[v], depth[v] = i, k, False, 2
+        del children[root][v]
+        children[i][v] = None
+        parent[v], parent_arc[v], up[v], arc_cost[v], depth[v] = i, k, False, c, 2
+        flow[v], flow[i] = flow[i], 0.0
         pi[v] = pi[i] - c
         g_cost[k] = np.inf
+    # artificial tree arcs (those joining the root to its children) that carry more than tol
+    loaded = sum(flow[v] > tol for v in children[root])
 
-    # (first arc, costs, tails, heads) of each pricing block, as views
-    step = max(1, -(-e_real // _PRICING_BLOCKS))
-    bounds = [(lo, min(lo + step, e_real)) for lo in range(0, e_real, step)]
-    blocks = [(lo, g_cost[lo:hi], g_tail[lo:hi], g_head[lo:hi]) for lo, hi in bounds]
+    coarse = max(1, min(-(-e_real // _COARSE_BLOCKS), math.ceil(_COARSE_ROOT * math.sqrt(e_real))))
+    fine = max(_FINE_MIN, math.ceil(_FINE_ROOT * math.sqrt(e_real)))
+    refine = _FINE_RATIO * fine <= coarse
+    blocks = _blocks(g_cost, g_tail, g_head, e_real, coarse)
     n_blocks = len(blocks)
     next_block = 0
     iterations = 0
@@ -212,6 +234,13 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
                 break
         if entering < 0:
             break
+        if refine and not loaded and (
+                np.count_nonzero(reduced < -tol) >= _FINE_SHARE * reduced.size):
+            # resume in the fine block that holds the next coarse block's first arc
+            next_block = blocks[next_block][0] // fine
+            blocks = _blocks(g_cost, g_tail, g_head, e_real, fine)
+            n_blocks = len(blocks)
+            refine = False
 
         # Cycle created by the entering arc, oriented along it: from the
         # apex down the tree path to its tail, then the entering arc, then
@@ -237,46 +266,54 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
         theta = math.inf
         cut = -1
         for v in tail_side:
-            if up[v] and flow[parent_arc[v]] < theta:
-                theta, cut = flow[parent_arc[v]], v
+            if up[v] and flow[v] < theta:
+                theta, cut = flow[v], v
         cut_on_tail = True
         for v in head_side:
-            if not up[v] and flow[parent_arc[v]] <= theta:
-                theta, cut, cut_on_tail = flow[parent_arc[v]], v, False
+            if not up[v] and flow[v] <= theta:
+                theta, cut, cut_on_tail = flow[v], v, False
         if cut < 0:
             raise UnboundedError("all-forward cycle in a balanced problem")  # pragma: no cover
 
+        # an artificial arc on the cycle joins a root apex to a side's top node
+        ends = [side[-1] for side in (tail_side, head_side) if side] if x == root and theta else ()
+        for v in ends:
+            loaded -= flow[v] > tol
         for v in tail_side:
-            flow[parent_arc[v]] += -theta if up[v] else theta
+            flow[v] += -theta if up[v] else theta
         for v in head_side:
-            flow[parent_arc[v]] += theta if up[v] else -theta
+            flow[v] += theta if up[v] else -theta
+        for v in ends:
+            loaded += flow[v] > tol
         leaving = parent_arc[cut]
-        del flow[leaving]
-        flow[entering] = theta
         cost_e = float(g_cost[entering])
         g_cost[entering] = np.inf
         if leaving < e_real:
             g_cost[leaving] = costs[order[leaving]]
 
         # Removing the leaving arc cuts off the subtree under ``cut``; the
-        # entering arc re-hangs it from its endpoint on the cut side.
-        del adj[cut][leaving]
-        del adj[parent[cut]][leaving]
-        adj[tail_e][entering] = (head_e, True, cost_e)
-        adj[head_e][entering] = (tail_e, False, cost_e)
+        # entering arc re-hangs it from its endpoint on the cut side.  On
+        # the stem from there up to ``cut`` each node's parent arc becomes
+        # the arc below it, turned over.
         top, anchor = (tail_e, head_e) if cut_on_tail else (head_e, tail_e)
-        stack = [(top, anchor, entering, cut_on_tail, cost_e)]
+        w, link = top, (anchor, entering, cut_on_tail, cost_e, theta)
+        while True:
+            u = parent[w]
+            del children[u][w]
+            children[link[0]][w] = None
+            turned = (w, parent_arc[w], not up[w], arc_cost[w], flow[w])
+            parent[w], parent_arc[w], up[w], arc_cost[w], flow[w] = link
+            if w == cut:
+                break
+            w, link = u, turned
+        # a tree arc w -> u has pi_w - pi_u = cost; u -> w has pi_u - pi_w = cost
+        stack = [top]
         while stack:
-            w, u, a, w_up, c = stack.pop()
-            parent[w] = u
-            parent_arc[w] = a
-            up[w] = w_up
+            w = stack.pop()
+            u = parent[w]
             depth[w] = depth[u] + 1
-            # a basic arc w -> u has pi_w - pi_u = cost; u -> w has pi_u - pi_w = cost
-            pi[w] = c + pi[u] if w_up else pi[u] - c
-            for b, (z, out, cb) in adj[w].items():
-                if b != a:
-                    stack.append((z, w, b, not out, cb))
+            pi[w] = arc_cost[w] + pi[u] if up[w] else pi[u] - arc_cost[w]
+            stack.extend(children[w])
         pivots += 1
 
     # Recompute the basic flows exactly from the final tree by pushing
@@ -289,9 +326,10 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
             continue
         flow_exact[parent_arc[v]] = excess[v] if up[v] else -excess[v]
         excess[parent[v]] += excess[v]
-    if abs(float(excess[root])) > tol:
+    # written so that a NaN fails them
+    if not abs(float(excess[root])) <= tol:
         raise MKLabError("flow conservation failed at the root")  # pragma: no cover
-    if float(np.min(flow_exact)) < -tol:
+    if not float(np.min(flow_exact)) >= -tol:
         raise MKLabError("negative basic flow after recomputation")  # pragma: no cover
     np.clip(flow_exact, 0.0, None, out=flow_exact)
     # An unshipped unit crosses two artificial arcs, up into the root and

@@ -1,4 +1,7 @@
+import importlib.util
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,10 @@ from mklab import (
     CostMatrix,
     InfeasibleError,
     Marginal,
+    MKLabError,
+    PlanKind,
     RotationInstance,
+    TransportPlan,
     ap_cost,
     ex33_cost,
     golden_shift,
@@ -22,9 +28,11 @@ from mklab import (
     uniform_marginal,
 )
 from mklab.dense_simplex import solve_dense
-from mklab.network_simplex import _matched_pairs, solve_bipartite
+from mklab.network_simplex import _blocks, _matched_pairs, solve_bipartite
 
 from conftest import dense_coupling, nw_corner
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def full_arcs(m, n):
@@ -108,6 +116,20 @@ def test_zero_supply_nodes():
     assert res.flow @ costs == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("supplies, demands", [
+    ([np.nan, 0.5], [0.5, 0.5]),
+    ([0.5, 0.5], [0.5, np.nan]),
+    ([np.inf, 0.5], [0.5, 0.5]),
+    ([0.5, 0.5], [0.5, np.inf]),
+], ids=["nan-supply", "nan-demand", "inf-supply", "inf-demand"])
+def test_non_finite_masses_rejected(supplies, demands):
+    # NaN passes the sign check and inf ships as inf and nan flows, so
+    # both are refused before any pivot
+    tails, heads = full_arcs(2, 2)
+    with pytest.raises(MKLabError, match="finite"):
+        solve_bipartite(supplies, demands, tails, heads, np.array([0.0, 1.0, 1.0, 0.0]))
+
+
 def test_degenerate_zero_mass_instance(rng):
     # three of five nodes per side carry no mass and costs tie heavily:
     # nearly every pivot is degenerate, and the strongly feasible tree
@@ -168,10 +190,10 @@ def test_arc_order_does_not_matter(rng):
 @pytest.mark.parametrize("n, bound", [(96, 800), (192, 2100)])
 def test_ex33_pivot_count(n, bound):
     # Pivot counts do not depend on the host.  Block pricing over the
-    # scattered arc order takes 96 pivots at n=96 and 180 at n=192 from the
-    # matched start (516 and 1,377 from the plain star).  The bounds sit far
-    # below the degenerate stall of Dantzig pricing in row-major order
-    # (1,944 and 7,887).
+    # scattered arc order takes 95 pivots at n=96 and 181 at n=192 from the
+    # matched start (96 and 180 with coarse blocks only; 516 and 1,377
+    # from the plain star).  The bounds sit far below the degenerate stall
+    # of Dantzig pricing in row-major order (1,944 and 7,887).
     inst = RotationInstance(n=n, shift=golden_shift(n))
     mu = uniform_marginal(inst)
     report = solve_primal(ex33_cost(inst, n - 1), mu, mu)
@@ -181,8 +203,9 @@ def test_ex33_pivot_count(n, bound):
 
 def test_ex33_arcs_priced():
     # The final round scans all E arcs; a round that finds an entering arc
-    # stops at its block.  Measured: 119,808 arcs priced over 97
-    # iterations, 0.13 E per iteration, where Dantzig pricing takes E.
+    # stops at its block.  Measured: 34,432 arcs priced over 96
+    # iterations, 0.04 E per iteration, where Dantzig pricing takes E
+    # (119,808 over 97 with coarse blocks only).
     n = 96
     inst = RotationInstance(n=n, shift=golden_shift(n))
     mu = uniform_marginal(inst).weights
@@ -191,10 +214,150 @@ def test_ex33_arcs_priced():
     assert costs.size <= res.arcs_priced < costs.size * res.iterations / 4
 
 
+def load_workloads():
+    """The benchmark's instance builders, loaded by path and only read."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while they are built
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads
+
+
+def engine_counters(monkeypatch, solve):
+    """(iterations, pivots, arcs_priced) of each engine call that ``solve()`` makes."""
+    runs = []
+
+    def recording(*args):
+        res = solve_bipartite(*args)
+        runs.append((res.iterations, res.pivots, res.arcs_priced))
+        return res
+
+    with monkeypatch.context() as patch:
+        patch.setattr(network_simplex, "solve_bipartite", recording)
+        solve()
+    return runs
+
+
+def explicit_solves(n):
+    """The engine-backed solves of the benchmark's seed-1 explicit instance."""
+    workloads = load_workloads()
+    cost, mu, nu, pi0 = workloads.explicit_arrays(1, n)
+    cost, mu, nu = CostMatrix(cost), Marginal(mu), Marginal(nu)
+    return {"primal": lambda: solve_primal(cost, mu, nu),
+            "partial": lambda: solve_partial(cost, mu, nu, workloads.PARTIAL_EPS),
+            "restricted": lambda: solve_restricted_primal(cost, TransportPlan(pi0, PlanKind.EXACT))}
+
+
+def ap_restricted_solve():
+    inst = make_instance(192)
+    pi0 = mixture_plan([shift_graph_plan(inst, 0), shift_graph_plan(inst, 1)], [0.5, 0.5])
+    return solve_restricted_primal(ap_cost(inst), pi0)
+
+
+def test_counters_of_the_benchmark_instances(monkeypatch):
+    # The seed-1 explicit instances and the ap restricted solve of the
+    # benchmark workloads.  None of them prices fine blocks: at n=300 most
+    # pivots come while artificial flow remains, and later scans find a
+    # median 0.07% of their block below zero; the others are too small.
+    # Counters do not depend on the host, so these pins catch a pricing
+    # or tree change whatever the noise.
+    at_300 = explicit_solves(300)
+    assert engine_counters(monkeypatch, at_300["primal"]) == [(1041, 1040, 9_579_096)]
+    assert engine_counters(monkeypatch, at_300["partial"]) == [(985, 984, 9_113_761)]
+    assert engine_counters(monkeypatch, at_300["restricted"]) == [(611, 610, 47_546)]
+    assert engine_counters(monkeypatch, explicit_solves(60)["primal"]) == [(211, 210, 85_511)]
+    assert engine_counters(monkeypatch, ap_restricted_solve) == [(209, 208, 12_816)]
+
+
+@pytest.mark.parametrize("n, bound", [(144, 100_000), (384, 1_000_000)])
+def test_ex33_fine_pricing(n, bound):
+    # The matched start leaves no artificial flow and its scans find about
+    # a quarter of their block below zero, so pricing turns fine at once.
+    # Measured: 63,648 arcs priced at n=144 and 436,992 at n=384, against
+    # 373,248 and 6,782,976 with coarse blocks only.
+    inst = make_instance(n)
+    mu = uniform_marginal(inst).weights
+    res = solve_bipartite(mu, mu, *full_arcs(n, n), ex33_cost(inst, n - 1).entries.ravel())
+    assert res.arcs_priced <= bound
+
+
+def block_steps(monkeypatch):
+    """The block lengths of the pricing layouts a solve builds, in order."""
+    steps = []
+
+    def recording(*args):
+        steps.append(args[-1])
+        return _blocks(*args)
+
+    monkeypatch.setattr(network_simplex, "_blocks", recording)
+    return steps
+
+
+def parallel_arcs(rng, n, n_arcs):
+    """An n x n assignment problem on ``n_arcs`` arcs that revisit the cells
+    in row-major order; each arc costs its cell's 0..9 plus its own 0..2,
+    so costs tie heavily."""
+    cells = np.arange(n_arcs) % (n * n)
+    tails, heads = np.divmod(cells, n)
+    costs = (rng.integers(0, 10, n * n)[cells] + rng.integers(0, 3, n_arcs)).astype(float)
+    return tails, heads, costs
+
+
+def test_no_arcs_and_one_arc():
+    empty = np.array([], dtype=int)
+    res = solve_bipartite([0.0], [0.0], empty, empty, np.array([]))
+    assert res.flow.size == 0 and (res.iterations, res.pivots, res.arcs_priced) == (1, 0, 0)
+    with pytest.raises(InfeasibleError):
+        solve_bipartite([1.0], [1.0], empty, empty, np.array([]))
+    # the one arc begins matched, and one scan of it proves optimality
+    res = solve_bipartite([1.0], [1.0], [0], [0], [2.5])
+    assert res.flow.tolist() == [1.0]
+    assert res.source_potentials[0] + res.sink_potentials[0] == 2.5
+    assert (res.iterations, res.pivots, res.arcs_priced) == (1, 0, 1)
+
+
+def test_fine_blocks_only_when_a_quarter_of_a_coarse_one(monkeypatch):
+    # 8,192 arcs make coarse blocks of 1,024 = 4 x 256, and the solve turns
+    # fine; without its last 8 arcs a coarse block holds 1,023, and the
+    # same problem never does
+    steps = block_steps(monkeypatch)
+    mu = np.full(8, 1 / 8)
+    tails, heads, costs = parallel_arcs(np.random.default_rng(1), 8, 8192)
+    solve_bipartite(mu, mu, tails, heads, costs)
+    assert steps == [1024, 256]
+    steps.clear()
+    res = solve_bipartite(mu, mu, tails[:-8], heads[:-8], costs[:-8])
+    assert steps == [1023]
+    assert_potentials_feasible_and_tight(res, tails[:-8], heads[:-8], costs[:-8])
+
+
+def test_fine_pricing_matches_dense_oracle(rng, monkeypatch):
+    # Uniform masses and tied costs on 8,192 to 12,000 parallel arcs: every
+    # solve turns fine, its last round still prices all E arcs, and it
+    # reaches the optimum of the cheapest arc per cell
+    steps = block_steps(monkeypatch)
+    for _ in range(30):
+        n = int(rng.integers(6, 25))
+        tails, heads, costs = parallel_arcs(rng, n, int(rng.integers(8192, 12000)))
+        mu = np.full(n, 1 / n)
+        steps.clear()
+        res = solve_bipartite(mu, mu, tails, heads, costs)
+        assert len(steps) == 2 and res.arcs_priced >= costs.size
+        assert_potentials_feasible_and_tight(res, tails, heads, costs)
+        cell = np.full((n, n), np.inf)
+        np.minimum.at(cell, (tails, heads), costs)
+        oracle = dense_coupling(CostMatrix(cell), Marginal(mu), Marginal(mu)).value
+        assert abs(res.flow @ costs - oracle) <= 1e-9 * max(1.0, abs(oracle))
+
+
 def test_ex33_matched_start_pivots():
     # Uniform masses make ex33 an assignment problem, and the matched start
-    # is feasible from the first pivot: 136 pivots, against 567 from the
-    # plain star.
+    # is feasible from the first pivot: 141 pivots (136 with coarse blocks
+    # only), against 567 from the plain star.
     n = 144
     inst = RotationInstance(n=n, shift=golden_shift(n))
     mu = uniform_marginal(inst)
@@ -206,9 +369,7 @@ def test_ex33_matched_start_pivots():
 def test_ap_restricted_matched_start_pivots():
     # The restricted solve inside every ap relaxed dual: 208 pivots on 384
     # arcs, against 382 from the plain star.
-    inst = make_instance(192)
-    pi0 = mixture_plan([shift_graph_plan(inst, 0), shift_graph_plan(inst, 1)], [0.5, 0.5])
-    report = solve_restricted_primal(ap_cost(inst), pi0)
+    report = ap_restricted_solve()
     assert report.primal_value == pytest.approx(1.0, abs=1e-12)
     assert report.stats.pivots <= 300
 

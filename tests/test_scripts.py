@@ -1,4 +1,4 @@
-"""The study scripts run to completion at small sizes."""
+"""The study and measurement scripts run to completion at small sizes."""
 
 import os
 import subprocess
@@ -13,6 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("script, args", [
     ("budget_dual_study.py", ["--n", "12"]),
     ("rotation_value_study.py", ["--sizes", "12,13"]),
+    ("engine_scaling.py", ["--sizes", "12,13"]),
 ])
 def test_script_exits_zero(script, args):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
