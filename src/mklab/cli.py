@@ -339,10 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built once per process; parse_args leaves no state in it between calls.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

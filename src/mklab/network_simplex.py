@@ -15,10 +15,16 @@ cannot cycle and the method terminates with one pricing rule.  The tree
 is held per node in flat lists: the parent, the arc to it with its
 direction, cost and flow, and the depth, with each node's children in
 an ordered set (Ahuja, Magnanti and Orlin, *Network Flows*, 1993,
-ch. 11).  A pivot turns over the stem from the entering arc up to the
+ch. 11).  The walk up the cycle finds the leaving arc as it goes, and
+a degenerate pivot, one that moves no flow (theta = 0), skips the flow
+pass.  A pivot turns over the stem from the entering arc up to the
 leaving arc, then walks the cut-off subtree once to reset depth and
 potential there.  Each potential is summed from its parent's, so
-potentials do not drift as pivots accumulate.
+potentials do not drift as pivots accumulate.  Per-node reads and sums
+run on Python floats: the subtree walk reads a list mirror of the
+potentials and writes each sum to it and to the array that pricing
+gathers from.  Numpy otherwise handles whole arrays: the pricing scans,
+the matched start and the final flow scatter.
 
 Pricing is block search (Kovács, *Minimum-cost flow algorithms: an
 experimental evaluation*, OMS 2015): it scans blocks of arcs, resuming
@@ -90,6 +96,7 @@ class BipartiteFlow:
     iterations: int
     pivots: int
     arcs_priced: int          # reduced costs computed, summed over the blocks scanned
+    degenerate_pivots: int    # pivots that moved no flow (theta = 0)
 
 
 def _scattered_stride(n_arcs: int) -> int:
@@ -166,7 +173,6 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
     # joins node v to the root, pointing down only to a sink with demand,
     # so that every artificial arc without flow points up.
     root = m + n
-    n_nodes = m + n + 1
     stride = _scattered_stride(e_real)
     order = np.arange(e_real, dtype=np.int64) * stride % max(e_real, 1)
     sinks = np.arange(n) + m
@@ -194,17 +200,20 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
     # k, which carries their common mass down; the artificial arc of i
     # keeps zero flow pointing up, and that of j leaves the tree.
     matched = _matched_pairs(supplies, demands, tails, heads, costs)
-    inverse = pow(stride, -1, e_real) if matched else 0
-    for a, i, j in matched:
-        k = a * inverse % e_real
-        v = m + j
-        c = float(costs[a])
-        del children[root][v]
-        children[i][v] = None
-        parent[v], parent_arc[v], up[v], arc_cost[v], depth[v] = i, k, False, c, 2
-        flow[v], flow[i] = flow[i], 0.0
-        pi[v] = pi[i] - c
-        g_cost[k] = np.inf
+    if matched:
+        arcs, srcs, snks = np.array(matched).T
+        slots = arcs * pow(stride, -1, e_real) % e_real
+        pair_cost = costs[arcs]
+        # every matched source keeps its start potential, penalty
+        pi[m + snks] = penalty - pair_cost
+        g_cost[slots] = np.inf
+        for k, i, v, c in zip(slots.tolist(), srcs.tolist(), (m + snks).tolist(),
+                              pair_cost.tolist()):
+            del children[root][v]
+            children[i][v] = None
+            parent[v], parent_arc[v], up[v], arc_cost[v], depth[v] = i, k, False, c, 2
+            flow[v], flow[i] = flow[i], 0.0
+    pot = pi.tolist()
     # artificial tree arcs (those joining the root to its children) that carry more than tol
     loaded = sum(flow[v] > tol for v in children[root])
 
@@ -215,7 +224,7 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
     n_blocks = len(blocks)
     next_block = 0
     iterations = 0
-    pivots = 0
+    pivots = degenerate_pivots = 0
     arcs_priced = 0
 
     while True:
@@ -245,51 +254,54 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
         # Cycle created by the entering arc, oriented along it: from the
         # apex down the tree path to its tail, then the entering arc, then
         # from its head up to the apex.  Each side lists the nodes whose
-        # parent arcs it uses, from the entering arc upward.
+        # parent arcs it uses, from the entering arc upward.  The leaving
+        # arc is the last blocking arc met along the cycle's orientation
+        # from the apex, which keeps the tree strongly feasible: the first
+        # least backward arc (pointing up) of the tail side, or the last
+        # least backward arc (pointing down) of the head side, which wins
+        # a tie.
         tail_e = int(g_tail[entering])
         head_e = int(g_head[entering])
         x, y = tail_e, head_e
         tail_side: list[int] = []
         head_side: list[int] = []
+        theta = theta_head = math.inf
+        cut = cut_head = -1
         while x != y:
             if depth[x] >= depth[y]:
                 tail_side.append(x)
+                if up[x] and flow[x] < theta:
+                    theta, cut = flow[x], x
                 x = parent[x]
             else:
                 head_side.append(y)
+                if not up[y] and flow[y] <= theta_head:
+                    theta_head, cut_head = flow[y], y
                 y = parent[y]
-
-        # Leaving arc: the last blocking arc met along the cycle's
-        # orientation from the apex, which keeps the tree strongly
-        # feasible.  Backward arcs are those pointing up on the tail side
-        # and down on the head side.
-        theta = math.inf
-        cut = -1
-        for v in tail_side:
-            if up[v] and flow[v] < theta:
-                theta, cut = flow[v], v
-        cut_on_tail = True
-        for v in head_side:
-            if not up[v] and flow[v] <= theta:
-                theta, cut, cut_on_tail = flow[v], v, False
+        cut_on_tail = theta_head > theta
+        if not cut_on_tail:
+            theta, cut = theta_head, cut_head
         if cut < 0:
             raise UnboundedError("all-forward cycle in a balanced problem")  # pragma: no cover
 
-        # an artificial arc on the cycle joins a root apex to a side's top node
-        ends = [side[-1] for side in (tail_side, head_side) if side] if x == root and theta else ()
-        for v in ends:
-            loaded -= flow[v] > tol
-        for v in tail_side:
-            flow[v] += -theta if up[v] else theta
-        for v in head_side:
-            flow[v] += theta if up[v] else -theta
-        for v in ends:
-            loaded += flow[v] > tol
+        if theta:
+            # an artificial arc on the cycle joins a root apex to a side's top node
+            ends = [side[-1] for side in (tail_side, head_side) if side] if x == root else ()
+            for v in ends:
+                loaded -= flow[v] > tol
+            for v in tail_side:
+                flow[v] += -theta if up[v] else theta
+            for v in head_side:
+                flow[v] += theta if up[v] else -theta
+            for v in ends:
+                loaded += flow[v] > tol
+        else:
+            degenerate_pivots += 1
         leaving = parent_arc[cut]
         cost_e = float(g_cost[entering])
         g_cost[entering] = np.inf
         if leaving < e_real:
-            g_cost[leaving] = costs[order[leaving]]
+            g_cost[leaving] = arc_cost[cut]
 
         # Removing the leaving arc cuts off the subtree under ``cut``; the
         # entering arc re-hangs it from its endpoint on the cut side.  On
@@ -312,22 +324,21 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
             w = stack.pop()
             u = parent[w]
             depth[w] = depth[u] + 1
-            pi[w] = arc_cost[w] + pi[u] if up[w] else pi[u] - arc_cost[w]
+            pi[w] = pot[w] = arc_cost[w] + pot[u] if up[w] else pot[u] - arc_cost[w]
             stack.extend(children[w])
         pivots += 1
 
     # Recompute the basic flows exactly from the final tree by pushing
     # node excess toward the root, deepest nodes first.
-    excess = np.concatenate([supplies, -demands,
-                             [float(np.sum(demands) - np.sum(supplies))]])
-    flow_exact = np.zeros(n_arcs)
-    for v in sorted(range(n_nodes), key=lambda node: -depth[node]):
-        if v == root:
-            continue
-        flow_exact[parent_arc[v]] = excess[v] if up[v] else -excess[v]
+    excess = supplies.tolist() + (-demands).tolist() + [float(np.sum(demands) - np.sum(supplies))]
+    basic_flow = [0.0] * root
+    for v in sorted(range(root), key=depth.__getitem__, reverse=True):
+        basic_flow[v] = excess[v] if up[v] else -excess[v]
         excess[parent[v]] += excess[v]
+    flow_exact = np.zeros(n_arcs)
+    flow_exact[parent_arc[:root]] = basic_flow
     # written so that a NaN fails them
-    if not abs(float(excess[root])) <= tol:
+    if not abs(excess[root]) <= tol:
         raise MKLabError("flow conservation failed at the root")  # pragma: no cover
     if not float(np.min(flow_exact)) >= -tol:
         raise MKLabError("negative basic flow after recomputation")  # pragma: no cover
@@ -346,4 +357,5 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
         iterations=iterations,
         pivots=pivots,
         arcs_priced=arcs_priced,
+        degenerate_pivots=degenerate_pivots,
     )

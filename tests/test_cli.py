@@ -510,6 +510,44 @@ class TestGen:
         assert main(["frobnicate"]) == 1
 
 
+class TestOneParserPerProcess:
+    def test_main_never_builds_a_parser(self, ap_instance, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1))
+        assert main(["gen", "--kind", "ap", "--n", "8", "--out", str(tmp_path / "g.json")]) == 0
+        assert main(["solve", ap_instance, "--problem", "primal"]) == 0
+        assert main(["solve"]) == 1
+        assert built == []
+
+    def test_solve_without_out_after_one_with_it_writes_nothing(self, ap_instance, tmp_path,
+                                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "res.json"
+        assert main(["solve", ap_instance, "--problem", "primal", "--out", str(out)]) == 0
+        text = out.read_text()
+        before = sorted(tmp_path.iterdir())
+        assert main(["solve", ap_instance, "--problem", "dual"]) == 0
+        assert sorted(tmp_path.iterdir()) == before
+        assert out.read_text() == text
+
+    def test_valid_call_after_a_usage_error(self, ap_instance, capsys):
+        assert main(["solve", ap_instance, "--problem", "primal", "--bogus"]) == 1
+        assert main(["sweep", ap_instance, "--sweep", "nope"]) == 1
+        capsys.readouterr()
+        assert main(["solve", ap_instance, "--problem", "primal"]) == 0
+        assert "primal value" in capsys.readouterr().out
+
+    def test_gen_then_solve(self, tmp_path):
+        seeded, template = tmp_path / "seeded.json", tmp_path / "template.json"
+        assert main(["gen", "--kind", "explicit", "--n", "5", "--seed", "7",
+                     "--out", str(seeded)]) == 0
+        # neither --n nor --seed carries over: this is the 2 x 2 template
+        assert main(["gen", "--kind", "explicit", "--out", str(template)]) == 0
+        assert parse_instance(template.read_text()).cost.shape == (2, 2)
+        assert main(["solve", str(seeded), "--problem", "primal"]) == 0
+        assert main(["solve", str(template), "--problem", "primal"]) == 0
+
+
 def own_rule_fmt(value):
     """The CLI's own float rule before it took the result files' rule."""
     text = format(float(value), ".17g")

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import sys
 from collections import Counter
@@ -227,19 +228,24 @@ def load_workloads():
     return workloads
 
 
-def engine_counters(monkeypatch, solve):
-    """(iterations, pivots, arcs_priced) of each engine call that ``solve()`` makes."""
+def engine_results(monkeypatch, solve):
+    """The result of each engine call that ``solve()`` makes."""
     runs = []
 
     def recording(*args):
-        res = solve_bipartite(*args)
-        runs.append((res.iterations, res.pivots, res.arcs_priced))
-        return res
+        runs.append(solve_bipartite(*args))
+        return runs[-1]
 
     with monkeypatch.context() as patch:
         patch.setattr(network_simplex, "solve_bipartite", recording)
         solve()
     return runs
+
+
+def engine_counters(monkeypatch, solve):
+    """(iterations, pivots, arcs_priced) of each engine call that ``solve()`` makes."""
+    return [(res.iterations, res.pivots, res.arcs_priced)
+            for res in engine_results(monkeypatch, solve)]
 
 
 def explicit_solves(n):
@@ -258,6 +264,39 @@ def ap_restricted_solve():
     return solve_restricted_primal(ap_cost(inst), pi0)
 
 
+def ex33_primal_solve():
+    """The primal solve of the benchmark's ex33 n=144 instance."""
+    inst = make_instance(144)
+    mu = uniform_marginal(inst)
+    return solve_primal(ex33_cost(inst, 143), mu, mu)
+
+
+#: Each engine call of the benchmark workloads: its solve, its degenerate
+#: pivots, and the SHA-256 of its flow, source and sink potential bytes.
+#: The digests were taken before the engine moved its per-node bookkeeping
+#: onto Python floats, which changed no bit.
+BENCHMARK_ENGINE_CALLS = {
+    "explicit-300-primal": (
+        lambda: explicit_solves(300)["primal"](), 0,
+        "57a023f151b51efaf8cc4d129d7af8e1fae0e5b952cbdcc96a69b9cade92228f"),
+    "explicit-300-partial": (
+        lambda: explicit_solves(300)["partial"](), 1,
+        "3e08ef623f8fa633e062fbd06de97c29bf8f91918ee8fd516cfb3e6d813bf013"),
+    "explicit-300-restricted": (
+        lambda: explicit_solves(300)["restricted"](), 0,
+        "888a6db84372c8bedadbd68d9738c5e6c90627bcca80f53b15fdabfddc2826b4"),
+    "explicit-60-primal": (
+        lambda: explicit_solves(60)["primal"](), 0,
+        "36d4a258bd15fa099b7a5c5dea7fc1b978afaff0bf138de7016ddd61ee0037fd"),
+    "ap-192-restricted": (
+        ap_restricted_solve, 185,
+        "ceaac8dcac6e5784dbcc450d5259599d58ad5dfb592834dc35db81c1fa286e51"),
+    "ex33-144-primal": (
+        ex33_primal_solve, 141,
+        "6313844f22b2d11f41e15066e9960eecb92c6e21fa0240248f03c078039348e6"),
+}
+
+
 def test_counters_of_the_benchmark_instances(monkeypatch):
     # The seed-1 explicit instances and the ap restricted solve of the
     # benchmark workloads.  None of them prices fine blocks: at n=300 most
@@ -271,6 +310,43 @@ def test_counters_of_the_benchmark_instances(monkeypatch):
     assert engine_counters(monkeypatch, at_300["restricted"]) == [(611, 610, 47_546)]
     assert engine_counters(monkeypatch, explicit_solves(60)["primal"]) == [(211, 210, 85_511)]
     assert engine_counters(monkeypatch, ap_restricted_solve) == [(209, 208, 12_816)]
+
+
+@pytest.mark.parametrize("name", BENCHMARK_ENGINE_CALLS)
+def test_degenerate_pivots_of_the_benchmark_instances(monkeypatch, name):
+    # On the rotation costs most pivots only build the tree: 185 of the ap
+    # solve's 208 and all 141 of ex33's move no flow.  The explicit
+    # instances move flow on every pivot but one.
+    solve, degenerate, _ = BENCHMARK_ENGINE_CALLS[name]
+    runs = engine_results(monkeypatch, solve)
+    assert [res.degenerate_pivots for res in runs] == [degenerate]
+
+
+@pytest.mark.parametrize("name", BENCHMARK_ENGINE_CALLS)
+def test_benchmark_instances_keep_their_bits(monkeypatch, name):
+    solve, _, digest = BENCHMARK_ENGINE_CALLS[name]
+    [res] = engine_results(monkeypatch, solve)
+    arrays = (res.flow, res.source_potentials, res.sink_potentials)
+    assert hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("supplies, demands, tails, heads, costs, source_pot, sink_pot", [
+    # a tie on the tail side: its first least arc leaves
+    ([2, 1, 1], [2, 2], [0, 0, 1, 2, 2], [0, 1, 0, 0, 1], [2, 0, 1, 2, 1],
+     [22, 21, 22], [-20, -22]),
+    # a tie on the head side: its last least arc leaves
+    ([1, 1, 1], [0, 1, 2], [0, 0, 0, 1, 1, 2, 2, 2], [0, 1, 2, 0, 1, 0, 1, 2],
+     [0, 0, 1, 1, 1, 0, 1, 0], [14, 15, 13], [-15, -14, -13]),
+], ids=["tail", "head"])
+def test_leaving_arc_ties(supplies, demands, tails, heads, costs, source_pot, sink_pot):
+    # Both problems have several optimal potential pairs, and which one
+    # the solve ends on depends on which of the tied blocking arcs leaves:
+    # the last one met from the apex, which keeps the tree strongly
+    # feasible.  The first least arc of the head side, the last of the
+    # tail side, or the tail side winning a tie each ends elsewhere.
+    res = solve_bipartite(supplies, demands, tails, heads, costs)
+    assert res.source_potentials.tolist() == source_pot
+    assert res.sink_potentials.tolist() == sink_pot
 
 
 @pytest.mark.parametrize("n, bound", [(144, 100_000), (384, 1_000_000)])
