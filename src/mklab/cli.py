@@ -257,6 +257,8 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     if args.kind == "explicit":
         if args.seed is not None:
             size = 4 if args.n is None else args.n

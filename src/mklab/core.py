@@ -129,10 +129,9 @@ class CostMatrix:
     def __post_init__(self) -> None:
         ent = _readonly(self.entries)
         _require_matrix(ent, "cost matrix")
-        if np.any(np.isnan(ent)) or np.any(np.isneginf(ent)):
-            raise InvariantError("cost entries must be in [0, inf]")
-        finite = np.isfinite(ent)
-        if np.any(ent[finite] < 0):
+        if not np.all(ent >= 0):  # NaN, -inf and negative cells all fail this test
+            if np.any(np.isnan(ent) | np.isneginf(ent)):
+                raise InvariantError("cost entries must be in [0, inf]")
             raise InvariantError("finite cost entries must be nonnegative")
         object.__setattr__(self, "entries", ent)
 
@@ -149,10 +148,10 @@ class CostMatrix:
         """(rows, columns, costs) of the finite cells in row-major order, read-only.
 
         Computed on the first read and kept, so every solve on this cost
-        shares one scan of the entries.
+        shares one flat scan of the entries, split into rows and columns.
         """
-        rows, cols = np.nonzero(self.finite_mask)
-        arcs = (rows, cols, self.entries[rows, cols])
+        finite = self.finite_mask
+        arcs = (*np.divmod(np.flatnonzero(finite), self.shape[1]), self.entries[finite])
         for arr in arcs:
             arr.setflags(write=False)
         return arcs
@@ -169,7 +168,7 @@ class TransportPlan:
 
     The kind records which marginal contract the plan is meant to satisfy;
     the contract itself is checked against a concrete pair of marginals by
-    :func:`verify_exact_coupling` / :func:`verify_sub_coupling`.
+    :func:`verify_exact_coupling` / :func:`verify_sub_coupling`.  Its sums are taken once.
     """
 
     mass: np.ndarray
@@ -178,56 +177,60 @@ class TransportPlan:
     def __post_init__(self) -> None:
         m = _readonly(self.mass)
         _require_matrix(m, "transport plan")
-        if not np.all(np.isfinite(m)):
+        with np.errstate(invalid="ignore"):  # inf + -inf is named by the scan below
+            total = m.sum()  # finite unless some entry is not, or the sum overflows
+        if not math.isfinite(total) and not np.all(np.isfinite(m)):
             raise InvariantError("plan entries must be finite")
         if np.any(m < 0):
             raise InvariantError("plan entries must be nonnegative")
-        if float(m.sum()) > 1.0 + MARGINAL_TOL:
-            raise InvariantError(f"plan mass {m.sum()!r} exceeds 1")
+        if total > 1.0 + MARGINAL_TOL:
+            raise InvariantError(f"plan mass {total!r} exceeds 1")
         object.__setattr__(self, "mass", m)
         object.__setattr__(self, "kind", PlanKind(self.kind))
+        object.__setattr__(self, "_total", float(total))
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.mass.shape  # type: ignore[return-value]
 
     def row_sums(self) -> np.ndarray:
-        return self.mass.sum(axis=1)
+        return self._marginal_sums[0]
 
     def col_sums(self) -> np.ndarray:
-        return self.mass.sum(axis=0)
+        return self._marginal_sums[1]
 
     def total_mass(self) -> float:
-        return float(self.mass.sum())
+        return self._total
+
+    @cached_property
+    def _marginal_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        return _readonly(self.mass.sum(axis=1)), _readonly(self.mass.sum(axis=0))
 
     def support(self) -> np.ndarray:
         return self.mass > 0
 
 
-def verify_exact_coupling(plan: TransportPlan, mu: Marginal, nu: Marginal,
-                          tol: float = MARGINAL_TOL) -> None:
-    """Raise unless the plan's marginals equal (mu, nu) within tol."""
+def _marginal_excess(plan: TransportPlan, mu: Marginal, nu: Marginal) -> np.ndarray:
     if plan.shape != (mu.size, nu.size):
         raise ShapeError(f"plan shape {plan.shape} does not match marginals "
                          f"({mu.size}, {nu.size})")
-    row_err = float(np.max(np.abs(plan.row_sums() - mu.weights)))
-    col_err = float(np.max(np.abs(plan.col_sums() - nu.weights)))
-    if max(row_err, col_err) > tol:
-        raise InvariantError(
-            f"not an exact coupling: marginal error {max(row_err, col_err):.3e} > {tol:.1e}")
+    return np.concatenate([plan.row_sums() - mu.weights, plan.col_sums() - nu.weights])
+
+
+def verify_exact_coupling(plan: TransportPlan, mu: Marginal, nu: Marginal,
+                          tol: float = MARGINAL_TOL) -> None:
+    """Raise unless the plan's marginals equal (mu, nu) within tol."""
+    err = float(np.max(np.abs(_marginal_excess(plan, mu, nu))))
+    if err > tol:
+        raise InvariantError(f"not an exact coupling: marginal error {err:.3e} > {tol:.1e}")
 
 
 def verify_sub_coupling(plan: TransportPlan, mu: Marginal, nu: Marginal,
                         tol: float = MARGINAL_TOL) -> None:
     """Raise unless the plan's marginals are dominated by (mu, nu) within tol."""
-    if plan.shape != (mu.size, nu.size):
-        raise ShapeError(f"plan shape {plan.shape} does not match marginals "
-                         f"({mu.size}, {nu.size})")
-    row_exc = float(np.max(plan.row_sums() - mu.weights))
-    col_exc = float(np.max(plan.col_sums() - nu.weights))
-    if max(row_exc, col_exc) > tol:
-        raise InvariantError(
-            f"not a sub-coupling: marginal excess {max(row_exc, col_exc):.3e} > {tol:.1e}")
+    exc = float(np.max(_marginal_excess(plan, mu, nu)))
+    if exc > tol:
+        raise InvariantError(f"not a sub-coupling: marginal excess {exc:.3e} > {tol:.1e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,7 +337,7 @@ def transport_cost(cost: CostMatrix, plan: TransportPlan) -> float:
     carried = plan.mass[rows, cols]
     # the mass is nonnegative, so some lies on an infinite cell iff the
     # plan has more nonzero cells than its finite cells carry
-    if np.count_nonzero(plan.mass) > np.count_nonzero(carried):
+    if np.count_nonzero(plan.mass > 0) > np.count_nonzero(carried):
         return math.inf
     return float(np.sum(costs * carried))
 

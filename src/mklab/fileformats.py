@@ -35,7 +35,6 @@ from .core import (
     MKLabError,
     PlanKind,
     TransportPlan,
-    mixture_plan,
 )
 from .rotation import (
     RotationInstance,
@@ -118,7 +117,7 @@ def _format_float_rows(mat: np.ndarray, pad: str) -> list[str]:
     cells = live & spliced[:, None]
     values = mat[cells]
     templates = _templates(values)
-    starts = len(item_pad) + 2 + (len(sep) + 3) * np.nonzero(cells)[1]
+    starts = len(item_pad) + 2 + (len(sep) + 3) * (np.flatnonzero(cells) % mat.shape[1])
     rows: list[str] = []
     lo = 0
     for row, splice, hi in zip(mat, spliced.tolist(),
@@ -206,9 +205,23 @@ def _revive(obj: Any) -> Any:
     return obj
 
 
+def _reject_constant(name: str) -> None:
+    raise FileFormatError(f"{name} is not a JSON value")
+
+
+def _object_of_unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise FileFormatError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 def _load_json(text: str) -> Any:
+    """Strict JSON: NaN, Infinity and -Infinity, and a key repeated in an object, raise."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant,
+                          object_pairs_hook=_object_of_unique_keys)
     except json.JSONDecodeError as exc:
         raise FileFormatError(
             f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
@@ -335,11 +348,11 @@ class Problem:
     """A fully materialized instance ready for the solvers.
 
     ``reference_plan`` backs the restricted and budgeted-dual problems:
-    for "ap" it is the half/half mixture of the two graph plans, for
-    "ex33" the weighted mixture of the first min(5, k_max + 1) graph
-    plans, and for "explicit" the optional pi0 matrix, checked when the
-    instance is materialized.  A rotation instance builds its plan on the
-    first read, since only the commands that need it read it.
+    for "ap" it is the half/half mixture of the graphs k = 0 and 1 in one
+    array, for "ex33" the weighted mixture of the first min(5, k_max + 1)
+    graph plans, and for "explicit" the optional pi0 matrix, checked when
+    the instance is materialized.  A rotation instance builds its plan on
+    the first read, since only the commands that need it read it.
     """
 
     kind: str
@@ -356,8 +369,7 @@ class Problem:
         if inst is None:
             return self.pi0
         if self.kind == "ap":
-            return mixture_plan(
-                [shift_graph_plan(inst, 0), shift_graph_plan(inst, 1)], [0.5, 0.5])
+            return shift_graph_plan(inst, 0, 1)
         return graph_mixture_plan(inst, min(4, self.k_max))  # type: ignore[type-var]
 
 

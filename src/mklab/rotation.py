@@ -191,12 +191,13 @@ def first_passage(inst: RotationInstance, i: int, k_max: int) -> Optional[int]:
     return int(hits[0]) + 1 if hits.size else None
 
 
-def shift_graph_plan(inst: RotationInstance, k: int) -> TransportPlan:
-    """The uniform coupling supported on the k-step shift graph."""
-    if not 0 <= k < inst.n:
-        raise InvariantError(f"k must lie in [0, {inst.n - 1}]")
+def shift_graph_plan(inst: RotationInstance, *steps: int) -> TransportPlan:
+    """Equal-weight mixture of the plans on the (disjoint) shift graphs of distinct step counts."""
+    if not steps or len(set(steps)) < len(steps) or not all(0 <= k < inst.n for k in steps):
+        raise InvariantError(f"step counts must lie in [0, {inst.n - 1}] and be distinct")
     mass = np.zeros((inst.n, inst.n))
-    mass[np.arange(inst.n), _graph_columns(inst, k)] = 1.0 / inst.n
+    mass[np.arange(inst.n), _graph_columns(inst, np.array(steps)[:, None])] = \
+        (1.0 / len(steps)) * (1.0 / inst.n)
     return TransportPlan(mass, PlanKind.EXACT)
 
 

@@ -205,29 +205,29 @@ def estimate_relaxed_primal(cost: CostMatrix, mu: Marginal, nu: Marginal,
                   lambda r: r.primal_value, 1.0, extrapolate_to_zero)
 
 
-def _require_reference_plan(cost: CostMatrix, pi0: TransportPlan) -> None:
+def _solve_on_support(cost: CostMatrix, pi0: TransportPlan):
+    """The coupling program on supp(pi0) with pi0's own marginals, on the network engine.
+
+    Raises unless pi0 is an exact coupling of total mass 1 at finite cost.
+    Returns those marginals, the support cells as (tails, heads, costs),
+    pi0's normalized mass on them and the engine's result.
+    """
     if pi0.kind is not PlanKind.EXACT:
         raise InvariantError("reference plan must be an exact coupling")
     if pi0.shape != cost.shape:
         raise ShapeError(f"reference plan {pi0.shape} vs cost {cost.shape}")
-    if abs(pi0.total_mass() - 1.0) > MARGINAL_TOL:
+    total = pi0.total_mass()
+    if abs(total - 1.0) > MARGINAL_TOL:
         raise InvariantError("reference plan must carry total mass 1")
     if not math.isfinite(transport_cost(cost, pi0)):
         raise InvariantError("reference plan must have finite cost")
-
-
-def _solve_on_support(cost: CostMatrix, pi0: TransportPlan):
-    """The coupling program on supp(pi0) with pi0's own marginals, on the network engine.
-
-    Returns those marginals, the support cells as (tails, heads, costs)
-    and the engine's result.
-    """
-    mu = Marginal(pi0.row_sums() / pi0.total_mass())
-    nu = Marginal(pi0.col_sums() / pi0.total_mass())
-    tails, heads = np.nonzero(pi0.support())
-    costs = cost.entries[tails, heads]
+    mu = Marginal(pi0.row_sums() / total)
+    nu = Marginal(pi0.col_sums() / total)
+    support = pi0.support()
+    tails, heads = np.divmod(np.flatnonzero(support), cost.shape[1])
+    costs = cost.entries[support]
     res = network_simplex.solve_bipartite(mu.weights, nu.weights, tails, heads, costs)
-    return mu, nu, tails, heads, costs, res
+    return mu, nu, tails, heads, costs, pi0.mass[support] / total, res
 
 
 def solve_restricted_primal(cost: CostMatrix, pi0: TransportPlan) -> DualityReport:
@@ -237,8 +237,7 @@ def solve_restricted_primal(cost: CostMatrix, pi0: TransportPlan) -> DualityRepo
     density condition relative to pi0 is exactly support containment.
     """
     t0 = time.perf_counter()
-    _require_reference_plan(cost, pi0)
-    mu, nu, tails, heads, _costs, res = _solve_on_support(cost, pi0)
+    mu, nu, tails, heads, _costs, _density, res = _solve_on_support(cost, pi0)
     return _exact_report(cost, mu, nu, tails, heads, res, t0)
 
 
@@ -280,15 +279,13 @@ class _RelaxedDual:
     def __init__(self, cost: CostMatrix, mu: Marginal, nu: Marginal,
                  pi0: TransportPlan) -> None:
         self._since = time.perf_counter()
-        _require_reference_plan(cost, pi0)
-        # matching marginals keep the program bounded: every phi/psi
+        mu0, nu0, tails, heads, costs, self._density, res = _solve_on_support(cost, pi0)
+        # matching marginals keep the split program bounded: every phi/psi
         # coordinate with mass is charged by some support cell
         verify_exact_coupling(pi0, mu, nu, MARGINAL_TOL)
-        mu0, nu0, tails, heads, costs, res = _solve_on_support(cost, pi0)
         self._cost, self._mu, self._nu = cost, mu, nu
         self._tails, self._heads, self._costs, self._restricted = tails, heads, costs, res
         self._m, self._k = mu.size, costs.size
-        self._density = pi0.mass[tails, heads] / pi0.total_mass()
         self._tol = network_simplex.TOL * (1.0 + float(np.max(np.abs(costs))))
         self._supplies = (mu0.weights, nu0.weights)
         self._split = (np.concatenate([tails, self._m + heads]),

@@ -169,7 +169,7 @@ class TestReferencePlanOnDemand:
     @staticmethod
     def count_builds(monkeypatch, fail: bool) -> list:
         built = []
-        for name in ("graph_mixture_plan", "mixture_plan"):
+        for name in ("graph_mixture_plan", "shift_graph_plan"):
             real = getattr(fileformats, name)
 
             def builder(*args, _name=name, _real=real, **kwargs):
@@ -197,7 +197,7 @@ class TestReferencePlanOnDemand:
         for path in rotation_instances:
             assert main(["solve", path, "--problem", "restricted",
                          "--out", str(tmp_path / "res.json")]) == 0
-        assert built == ["mixture_plan", "graph_mixture_plan"]
+        assert built == ["shift_graph_plan", "graph_mixture_plan"]
 
     def test_invalid_pi0_fails_primal_at_load(self, tmp_path, capsys, monkeypatch):
         inst = write_instance(tmp_path / "bad.json",
@@ -493,6 +493,20 @@ class TestGen:
         monkeypatch.setattr(cli.fileformats, "dumps_canonical", lambda doc: "")
         assert main(["gen", "--kind", "explicit", "--n", n, "--seed", "1",
                      "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("kind", ["explicit", "ap", "ex33"])
+    def test_gen_negative_seed_is_a_usage_error(self, tmp_path, capsys, kind):
+        out = tmp_path / "inst.json"
+        assert main(["gen", "--kind", kind, "--n", "6", "--seed", "-1",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "usage error: --seed must be nonnegative, got -1\n"
+        assert not out.exists()
+
+    def test_gen_seed_zero_is_accepted(self, tmp_path):
+        out = tmp_path / "inst.json"
+        assert main(["gen", "--kind", "explicit", "--n", "3", "--seed", "0",
+                     "--out", str(out)]) == 0
+        assert main(["solve", str(out), "--problem", "primal"]) == 0
 
     def test_gen_needs_n_for_rotation(self):
         assert main(["gen", "--kind", "ex33"]) == 1

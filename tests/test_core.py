@@ -17,6 +17,7 @@ from mklab import (
     potential_plan_integral,
     transport_cost,
     verify_exact_coupling,
+    verify_sub_coupling,
 )
 
 from conftest import nw_corner, random_marginal, shuffled_coupling
@@ -259,3 +260,144 @@ class TestWeakDuality:
         assert pp.max_violation(c) <= 1e-12
         plan = nw_corner(mu, nu)
         assert potential_plan_integral(pp, plan) <= transport_cost(c, plan) + 1e-12
+
+
+def nonzero_arcs(entries: np.ndarray) -> tuple:
+    """The finite cells as the 2-D `np.nonzero` formula lists them, read-only."""
+    rows, cols = np.nonzero(np.isfinite(entries))
+    arcs = (rows, cols, entries[rows, cols])
+    for arr in arcs:
+        arr.setflags(write=False)
+    return arcs
+
+
+def cost_with_mask(rng, shape, share):
+    entries = np.round(rng.uniform(0.0, 5.0, size=shape), 1)
+    entries[rng.random(shape) < share] = math.inf
+    return entries
+
+
+class TestFiniteArcsAreFlat:
+    """`finite_arcs` lists the cells the 2-D `np.nonzero` formula lists, bit for bit."""
+
+    @staticmethod
+    def assert_same_arcs(entries):
+        got, want = CostMatrix(entries).finite_arcs, nonzero_arcs(np.array(entries, float))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+            assert not g.flags.writeable
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_masks(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(1, 40, size=2))
+        self.assert_same_arcs(cost_with_mask(rng, shape, rng.choice([0.05, 0.5, 0.95])))
+
+    @pytest.mark.parametrize("shape", [(1, 17), (17, 1), (1, 1), (5, 0), (0, 5), (0, 0)])
+    @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
+    def test_thin_and_empty_shapes(self, shape, share):
+        self.assert_same_arcs(cost_with_mask(np.random.default_rng(3), shape, share))
+
+    @pytest.mark.parametrize("fill", [math.inf, 0.0, 2.5])
+    def test_uniform_matrices(self, fill):
+        self.assert_same_arcs(np.full((9, 13), fill))
+
+    def test_benchmark_size(self):
+        rng = np.random.default_rng(7)
+        self.assert_same_arcs(cost_with_mask(rng, (300, 300), 0.2))
+
+
+def old_cost_error(entries: np.ndarray):
+    """The message the four-pass cost check raised, or None."""
+    if np.any(np.isnan(entries)) or np.any(np.isneginf(entries)):
+        return "cost entries must be in [0, inf]"
+    if np.any(entries[np.isfinite(entries)] < 0):
+        return "finite cost entries must be nonnegative"
+    return None
+
+
+def old_plan_error(mass: np.ndarray):
+    """The message the four-pass plan check raised, or None."""
+    if not np.all(np.isfinite(mass)):
+        return "plan entries must be finite"
+    if np.any(mass < 0):
+        return "plan entries must be nonnegative"
+    if float(mass.sum()) > 1.0 + 1e-9:
+        return f"plan mass {mass.sum()!r} exceeds 1"
+    return None
+
+
+def raised(build, values):
+    try:
+        build(values)
+    except InvariantError as exc:
+        return str(exc)
+    return None
+
+
+SPECIAL = [math.nan, math.inf, -math.inf, -1.0, -0.0, -1e-300, 1e308]
+
+
+class TestOnePassValidation:
+    """Costs and plans are checked in one reduction, with the messages of the four passes."""
+
+    @pytest.mark.parametrize("cells", [
+        [math.nan], [-math.inf], [-2.0], [math.inf, -2.0], [math.nan, -2.0],
+        [-2.0, -math.inf], [-0.0], [math.inf], [0.0, 1e308], [-1e-300]])
+    def test_cost_messages(self, cells):
+        entries = np.zeros((3, 4))
+        entries.flat[[5, 0, 11][:len(cells)]] = cells
+        assert raised(CostMatrix, entries) == old_cost_error(entries)
+
+    @pytest.mark.parametrize("cells", [
+        [math.nan], [math.inf], [-math.inf], [-0.25], [math.inf, -math.inf],
+        [math.nan, -0.25], [-0.25, math.inf], [0.75, 0.75], [-0.0], [1e-300]])
+    def test_plan_messages(self, cells):
+        mass = np.zeros((3, 4))
+        mass.flat[[5, 0, 11][:len(cells)]] = cells
+        assert raised(TransportPlan, mass) == old_plan_error(mass)
+
+    @pytest.mark.parametrize("cells", [[1e308, 1e308], [1e308, 1e308, -1.0],
+                                       [-1e308, -1e308]])
+    def test_plan_whose_sum_overflows(self, cells):
+        mass = np.zeros((2, 3))
+        mass.flat[:len(cells)] = cells
+        with np.errstate(over="ignore"):
+            want = old_plan_error(mass)
+            assert raised(TransportPlan, mass) == want
+        assert want is not None and want != "plan entries must be finite"
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_special_cells(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(0.0, 1.0 / 12, size=(3, 4))
+        for _ in range(rng.integers(0, 4)):
+            values.flat[rng.integers(values.size)] = rng.choice(SPECIAL)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert raised(CostMatrix, values) == old_cost_error(values)
+            assert raised(TransportPlan, values) == old_plan_error(values)
+
+
+class TestPlanSums:
+    def test_sums_are_read_only_and_match_the_mass(self, rng):
+        mu, nu = random_marginal(rng, 7), random_marginal(rng, 5)
+        plan = nw_corner(mu, nu)
+        assert plan.row_sums().tobytes() == plan.mass.sum(axis=1).tobytes()
+        assert plan.col_sums().tobytes() == plan.mass.sum(axis=0).tobytes()
+        assert plan.total_mass() == float(plan.mass.sum())
+        assert plan.row_sums() is plan.row_sums()
+        for sums in (plan.row_sums(), plan.col_sums()):
+            assert not sums.flags.writeable
+
+    def test_verify_messages_keep_their_text(self):
+        mu, nu = Marginal(np.array([0.5, 0.5])), Marginal(np.array([0.25, 0.75]))
+        plan = TransportPlan(np.array([[0.5, 0.0], [0.0, 0.5]]))
+        with pytest.raises(InvariantError,
+                           match=r"^not an exact coupling: marginal error 2\.500e-01 > 1\.0e-09$"):
+            verify_exact_coupling(plan, mu, nu)
+        with pytest.raises(InvariantError,
+                           match=r"^not a sub-coupling: marginal excess 2\.500e-01 > 1\.0e-09$"):
+            verify_sub_coupling(plan, mu, nu)
+        with pytest.raises(ShapeError, match=r"^plan shape \(2, 2\) does not match marginals"):
+            verify_sub_coupling(plan, mu, Marginal(np.ones(3) / 3))

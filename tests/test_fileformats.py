@@ -24,6 +24,7 @@ from mklab.fileformats import (
     materialize,
     parse_instance,
 )
+from mklab.cli import main
 
 
 def roundtrip(spec: InstanceSpec) -> InstanceSpec:
@@ -61,6 +62,51 @@ class TestCanonicalJson:
     def test_parse_error_reports_position(self):
         with pytest.raises(FileFormatError, match=r"line 2 column"):
             loads_canonical('{\n  "a": }')
+
+
+EXPLICIT_TEXT = ('{"schema_version": 1, "kind": "explicit", "cost": [[%s, 1.0], [1.0, 0.0]], '
+                 '"mu": [0.5, 0.5], "nu": [0.5, 0.5]}')
+
+
+class TestStrictJson:
+    """Instance and result files are strict JSON: no NaN or infinity tokens, no repeated key."""
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_standard_token_rejected(self, token):
+        with pytest.raises(FileFormatError, match=f"^{token} is not a JSON value$"):
+            parse_instance(EXPLICIT_TEXT % token)
+        with pytest.raises(FileFormatError, match=f"^{token} is not a JSON value$"):
+            fileformats.parse_result('{"schema_version": 1, "primal_value": %s}' % token)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_standard_token_fails_the_cli(self, tmp_path, capsys, token):
+        path = tmp_path / "inst.json"
+        path.write_text(EXPLICIT_TEXT % token)
+        out = tmp_path / "res.json"
+        assert main(["solve", str(path), "--problem", "primal", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {token} is not a JSON value\n"
+        assert not out.exists()
+
+    def test_inf_marker_still_accepted(self):
+        assert math.isinf(parse_instance(EXPLICIT_TEXT % '"inf"').cost[0, 0])
+
+    def test_duplicate_top_level_key_rejected(self):
+        text = '{"schema_version": 1, "kind": "ap", "n": 8, "seed": 1, "seed": 2}'
+        with pytest.raises(FileFormatError, match="^duplicate key 'seed'$"):
+            parse_instance(text)
+        assert parse_instance(text.replace(', "seed": 2', "")).seed == 1
+
+    def test_duplicate_nested_key_rejected(self):
+        text = ('{"schema_version": 1, "problem": "primal", '
+                '"config": {"feasibility_tol": 1e-9, "max_iterations": 5, '
+                '"feasibility_tol": 1e-3}}')
+        with pytest.raises(FileFormatError, match="^duplicate key 'feasibility_tol'$"):
+            fileformats.parse_result(text)
+        with pytest.raises(FileFormatError, match="^duplicate key 'a'$"):
+            loads_canonical('[{"b": 1}, {"a": {"a": 1}, "c": [{"a": 1, "a": 1}]}]')
+
+    def test_same_key_in_sibling_objects_accepted(self):
+        assert loads_canonical('[{"a": 1}, {"a": {"a": 2}}]') == [{"a": 1}, {"a": {"a": 2}}]
 
 
 # Values at the edges of the one-pass float-list writer: signed zeros,

@@ -29,6 +29,7 @@ from mklab import (
     transport_cost,
     uniform_marginal,
 )
+from mklab.fileformats import InstanceSpec, materialize
 from mklab.rotation import RotationInstance
 
 
@@ -396,3 +397,39 @@ class TestMixtureWeights:
             shift_graph_plan(inst, k)
         with pytest.raises(InvariantError, match="must lie in"):
             graph_mixture_plan(inst, k)
+
+
+class TestShiftGraphPlan:
+    """Several step counts give the equal-weight mixture of the one-graph plans in one array."""
+
+    @pytest.mark.parametrize("n", [4, 6, 12, 24, 192, 2000])
+    @pytest.mark.parametrize("shift", ["golden", 1, "n-1"])
+    def test_ap_reference_plan_is_the_half_mixture(self, n, shift):
+        step = {"golden": None, 1: 1, "n-1": n - 1}[shift]
+        spec = InstanceSpec(kind="ap", n=n, shift="auto-golden" if step is None else step)
+        plan = materialize(spec).reference_plan
+        inst = make_instance(n, step)
+        want = mixture_plan([shift_graph_plan(inst, 0), shift_graph_plan(inst, 1)], [0.5, 0.5])
+        assert plan.kind is want.kind
+        assert plan.mass.tobytes() == want.mass.tobytes()
+
+    # at n = 13, (1 / 3) * (1 / n) and (1 / n) / 3 differ in their last bit
+    @pytest.mark.parametrize("steps", [(0,), (3,), (1, 0), (0, 2, 5), (6, 1, 3, 0),
+                                       (12, 1, 3, 0, 7, 9)])
+    def test_equal_weight_mixture_of_any_steps(self, steps):
+        inst = make_instance(13, 5)
+        want = mixture_plan([shift_graph_plan(inst, k) for k in steps],
+                            [1.0 / len(steps)] * len(steps))
+        assert shift_graph_plan(inst, *steps).mass.tobytes() == want.mass.tobytes()
+
+    def test_one_step_puts_one_over_n_on_its_graph(self):
+        inst = make_instance(10, 3)
+        mass = shift_graph_plan(inst, 2).mass
+        assert np.array_equal(np.flatnonzero(mass), np.arange(10) * 10 + (np.arange(10) + 6) % 10)
+        assert set(mass[mass > 0].tolist()) == {1.0 / 10}
+
+    @pytest.mark.parametrize("steps", [(), (0, 0), (1, 0, 1), (8,), (-1,), (0, 8), (2, -1)])
+    def test_repeated_or_out_of_range_steps_raise(self, steps):
+        with pytest.raises(InvariantError, match=r"^step counts must lie in \[0, 7\] and be "
+                                                 r"distinct$"):
+            shift_graph_plan(make_instance(8, 3), *steps)

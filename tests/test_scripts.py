@@ -22,3 +22,15 @@ def test_script_exits_zero(script, args):
                          env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout
+
+
+def test_ab_ops_compares_the_repo_with_itself():
+    run = subprocess.run([sys.executable, str(ROOT / "scripts" / "ab_ops.py"), str(ROOT),
+                          str(ROOT), "--workload", "dual-side", "--rounds", "1"],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    ops = [line.split()[0] for line in lines[2:]]
+    assert ops == ["sweep-epsilon-dual", "diagnose-bound", "solve-relaxed-dual-0.01",
+                   "solve-relaxed-dual-0.001", "solve-dual", "all"]
+    assert all(line.endswith("same") for line in lines[2:-1])

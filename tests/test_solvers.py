@@ -29,6 +29,7 @@ from mklab import (
     uniform_marginal,
 )
 from mklab.dense_simplex import solve_dense
+from mklab.solvers import _solve_on_support
 
 from conftest import (assert_same_report, dense_coupling, dense_relaxed_dual,
                       enumerate_vertex_minimum, nw_corner, random_cost, random_marginal)
@@ -555,3 +556,55 @@ def test_import_leaves_dense_engine_out():
                          check=True)
     assert out.stdout.strip() == "False"
 
+
+
+class TestRestrictedSupportIsFlat:
+    """The restricted program's cells are those the 2-D `np.nonzero` formula lists, bit for bit."""
+
+    @staticmethod
+    def assert_same_support(cost, pi0):
+        _mu, _nu, tails, heads, costs, density, _res = _solve_on_support(cost, pi0)
+        rows, cols = np.nonzero(pi0.support())
+        want = (rows, cols, cost.entries[rows, cols], pi0.mass[rows, cols] / pi0.total_mass())
+        for got, w in zip((tails, heads, costs, density), want):
+            assert got.dtype == w.dtype and got.shape == w.shape
+            assert got.tobytes() == w.tobytes()
+            assert got.flags.writeable == w.flags.writeable
+
+    @staticmethod
+    def instance(rng, shape, support_share, inf_share):
+        mass = rng.uniform(0.1, 1.0, size=shape) * (rng.random(shape) < support_share)
+        mass.flat[rng.integers(mass.size)] = 0.5
+        cost = np.round(rng.uniform(0.0, 5.0, size=shape), 1)
+        cost[(mass == 0) & (rng.random(shape) < inf_share)] = math.inf
+        return CostMatrix(cost), TransportPlan(mass / mass.sum())
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_masks(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(1, 30, size=2))
+        self.assert_same_support(*self.instance(rng, shape, rng.choice([0.05, 0.5, 1.0]),
+                                                rng.choice([0.0, 0.5, 1.0])))
+
+    @pytest.mark.parametrize("shape", [(1, 13), (13, 1), (1, 1)])
+    @pytest.mark.parametrize("support_share", [0.0, 0.5, 1.0])
+    def test_thin_shapes(self, shape, support_share):
+        rng = np.random.default_rng(11)
+        self.assert_same_support(*self.instance(rng, shape, support_share, 1.0))
+
+    def test_all_finite_cost(self):
+        rng = np.random.default_rng(5)
+        cost, pi0 = self.instance(rng, (9, 7), 0.4, 0.0)
+        assert np.isfinite(cost.entries).all()
+        self.assert_same_support(cost, pi0)
+
+    def test_all_infinite_cost_raises(self):
+        pi0 = TransportPlan(np.full((3, 4), 1.0 / 12))
+        with pytest.raises(InvariantError, match="^reference plan must have finite cost$"):
+            _solve_on_support(CostMatrix(np.full((3, 4), math.inf)), pi0)
+
+    @pytest.mark.parametrize("n", [24, 192])
+    def test_ap_reference_plan(self, n):
+        inst = make_instance(n)
+        pi0 = mixture_plan([shift_graph_plan(inst, 0), shift_graph_plan(inst, 1)], [0.5, 0.5])
+        self.assert_same_support(ap_cost(inst), pi0)
