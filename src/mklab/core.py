@@ -65,8 +65,29 @@ class UnboundedError(MKLabError):
     """
 
 
+class _Fresh:
+    """An array that a builder in this package made for one object and hands over.
+
+    The constructors below copy what they are given, so that no caller
+    keeps a writeable handle on an object's data.  Given a ``_Fresh``
+    instead, they take its array as it is and make it read-only; it
+    must be a writeable float64 array that owns its data, so a view,
+    or an array already handed over, is refused.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+
 def _readonly(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    if isinstance(values, _Fresh):
+        arr = values.array
+        if arr.dtype != np.float64 or not (arr.flags.owndata and arr.flags.writeable):
+            raise InvariantError("only a fresh, writeable float64 array can be handed over")
+    else:
+        arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
 
@@ -385,7 +406,7 @@ def mixture_plan(plans: Sequence[TransportPlan], weights: Sequence[float]) -> Tr
     for p, wk in zip(plans, w):
         if wk > 0:
             mass += wk * p.mass
-    return TransportPlan(mass, PlanKind.EXACT)
+    return TransportPlan(_Fresh(mass), PlanKind.EXACT)
 
 
 class DominationResult(NamedTuple):

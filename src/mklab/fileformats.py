@@ -8,12 +8,16 @@ emitted by a canonical writer: fixed key order, every float with 17
 significant digits, infinities as the strings "inf"/"-inf", so equal
 inputs produce byte-identical files.
 
-The writer takes float64 arrays as they are, one row at a time.  A row
-that is mostly +0.0, as the rows of an optimal plan are (it has at most
-m + n - 1 nonzero cells), is cut from the text of the all-zero row with
-its other cells spliced in, so its cost grows with its nonzeros rather
-than its length.  A rotation instance builds its reference plan only
-when a command reads it.
+The writer takes float64 arrays as they are.  One mask pass over a
+matrix finds its cells other than +0.0 and, from their count in each
+row, the rows to splice: those that are mostly +0.0, as the rows of an
+optimal plan are (it has at most m + n - 1 nonzero cells).  The other
+cells of all spliced rows are formatted in one `%` pass and put into
+the text of the all-zero row at computed offsets; the spliced rows
+with none share that one string.  So writing a plan costs Python work
+in proportion to its nonzero cells.  A denser row, such as a row of an
+explicit cost, is formatted in one `%` pass of its own.  A rotation
+instance builds its reference plan only when a command reads it.
 """
 
 from __future__ import annotations
@@ -90,11 +94,15 @@ def _templates(values: np.ndarray) -> np.ndarray:
 def _format_float_rows(mat: np.ndarray, pad: str) -> list[str]:
     """Each row of a nonempty 2-D float64 array, as ``_format_float`` would write its values.
 
-    ``pad`` is the indent of a row's brackets.  A dense row joins the
-    `%`-templates of all its cells and formats them in one pass.  In a
-    sparse row every +0.0 cell is written "0.0", the same width each, so
-    the row is the text of the all-zero row (built once per array) with
-    the templates of its other cells spliced in at computed offsets.
+    ``pad`` is the indent of a row's brackets.  One mask pass over the
+    array finds its cells other than +0.0, and their count per row picks
+    the rows to splice.  A dense row joins the `%`-templates of all its
+    cells and formats them in one pass.  In a spliced row every +0.0 cell
+    is written "0.0", the same width each, so the row is the text of the
+    all-zero row with the texts of its other cells put in at computed
+    offsets.  Those texts come from one `%` pass over the spliced cells
+    of the whole array, and the spliced rows with none share the
+    all-zero row's string.
     """
     if np.isnan(mat).any():
         raise FileFormatError("NaN is not serializable")
@@ -102,38 +110,35 @@ def _format_float_rows(mat: np.ndarray, pad: str) -> list[str]:
     sep = ",\n" + item_pad
     # -0.0 == 0.0, so its sign bit tells it from +0.0
     live = (mat != 0.0) | np.signbit(mat)
-    counts = live.sum(axis=1)
-    spliced = counts <= _SPLICE_SHARE * mat.shape[1]
-
-    def one_pass(row: np.ndarray) -> str:
-        return (f"[\n{item_pad}{sep.join(_templates(row).tolist())}\n{pad}]"
-                % tuple(row.tolist()))
-
-    if not spliced.any():
-        return [one_pass(row) for row in mat]
+    splice = np.count_nonzero(live, axis=1) <= _SPLICE_SHARE * mat.shape[1]
     zero = f"[\n{item_pad}{sep.join(['0.0'] * mat.shape[1])}\n{pad}]"
+    rows = [zero] * mat.shape[0]
+    for i in np.flatnonzero(~splice).tolist():
+        row = mat[i]
+        rows[i] = (f"[\n{item_pad}{sep.join(_templates(row).tolist())}\n{pad}]"
+                   % tuple(row.tolist()))
     # the cells other than +0.0 of the spliced rows, in row-major order,
     # and where each one's "0.0" starts in the all-zero row
-    cells = live & spliced[:, None]
-    values = mat[cells]
-    templates = _templates(values)
-    starts = len(item_pad) + 2 + (len(sep) + 3) * (np.flatnonzero(cells) % mat.shape[1])
-    rows: list[str] = []
-    lo = 0
-    for row, splice, hi in zip(mat, spliced.tolist(),
-                               np.cumsum(np.where(spliced, counts, 0)).tolist()):
-        if not splice:
-            rows.append(one_pass(row))
-        elif lo == hi:
-            rows.append(zero)
-        else:
-            parts, prev = [], 0
-            for start, template in zip(starts[lo:hi].tolist(), templates[lo:hi].tolist()):
-                parts += (zero[prev:start], template)
-                prev = start + 3
+    spliced = np.flatnonzero(splice)
+    row_of, col = np.divmod(np.flatnonzero(live[spliced]), mat.shape[1])
+    if not col.size:
+        return rows
+    row_of = spliced[row_of]
+    values = mat[row_of, col]
+    starts = len(item_pad) + 2 + (len(sep) + 3) * col
+    # a formatted float holds no comma
+    texts = (",".join(_templates(values).tolist()) % tuple(values.tolist())).split(",")
+    row_ends = np.append(row_of[1:] != row_of[:-1], True)
+    parts: list[str] = []
+    prev = 0
+    for i, start, text, row_end in zip(row_of.tolist(), starts.tolist(), texts,
+                                       row_ends.tolist()):
+        parts += (zero[prev:start], text)
+        prev = start + 3
+        if row_end:
             parts.append(zero[prev:])
-            rows.append("".join(parts) % tuple(values[lo:hi].tolist()))
-        lo = hi
+            rows[i] = "".join(parts)
+            parts, prev = [], 0
     return rows
 
 
@@ -225,6 +230,8 @@ def _load_json(text: str) -> Any:
     except json.JSONDecodeError as exc:
         raise FileFormatError(
             f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise FileFormatError(f"parse error: {exc}") from exc
 
 
 def loads_canonical(text: str) -> Any:
@@ -248,32 +255,58 @@ class InstanceSpec:
     seed: Optional[int] = None
 
 
-def _numbers_or_inf(values: list) -> bool:
-    """Whether a raw JSON list holds only numbers and "inf"/"-inf" markers (no bools)."""
+def _inf_markers(values: list) -> Optional[int]:
+    """How many "inf"/"-inf" markers a raw JSON list holds.
+
+    None unless the list holds only numbers and those markers (no bools).
+    """
     types = set(map(type, values))
     if not types <= {int, float, str}:
-        return False
-    return str not in types or all(v in ("inf", "-inf") for v in values if type(v) is str)
+        return None
+    if str not in types:
+        return 0
+    strings = [v for v in values if type(v) is str]
+    return len(strings) if strings.count("inf") + strings.count("-inf") == len(strings) else None
+
+
+def _as_float_array(values: list, markers: int | list[int], what: str) -> np.ndarray:
+    """A checked raw JSON list as a float64 array, with ``markers`` "inf" markers in each row.
+
+    The JSON reader turns a decimal beyond the float64 range, such as
+    1e999, into an infinity, so an infinity that no marker accounts for
+    was such a number; an integer of 2**1024 or more does not convert.
+    """
+    beyond = FileFormatError(f"{what} holds a number beyond the float64 range")
+    try:
+        arr = np.array(values, dtype=float)
+    except OverflowError:
+        raise beyond from None
+    if not np.array_equal(np.count_nonzero(np.isinf(arr), axis=-1), markers):
+        raise beyond
+    return arr
 
 
 def _as_float_matrix(rows: Any, what: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise FileFormatError(f"{what} must be a nonempty list of rows")
     width = len(rows[0])
+    markers = []
     for r in rows:
         if len(r) != width:
             raise FileFormatError(f"{what} rows have uneven lengths")
-        if not _numbers_or_inf(r):
+        markers.append(_inf_markers(r))
+        if markers[-1] is None:
             raise FileFormatError(f"{what} entries must be numbers or \"inf\"")
-    return np.array(rows, dtype=float)
+    return _as_float_array(rows, markers, what)
 
 
 def _as_float_vector(values: Any, what: str) -> np.ndarray:
     if not isinstance(values, list) or not values:
         raise FileFormatError(f"{what} must be a nonempty list")
-    if not _numbers_or_inf(values):
+    markers = _inf_markers(values)
+    if markers is None:
         raise FileFormatError(f"{what} entries must be numbers")
-    return np.array(values, dtype=float)
+    return _as_float_array(values, markers, what)
 
 
 def _check_fields(doc: dict, allowed: set[str], required: set[str], kind: str) -> None:

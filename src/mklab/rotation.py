@@ -30,6 +30,7 @@ from .core import (
     PotentialPair,
     TransportPlan,
     MAX_SIDE,
+    _Fresh,
 )
 
 GOLDEN_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
@@ -146,7 +147,7 @@ def ap_cost(inst: RotationInstance) -> CostMatrix:
     """
     if inst.n % 2:
         raise InvariantError("the two-permutation cost needs an even grid")
-    return CostMatrix(level_matrix(inst, 1))
+    return CostMatrix(_Fresh(level_matrix(inst, 1)))
 
 
 def level_matrix(inst: RotationInstance, k_max: int) -> np.ndarray:
@@ -165,7 +166,8 @@ def level_matrix(inst: RotationInstance, k_max: int) -> np.ndarray:
 
 def ex33_cost(inst: RotationInstance, k_max: int) -> CostMatrix:
     """Clamped level matrix: max(level, 0) on the shift graphs, infinite off them."""
-    return CostMatrix(np.maximum(level_matrix(inst, k_max), 0.0))
+    levels = level_matrix(inst, k_max)
+    return CostMatrix(_Fresh(np.maximum(levels, 0.0, out=levels)))
 
 
 def skew_step(inst: RotationInstance, state: OrbitState) -> OrbitState:
@@ -198,7 +200,7 @@ def shift_graph_plan(inst: RotationInstance, *steps: int) -> TransportPlan:
     mass = np.zeros((inst.n, inst.n))
     mass[np.arange(inst.n), _graph_columns(inst, np.array(steps)[:, None])] = \
         (1.0 / len(steps)) * (1.0 / inst.n)
-    return TransportPlan(mass, PlanKind.EXACT)
+    return TransportPlan(_Fresh(mass), PlanKind.EXACT)
 
 
 def orbit_certificate(inst: RotationInstance) -> tuple[TransportPlan, PotentialPair]:
@@ -247,7 +249,7 @@ def graph_mixture_plan(inst: RotationInstance, k_max: int) -> TransportPlan:
     mass = np.zeros((inst.n, inst.n))
     mass[np.arange(inst.n), _graph_columns(inst, np.arange(k_max + 1)[:, None])] = \
         weights * (1.0 / inst.n)
-    return TransportPlan(mass, PlanKind.EXACT)
+    return TransportPlan(_Fresh(mass), PlanKind.EXACT)
 
 
 def ap_coupling_space(inst: RotationInstance) -> tuple[int, int]:

@@ -40,6 +40,7 @@ from .core import (
     SolverStats,
     TransportPlan,
     MARGINAL_TOL,
+    _Fresh,
     gauge_normalized,
     transport_cost,
     verify_exact_coupling,
@@ -85,9 +86,26 @@ def _check_shapes(cost: CostMatrix, mu: Marginal, nu: Marginal) -> None:
 
 
 def _plan_from_flows(shape, tails, heads, flows, kind: PlanKind) -> TransportPlan:
+    """The plan that carries ``flows`` on the cells (tails, heads), in a fresh array.
+
+    Only the cells whose flow is not +0.0 are written: an optimal basis
+    carries at most m + n - 1 of them.
+    """
     mass = np.zeros(shape)
-    mass[tails, heads] = flows
-    return TransportPlan(mass, kind)
+    # -0.0 == 0.0, so its sign bit tells it from the +0.0 already there
+    carried = np.flatnonzero((flows != 0.0) | np.signbit(flows))
+    mass[tails[carried], heads[carried]] = flows[carried]
+    return TransportPlan(_Fresh(mass), kind)
+
+
+def _finite_arcs_cost(costs: np.ndarray, flows: np.ndarray) -> float:
+    """The cost of flows on all of ``cost.finite_arcs``, priced without the n x n plan.
+
+    Those arcs are the finite cells in row-major order, which is where
+    and in what order :func:`transport_cost` multiplies and sums, so the
+    value is the same to the bit.
+    """
+    return float(np.sum(costs * flows))
 
 
 def _stats(t0: float, iterations: int, pivots: int) -> SolverStats:
@@ -95,13 +113,14 @@ def _stats(t0: float, iterations: int, pivots: int) -> SolverStats:
                        wall_ms=(time.perf_counter() - t0) * 1e3)
 
 
-def _exact_report(cost: CostMatrix, mu: Marginal, nu: Marginal, tails, heads,
+def _exact_report(mu: Marginal, nu: Marginal, plan: TransportPlan, primal: float,
                   res, t0: float) -> DualityReport:
-    """Verify the exact plan of an engine result and report it with its gauged duals."""
-    plan = _plan_from_flows(cost.shape, tails, heads, res.flow, PlanKind.EXACT)
+    """Verify the exact plan of an engine result and report it with its gauged duals.
+
+    ``primal`` is the plan's cost, priced by the caller.
+    """
     verify_exact_coupling(plan, mu, nu, MARGINAL_TOL)
     pots = gauge_normalized(PotentialPair(res.source_potentials, res.sink_potentials), mu)
-    primal = transport_cost(cost, plan)
     dual = float(np.dot(pots.phi, mu.weights) + np.dot(pots.psi, nu.weights))
     return DualityReport(
         primal_value=primal, dual_value=dual,
@@ -120,7 +139,8 @@ def solve_primal(cost: CostMatrix, mu: Marginal, nu: Marginal) -> DualityReport:
     _check_shapes(cost, mu, nu)
     tails, heads, costs = cost.finite_arcs
     res = network_simplex.solve_bipartite(mu.weights, nu.weights, tails, heads, costs)
-    return _exact_report(cost, mu, nu, tails, heads, res, t0)
+    plan = _plan_from_flows(cost.shape, tails, heads, res.flow, PlanKind.EXACT)
+    return _exact_report(mu, nu, plan, _finite_arcs_cost(costs, res.flow), res, t0)
 
 
 def solve_dual(cost: CostMatrix, mu: Marginal, nu: Marginal) -> DualityReport:
@@ -158,7 +178,7 @@ def solve_partial(cost: CostMatrix, mu: Marginal, nu: Marginal, eps: float) -> D
     res = network_simplex.solve_bipartite(supplies, demands, aug_tails, aug_heads, aug_costs)
     plan = _plan_from_flows(cost.shape, tails, heads, res.flow[:n_real], PlanKind.SUB)
     verify_sub_coupling(plan, mu, nu, MARGINAL_TOL)
-    value = transport_cost(cost, plan)
+    value = _finite_arcs_cost(costs, res.flow[:n_real])
     return DualityReport(
         primal_value=value, dual_value=value,
         optimal_plan=plan, optimal_potentials=None,
@@ -238,7 +258,10 @@ def solve_restricted_primal(cost: CostMatrix, pi0: TransportPlan) -> DualityRepo
     """
     t0 = time.perf_counter()
     mu, nu, tails, heads, _costs, _density, res = _solve_on_support(cost, pi0)
-    return _exact_report(cost, mu, nu, tails, heads, res, t0)
+    plan = _plan_from_flows(cost.shape, tails, heads, res.flow, PlanKind.EXACT)
+    # transport_cost sums over every finite cell, zeros included; a sum over the
+    # support alone could group the terms otherwise and move the last bits
+    return _exact_report(mu, nu, plan, transport_cost(cost, plan), res, t0)
 
 
 @dataclass(frozen=True)

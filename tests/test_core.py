@@ -19,6 +19,11 @@ from mklab import (
     verify_exact_coupling,
     verify_sub_coupling,
 )
+from mklab import core
+from mklab.core import _Fresh
+from mklab.rotation import (ap_cost, ex33_cost, graph_mixture_plan, make_instance,
+                            shift_graph_plan)
+from mklab.solvers import _plan_from_flows
 
 from conftest import nw_corner, random_marginal, shuffled_coupling
 
@@ -64,6 +69,66 @@ class TestConstruction:
         plan = half_identity()
         with pytest.raises(ValueError):
             plan.mass[0, 0] = 7.0
+
+
+class TestHandover:
+    """Public constructors copy; a builder's fresh array is taken as it is, and still checked."""
+
+    @pytest.mark.parametrize("build, values", [
+        (CostMatrix, [[1.0, 2.0], [math.inf, 0.0]]),
+        (TransportPlan, [[0.5, 0.0], [0.0, 0.5]]),
+        (Marginal, [0.25, 0.75]),
+        (lambda v: PotentialPair(v, v), [1.0, -2.0]),
+    ])
+    def test_public_constructors_copy(self, build, values):
+        mine = np.array(values)
+        obj = build(mine)
+        held = next(a for a in vars(obj).values() if isinstance(a, np.ndarray))
+        assert not np.shares_memory(held, mine) and not held.flags.writeable
+        mine[0] = 7.0
+        assert np.array_equal(held, np.array(values))
+
+    def test_fresh_array_is_taken_without_a_copy(self):
+        mass = np.eye(2) / 2
+        plan = TransportPlan(_Fresh(mass))
+        assert plan.mass is mass and not mass.flags.writeable
+        entries = np.ones((2, 3))
+        assert CostMatrix(_Fresh(entries)).entries is entries
+
+    @pytest.mark.parametrize("build, values, match", [
+        (CostMatrix, [[1.0, math.nan]], "in \\[0, inf\\]"),
+        (CostMatrix, [[1.0, -1.0]], "nonnegative"),
+        (CostMatrix, [1.0, 2.0], "matrix"),
+        (TransportPlan, [[0.5, -0.1]], "nonnegative"),
+        (TransportPlan, [[0.75, 0.75]], "exceeds 1"),
+        (TransportPlan, [[math.inf, 0.0]], "finite"),
+    ])
+    def test_fresh_array_is_still_checked(self, build, values, match):
+        with pytest.raises((InvariantError, ShapeError), match=match):
+            build(_Fresh(np.array(values)))
+
+    @pytest.mark.parametrize("array", [
+        np.zeros((3, 3))[:2],               # a view
+        np.zeros((2, 2), dtype=np.int64),   # not float64
+        CostMatrix(np.zeros((2, 2))).entries,  # already read-only
+    ])
+    def test_only_a_fresh_float_array_is_taken(self, array):
+        with pytest.raises(InvariantError, match="fresh"):
+            CostMatrix(_Fresh(array))
+
+    def test_builders_hand_their_arrays_over(self, monkeypatch):
+        taken = []
+        readonly = core._readonly
+        monkeypatch.setattr(core, "_readonly", lambda v: taken.append(type(v)) or readonly(v))
+        inst = make_instance(12, 5)
+        for build in (lambda: ap_cost(inst), lambda: ex33_cost(inst, 11),
+                      lambda: shift_graph_plan(inst, 0, 1), lambda: graph_mixture_plan(inst, 4),
+                      lambda: mixture_plan([half_identity(), half_identity()], [0.5, 0.5]),
+                      lambda: _plan_from_flows((2, 2), np.array([0, 1]), np.array([1, 0]),
+                                               np.array([0.5, 0.5]), PlanKind.EXACT)):
+            taken.clear()
+            build()
+            assert taken[-1] is _Fresh
 
 
 class TestTransportCost:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mklab import (
     DualityReport,
+    Marginal,
     PlanKind,
     PotentialPair,
     SolverStats,
@@ -25,6 +26,9 @@ from mklab.fileformats import (
     parse_instance,
 )
 from mklab.cli import main
+from mklab.solvers import solve_primal
+
+from conftest import nw_corner
 
 
 def roundtrip(spec: InstanceSpec) -> InstanceSpec:
@@ -107,6 +111,48 @@ class TestStrictJson:
 
     def test_same_key_in_sibling_objects_accepted(self):
         assert loads_canonical('[{"a": 1}, {"a": {"a": 2}}]') == [{"a": 1}, {"a": {"a": 2}}]
+
+
+NUMBERS_TEXT = ('{"schema_version": 1, "kind": "explicit", '
+                '"cost": [[%(cost)s, "inf"], ["inf", 0.0]], "mu": [%(mu)s, 0.5], '
+                '"nu": [0.5, %(nu)s], "pi0": [[%(pi0)s, 0.0], [0.0, 0.5]]}')
+IN_RANGE = {"cost": "1.0", "mu": "0.5", "nu": "0.5", "pi0": "0.5"}
+
+
+class TestNumbersBeyondFloat64:
+    """A number that float64 cannot hold fails the file, in each array of an explicit instance."""
+
+    @pytest.mark.parametrize("field", IN_RANGE)
+    @pytest.mark.parametrize("number", [
+        "1e999", "-1e999", "1E400", pytest.param(str(2 ** 1024), id="2**1024"),
+        pytest.param(str(-2 ** 1024), id="-2**1024"), pytest.param(str(10 ** 400), id="10**400")])
+    def test_rejected(self, field, number):
+        text = NUMBERS_TEXT % {**IN_RANGE, field: number}
+        with pytest.raises(FileFormatError,
+                           match=f"^{field} holds a number beyond the float64 range$"):
+            parse_instance(text)
+
+    def test_largest_numbers_still_parse(self):
+        spec = parse_instance(NUMBERS_TEXT % {**IN_RANGE, "cost": str(2 ** 1023),
+                                              "pi0": "1.7976931348623157e308"})
+        assert spec.cost[0, 0] == 2.0 ** 1023 and spec.pi0[0, 0] == 1.7976931348623157e308
+        assert np.isinf(spec.cost).sum() == 2
+
+    def test_integer_past_the_digit_limit(self):
+        with pytest.raises(FileFormatError, match="^parse error: Exceeds the limit"):
+            parse_instance(NUMBERS_TEXT % {**IN_RANGE, "cost": "1" * 5000})
+
+    @pytest.mark.parametrize("field, number", [
+        ("cost", "1e999"), pytest.param("mu", str(2 ** 1024), id="mu-2**1024"),
+        pytest.param("pi0", str(2 ** 1024), id="pi0-2**1024")])
+    def test_cli_prints_an_error_line(self, tmp_path, capsys, field, number):
+        path = tmp_path / "inst.json"
+        path.write_text(NUMBERS_TEXT % {**IN_RANGE, field: number})
+        out = tmp_path / "res.json"
+        assert main(["solve", str(path), "--problem", "primal", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {field} holds a number beyond the float64 range\n")
+        assert not out.exists()
 
 
 # Values at the edges of the one-pass float-list writer: signed zeros,
@@ -223,6 +269,154 @@ class TestZeroHeavyRows:
             row[(7 * i) % 300] = EDGE_FLOATS[1 + i % (len(EDGE_FLOATS) - 1)]
         assert dumps_canonical(np.array(row)) == per_value(row) + "\n"
         assert dumps_canonical(np.array([row, row[::-1]])) == dumps_canonical([row, row[::-1]])
+
+
+# The per-row writer that the matrix-level splice replaced, kept as the
+# oracle of its bytes: every spliced row was formatted with its own `%`
+# pass over the whole row's text.
+ORACLE_TEMPLATES = np.array(["%.17g", "%.17g.0", '"%.17g"'], dtype=object)
+
+
+def oracle_templates(values):
+    kind = ((values == np.trunc(values)) & (np.abs(values) < 1e17)) + 2 * np.isinf(values)
+    return ORACLE_TEMPLATES[kind]
+
+
+def per_row_oracle(mat, pad):
+    if np.isnan(mat).any():
+        raise FileFormatError("NaN is not serializable")
+    item_pad = pad + "  "
+    sep = ",\n" + item_pad
+    live = (mat != 0.0) | np.signbit(mat)
+    counts = live.sum(axis=1)
+    spliced = counts <= 0.25 * mat.shape[1]
+
+    def one_pass(row):
+        return (f"[\n{item_pad}{sep.join(oracle_templates(row).tolist())}\n{pad}]"
+                % tuple(row.tolist()))
+
+    if not spliced.any():
+        return [one_pass(row) for row in mat]
+    zero = f"[\n{item_pad}{sep.join(['0.0'] * mat.shape[1])}\n{pad}]"
+    cells = live & spliced[:, None]
+    values = mat[cells]
+    templates = oracle_templates(values)
+    starts = len(item_pad) + 2 + (len(sep) + 3) * (np.flatnonzero(cells) % mat.shape[1])
+    rows = []
+    lo = 0
+    for row, splice, hi in zip(mat, spliced.tolist(),
+                               np.cumsum(np.where(spliced, counts, 0)).tolist()):
+        if not splice:
+            rows.append(one_pass(row))
+        elif lo == hi:
+            rows.append(zero)
+        else:
+            parts, prev = [], 0
+            for start, template in zip(starts[lo:hi].tolist(), templates[lo:hi].tolist()):
+                parts += (zero[prev:start], template)
+                prev = start + 3
+            parts.append(zero[prev:])
+            rows.append("".join(parts) % tuple(values[lo:hi].tolist()))
+        lo = hi
+    return rows
+
+
+def oracle_dumps(monkeypatch, obj):
+    with monkeypatch.context() as patch:
+        patch.setattr(fileformats, "_format_float_rows", per_row_oracle)
+        return dumps_canonical(obj)
+
+
+def planted_matrix(rng, shape, live_per_row, values=EDGE_FLOATS[1:]):
+    """+0.0 but for ``live_per_row[i]`` cells of row i, drawn from ``values``."""
+    mat = np.zeros(shape)
+    for row, k in zip(mat, live_per_row):
+        row[rng.choice(shape[1], size=k, replace=False)] = rng.choice(values, size=k)
+    return mat
+
+
+class TestMatrixSpliceMatchesPerRowWriter:
+    """The matrix-level splice writes the bytes of the per-row writer it replaced."""
+
+    @staticmethod
+    def assert_same_bytes(monkeypatch, mat):
+        for indent in range(4):
+            pad = "  " * indent
+            assert fileformats._format_float_rows(mat, pad) == per_row_oracle(mat, pad)
+        for doc in (mat, {"m": mat}, {"a": {"m": [mat, mat[0]]}}):
+            assert dumps_canonical(doc) == oracle_dumps(monkeypatch, doc)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (1, 300), (300, 1), (7, 5)])
+    @pytest.mark.parametrize("share", [0.0, 0.1, 0.5, 1.0])
+    def test_shapes(self, monkeypatch, shape, share):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        live = [int(round(share * shape[1]))] * shape[0]
+        self.assert_same_bytes(monkeypatch, planted_matrix(rng, shape, live))
+
+    def test_no_nonzero_cell(self, monkeypatch):
+        for mat in (np.zeros((4, 6)), np.zeros((1, 1)), np.zeros((3, 300))):
+            self.assert_same_bytes(monkeypatch, mat)
+
+    def test_all_dense(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        mat = rng.uniform(-5.0, 5.0, (6, 40))
+        mat[rng.random(mat.shape) < 0.2] = math.inf
+        self.assert_same_bytes(monkeypatch, mat)
+        self.assert_same_bytes(monkeypatch, np.array([EDGE_FLOATS[1:]] * 3))
+
+    @pytest.mark.parametrize("width", [4, 8, 12, 300])
+    def test_rows_at_the_splice_share(self, monkeypatch, width):
+        at = int(fileformats._SPLICE_SHARE * width)
+        assert at == fileformats._SPLICE_SHARE * width
+        live = [at - 1, at, at + 1, 0, at, at + 1, width, at]
+        self.assert_same_bytes(monkeypatch, planted_matrix(np.random.default_rng(width),
+                                                           (len(live), width), live))
+
+    @pytest.mark.parametrize("value", [-0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                                       2.2250738585072009e-308, 1e17, -1e17, 2.0 ** 60,
+                                       99999999999999984.0, 1e300, 0.5])
+    def test_edge_cells(self, monkeypatch, value):
+        mat = np.zeros((5, 12))
+        mat[0, 0] = mat[1, 11] = mat[2, 5] = mat[2, 6] = mat[4, [0, 3, 11]] = value
+        self.assert_same_bytes(monkeypatch, mat)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_mixtures(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(v) for v in rng.integers(1, 60, size=2))
+        live = rng.integers(0, shape[1] + 1, size=shape[0]) * (rng.random(shape[0]) < 0.7)
+        values = np.concatenate([EDGE_FLOATS[1:], rng.normal(size=20) * 1e3])
+        self.assert_same_bytes(monkeypatch, planted_matrix(rng, shape, live, values))
+
+    def test_nan_raises(self):
+        mat = np.zeros((3, 8))
+        mat[2, 4] = math.nan
+        for arr in (mat, mat[2], mat[:, 4]):
+            with pytest.raises(FileFormatError, match="NaN"):
+                dumps_canonical({"m": arr})
+
+    def test_ex33_result_file(self, monkeypatch):
+        spec = InstanceSpec(kind="ex33", n=144, shift="auto-golden", seed=1)
+        problem = materialize(spec)
+        report = solve_primal(problem.cost, problem.mu, problem.nu)
+        doc = fileformats.result_document("primal", instance_to_jsonable(spec), report)
+        assert np.count_nonzero(doc["plan"]) == 144
+        assert fileformats.serialize_result(doc) == oracle_dumps(monkeypatch, doc)
+
+    def test_explicit_result_file(self, monkeypatch):
+        # the shape of a benchmark instance: n = 300, a fifth of the cost
+        # forbidden off the support of a north-west-corner pi0
+        rng = np.random.default_rng(1)
+        cost = rng.uniform(0.0, 5.0, size=(300, 300))
+        mu, nu = (Marginal(w / w.sum()) for w in rng.uniform(0.2, 1.0, size=(2, 300)))
+        pi0 = nw_corner(mu, nu)
+        cost[(pi0.mass == 0) & (rng.random(cost.shape) < 0.2)] = math.inf
+        spec = InstanceSpec(kind="explicit", cost=cost, mu=mu.weights, nu=nu.weights,
+                            pi0=pi0.mass, seed=1)
+        problem = materialize(spec)
+        report = solve_primal(problem.cost, problem.mu, problem.nu)
+        doc = fileformats.result_document("primal", instance_to_jsonable(spec), report)
+        assert fileformats.serialize_result(doc) == oracle_dumps(monkeypatch, doc)
 
 
 class TestInstanceFiles:

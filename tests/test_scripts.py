@@ -24,13 +24,21 @@ def test_script_exits_zero(script, args):
     assert run.stdout
 
 
+#: The ops of each benchmark workload, in the order `ab_ops.py` prints them.
+WORKLOAD_OPS = {
+    "ex33-primal": ["solve-primal"],
+    "explicit-io": ["solve-restricted", "solve-primal", "solve-partial"],
+    "dual-side": ["sweep-epsilon-dual", "diagnose-bound", "solve-relaxed-dual-0.01",
+                  "solve-relaxed-dual-0.001", "solve-dual"],
+}
+
+
 def test_ab_ops_compares_the_repo_with_itself():
-    run = subprocess.run([sys.executable, str(ROOT / "scripts" / "ab_ops.py"), str(ROOT),
-                          str(ROOT), "--workload", "dual-side", "--rounds", "1"],
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    lines = run.stdout.splitlines()
-    ops = [line.split()[0] for line in lines[2:]]
-    assert ops == ["sweep-epsilon-dual", "diagnose-bound", "solve-relaxed-dual-0.01",
-                   "solve-relaxed-dual-0.001", "solve-dual", "all"]
-    assert all(line.endswith("same") for line in lines[2:-1])
+    for workload, ops in WORKLOAD_OPS.items():
+        run = subprocess.run([sys.executable, str(ROOT / "scripts" / "ab_ops.py"), str(ROOT),
+                              str(ROOT), "--workload", workload, "--rounds", "1"],
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        assert [line.split()[0] for line in lines[2:]] == ops + ["all"]
+        assert all(line.endswith("same") for line in lines[2:-1])

@@ -13,6 +13,7 @@ from mklab import (
     ap_cost,
     dual_sequence,
     estimate_relaxed_primal,
+    ex33_cost,
     graph_mixture_plan,
     make_instance,
     mixture_plan,
@@ -29,7 +30,7 @@ from mklab import (
     uniform_marginal,
 )
 from mklab.dense_simplex import solve_dense
-from mklab.solvers import _solve_on_support
+from mklab.solvers import _plan_from_flows, _solve_on_support
 
 from conftest import (assert_same_report, dense_coupling, dense_relaxed_dual,
                       enumerate_vertex_minimum, nw_corner, random_cost, random_marginal)
@@ -608,3 +609,59 @@ class TestRestrictedSupportIsFlat:
         inst = make_instance(n)
         pi0 = mixture_plan([shift_graph_plan(inst, 0), shift_graph_plan(inst, 1)], [0.5, 0.5])
         self.assert_same_support(ap_cost(inst), pi0)
+
+
+class TestReportedCostIsTransportCost:
+    """Primal, dual and partial price their flows to the bit of `transport_cost`."""
+
+    SOLVES = {
+        "primal": solve_primal,
+        "dual": solve_dual,
+        "partial:0": lambda c, mu, nu: solve_partial(c, mu, nu, 0.0),
+        "partial:0.3": lambda c, mu, nu: solve_partial(c, mu, nu, 0.3),
+    }
+
+    @staticmethod
+    def explicit(seed):
+        """Integer costs (many ties), zero masses, forbidden cells off a coupling's support."""
+        rng = np.random.default_rng(seed)
+        m, n = (int(v) for v in rng.integers(1, 40, size=2))
+        weights = []
+        for size in (m, n):
+            w = rng.uniform(0.1, 1.0, size) * (rng.random(size) < 0.8)
+            w[rng.integers(size)] = 1.0
+            weights.append(Marginal(w / w.sum()))
+        mu, nu = weights
+        entries = rng.integers(0, 4, size=(m, n)).astype(float)
+        entries[(nw_corner(mu, nu).mass == 0) & (rng.random((m, n)) < 0.4)] = math.inf
+        return CostMatrix(entries), mu, nu
+
+    @staticmethod
+    def assert_same_bits(solve, cost, mu, nu):
+        report = solve(cost, mu, nu)
+        assert report.primal_value.hex() == transport_cost(cost, report.optimal_plan).hex()
+
+    @pytest.mark.parametrize("problem", SOLVES)
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_explicit(self, problem, seed):
+        self.assert_same_bits(self.SOLVES[problem], *self.explicit(seed))
+
+    @pytest.mark.parametrize("problem", SOLVES)
+    @pytest.mark.parametrize("kind, n", [("ap", 12), ("ap", 40), ("ex33", 13), ("ex33", 36)])
+    def test_rotation(self, problem, kind, n):
+        inst = make_instance(n)
+        cost = ap_cost(inst) if kind == "ap" else ex33_cost(inst, n - 1)
+        mu = uniform_marginal(inst)
+        self.assert_same_bits(self.SOLVES[problem], cost, mu, mu)
+
+
+def test_plan_from_flows_writes_the_cells_a_full_scatter_writes():
+    """Skipping the +0.0 flows leaves the bytes of writing every flow, signed zeros included."""
+    rng = np.random.default_rng(4)
+    tails, heads = np.divmod(rng.permutation(48)[:30], 8)
+    flows = rng.choice([0.0, -0.0, 0.01, 5e-324, 0.125], size=30)
+    mass = np.zeros((6, 8))
+    mass[tails, heads] = flows
+    plan = _plan_from_flows((6, 8), tails, heads, flows, PlanKind.SUB)
+    assert plan.mass.tobytes() == mass.tobytes()
+    assert np.signbit(plan.mass).sum() == np.signbit(flows).sum() > 0
