@@ -127,7 +127,8 @@ class Marginal:
         if np.any(w < 0):
             raise InvariantError("marginal weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > CONSTRUCTION_TOL:
-            raise InvariantError(f"marginal mass {w.sum()!r} is not 1 within {CONSTRUCTION_TOL}")
+            raise InvariantError(
+                f"marginal mass {float(w.sum())!r} is not 1 within {CONSTRUCTION_TOL}")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -169,10 +170,18 @@ class CostMatrix:
         """(rows, columns, costs) of the finite cells in row-major order, read-only.
 
         Computed on the first read and kept, so every solve on this cost
-        shares one flat scan of the entries, split into rows and columns.
+        shares one scan of the entries.  When every cell is finite, the
+        rows and columns are the whole grid and the costs the entries.
         """
+        m, n = self.shape
         finite = self.finite_mask
-        arcs = (*np.divmod(np.flatnonzero(finite), self.shape[1]), self.entries[finite])
+        if finite.all():
+            arcs = np.repeat(np.arange(m), n), np.tile(np.arange(n), m), self.entries.ravel()
+        else:
+            flat = np.flatnonzero(finite)
+            rows = flat // n
+            cols = rows * n
+            arcs = rows, np.subtract(flat, cols, out=cols), self.entries.ravel()[flat]
         for arr in arcs:
             arr.setflags(write=False)
         return arcs
@@ -205,7 +214,7 @@ class TransportPlan:
         if np.any(m < 0):
             raise InvariantError("plan entries must be nonnegative")
         if total > 1.0 + MARGINAL_TOL:
-            raise InvariantError(f"plan mass {total!r} exceeds 1")
+            raise InvariantError(f"plan mass {float(total)!r} exceeds 1")
         object.__setattr__(self, "mass", m)
         object.__setattr__(self, "kind", PlanKind(self.kind))
         object.__setattr__(self, "_total", float(total))
@@ -395,7 +404,7 @@ def mixture_plan(plans: Sequence[TransportPlan], weights: Sequence[float]) -> Tr
     if np.any(w < 0):
         raise InvariantError("mixture weights must be nonnegative")
     if abs(float(w.sum()) - 1.0) > CONSTRUCTION_TOL:
-        raise InvariantError(f"mixture weights sum to {w.sum()!r}, not 1")
+        raise InvariantError(f"mixture weights sum to {float(w.sum())!r}, not 1")
     shape = plans[0].shape
     for p in plans:
         if p.kind is not PlanKind.EXACT:

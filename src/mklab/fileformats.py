@@ -6,18 +6,39 @@ two-permutation rotation cost) and "ex33" (the clamped level cost over
 shift graphs).  Unknown fields are rejected.  Result documents are
 emitted by a canonical writer: fixed key order, every float with 17
 significant digits, infinities as the strings "inf"/"-inf", so equal
-inputs produce byte-identical files.
+inputs produce byte-identical files.  A rotation instance builds its
+reference plan only when a command reads it.
 
-The writer takes float64 arrays as they are.  One mask pass over a
-matrix finds its cells other than +0.0 and, from their count in each
-row, the rows to splice: those that are mostly +0.0, as the rows of an
-optimal plan are (it has at most m + n - 1 nonzero cells).  The other
-cells of all spliced rows are formatted in one `%` pass and put into
-the text of the all-zero row at computed offsets; the spliced rows
-with none share that one string.  So writing a plan costs Python work
-in proportion to its nonzero cells.  A denser row, such as a row of an
-explicit cost, is formatted in one `%` pass of its own.  A rotation
-instance builds its reference plan only when a command reads it.
+The writer prints a float as `format(v, ".17g")` does, with ".0" added
+to an integral value below 1e17, and it prints the float arrays of a
+document with numpy, many cells at once, byte for byte the same.  Take
+a finite v with 1e-4 <= |v| < 1e17 and let x be its decimal exponent.
+Then "%.17g" prints N = round-half-even(|v| * 10**p), p = 16 - x, in
+fixed notation with the trailing zeros stripped.  p lies in [0, 20], so
+10**p is exact in float64, and Dekker's exact product (Veltkamp's split
+by 2**27 + 1; Dekker, Numer. Math. 18, 1971) gives |v| * 10**p = hi + lo
+exactly.  hi is then an even integer of at least 2**53 and |lo| <= 8, so
+N = hi + rint(lo), numpy's rint rounding half to even: no tolerance
+enters anywhere.  x starts at floor(log10 |v|) and steps by one while N
+falls outside [1e16, 1e17); each step moves towards the true exponent,
+so p never leaves its range.  The 17 digits go into a 40-byte field per
+cell through lookups of four digits at a time, a template per exponent
+and sign adds the point, the sign and the zeros, and the bytes left 0
+are deleted.  Zeros and infinities get fixed texts.  The other values
+get a `%` placeholder that one `%` pass over all of them fills in:
+"%.17g" for |v| < 1e-4 and |v| >= 1e17, and "%.1f" for the integers
+1e16 <= |v| < 1e17 (x = 16), whose point would not fit in the field.
+
+One mask pass over an array finds its cells other than +0.0 and, from
+their count in each row, the rows to splice: those that are mostly +0.0,
+as the rows of an optimal plan are (it has at most m + n - 1 nonzero
+cells).  The other cells of the spliced rows are formatted and written
+between the parts of the all-zero row around their "0.0"s; the spliced
+rows with none share that one string.  So writing a plan costs Python
+work in proportion to its nonzero cells.  The dense rows and the spliced
+cells of all the arrays of a document are formatted in shared blocks of
+at most `_BLOCK_CELLS` cells, so a document's small arrays pay for one
+numpy pass and a large matrix holds one block of working arrays at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +46,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain
 from typing import Any, Optional
 
 import numpy as np
@@ -75,74 +97,289 @@ def _format_float(value: float) -> str:
     return text
 
 
-#: One `%`-template per float: "%.17g" drops the point of an integral
-#: value below 1e17, so those get ".0" back, and the "inf"/"-inf" it
-#: prints for an infinity is quoted.
-_FLOAT_TEMPLATES = np.array(["%.17g", "%.17g.0", '"%.17g"'], dtype=object)
-
 #: A row in which more than this share of the cells are not +0.0 is
-#: formatted in one pass; a sparser row is spliced into the all-zero row.
+#: formatted whole; a sparser row is spliced into the all-zero row.
 _SPLICE_SHARE = 0.25
 
+#: Cells formatted per numpy pass: about 250 bytes of working arrays each.
+_BLOCK_CELLS = 4096
 
-def _templates(values: np.ndarray) -> np.ndarray:
-    """The `%`-template of each value of a float64 array, as an object array."""
-    kind = ((values == np.trunc(values)) & (np.abs(values) < 1e17)) + 2 * np.isinf(values)
-    return _FLOAT_TEMPLATES[kind]
+# Dekker's exact product: the scale 10**(16 - x) of each decimal exponent
+# x in [-4, 15], indexed by x + 4, and its Veltkamp split into two
+# halves of at most 26 bits each.
+_SPLITTER = 134217729.0  # 2**27 + 1
 
 
-def _format_float_rows(mat: np.ndarray, pad: str) -> list[str]:
-    """Each row of a nonempty 2-D float64 array, as ``_format_float`` would write its values.
+def _split(b: float) -> tuple:
+    high = _SPLITTER * b - (_SPLITTER * b - b)
+    return b, high, b - high
 
-    ``pad`` is the indent of a row's brackets.  One mask pass over the
-    array finds its cells other than +0.0, and their count per row picks
-    the rows to splice.  A dense row joins the `%`-templates of all its
-    cells and formats them in one pass.  In a spliced row every +0.0 cell
-    is written "0.0", the same width each, so the row is the text of the
-    all-zero row with the texts of its other cells put in at computed
-    offsets.  Those texts come from one `%` pass over the spliced cells
-    of the whole array, and the spliced rows with none share the
-    all-zero row's string.
+
+_SCALE_PARTS = np.array([_split(10.0 ** p) for p in range(20, 0, -1)])
+
+
+def _digit_words() -> np.ndarray:
+    """The uint64 words that put the 17 digits of a cell into its text field.
+
+    Word g < 10**4 holds the four digits of g at its odd bytes; word
+    10**4 + g the same with the trailing zeros left out; and word
+    2 * 10**4 + d the leading digit d at its last byte, none for d = 0.
     """
-    if np.isnan(mat).any():
-        raise FileFormatError("NaN is not serializable")
-    item_pad = pad + "  "
-    sep = ",\n" + item_pad
-    # -0.0 == 0.0, so its sign bit tells it from +0.0
-    live = (mat != 0.0) | np.signbit(mat)
-    splice = np.count_nonzero(live, axis=1) <= _SPLICE_SHARE * mat.shape[1]
-    zero = f"[\n{item_pad}{sep.join(['0.0'] * mat.shape[1])}\n{pad}]"
-    rows = [zero] * mat.shape[0]
-    for i in np.flatnonzero(~splice).tolist():
-        row = mat[i]
-        rows[i] = (f"[\n{item_pad}{sep.join(_templates(row).tolist())}\n{pad}]"
-                   % tuple(row.tolist()))
-    # the cells other than +0.0 of the spliced rows, in row-major order,
-    # and where each one's "0.0" starts in the all-zero row
-    spliced = np.flatnonzero(splice)
-    row_of, col = np.divmod(np.flatnonzero(live[spliced]), mat.shape[1])
-    if not col.size:
-        return rows
-    row_of = spliced[row_of]
-    values = mat[row_of, col]
-    starts = len(item_pad) + 2 + (len(sep) + 3) * col
-    # a formatted float holds no comma
-    texts = (",".join(_templates(values).tolist()) % tuple(values.tolist())).split(",")
-    row_ends = np.append(row_of[1:] != row_of[:-1], True)
-    parts: list[str] = []
-    prev = 0
-    for i, start, text, row_end in zip(row_of.tolist(), starts.tolist(), texts,
-                                       row_ends.tolist()):
-        parts += (zero[prev:start], text)
-        prev = start + 3
-        if row_end:
-            parts.append(zero[prev:])
-            rows[i] = "".join(parts)
-            parts, prev = [], 0
-    return rows
+    words = np.zeros((2 * 10 ** 4 + 10, 8), dtype=np.uint8)
+    groups = np.arange(10 ** 4)
+    for byte, unit in zip((1, 3, 5, 7), (1000, 100, 10, 1)):
+        words[:10 ** 4, byte] = groups // unit % 10 + ord("0")
+    # a digit is kept in the second half unless it and all after it are zeros
+    kept = np.maximum.accumulate(words[:10 ** 4, 7:0:-2] != ord("0"), axis=1)[:, ::-1]
+    words[10 ** 4:2 * 10 ** 4, 1::2] = words[:10 ** 4, 1::2] * kept
+    words[2 * 10 ** 4 + 1:, 7] = np.arange(1, 10) + ord("0")
+    return words.view("<u8")[:, 0]
 
 
-def _write_canonical(obj: Any, pieces: list[str], indent: int) -> None:
+_DIGIT_WORDS = _digit_words()
+
+#: Text-field templates.  A cell's field is 40 bytes: the separator, the
+#: sign, "0.000", then the digits d0 .. d16, each but the last followed
+#: by a slot for the point; the bytes left 0 are dropped.  Row
+#: 20 * sign + x + 4 serves decimal exponent x in [-4, 15]: for x < 0
+#: it keeps "0." and -x - 1 zeros ahead of the digits, for x >= 0 the
+#: point after digit x, and it forces "0" under every integer digit and
+#: under the first fraction digit, which a stripped trailing zero would
+#: drop.  Rows 40 and 41 hold "inf" and "-inf", and rows 42 and 43 the
+#: `%` placeholders of the other values, "%.17g" and "%.1f"; the second
+#: writes the 17 digits of an integral |v| in [1e16, 1e17) and ".0".
+_INF_ROW = 40
+_PLACEHOLDER_ROW = 42
+
+
+def _field_templates() -> np.ndarray:
+    rows = np.zeros((44, 40), dtype=np.uint8)
+    rows[:, 0] = ord(",")
+    rows[20:40, 1] = ord("-")
+    for x in range(-4, 16):
+        for row in rows[x + 4], rows[x + 24]:
+            if x < 0:
+                row[2:4] = list(b"0.")
+                row[4:3 - x] = ord("0")
+            else:
+                row[8 + 2 * x] = ord(".")
+                row[7:10 + 2 * x:2] = ord("0")
+    for i, text in enumerate(['"inf"', '"-inf"', "%.17g", "%.1f"]):
+        rows[_INF_ROW + i, 1:1 + len(text)] = list(text.encode())
+    return rows.view("<u8")
+
+
+_FIELD_TEMPLATES = _field_templates()
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """round-half-even(a * 10**(20 - e)) as int64, exact where it lies in [2**53, 2**62].
+
+    Dekker's TwoProduct gives the product as hi + lo exactly; hi is then
+    an even integer and |lo| is at most half its spacing.
+    """
+    b, b_hi, b_lo = _SCALE_PARTS.take(e, axis=0).T
+    a_hi = a * _SPLITTER
+    a_hi -= a_hi - a
+    a_lo = a - a_hi
+    hi = a * b
+    lo = a_hi * b_hi
+    lo -= hi
+    lo += a_hi * b_lo
+    lo += a_lo * b_hi
+    lo += a_lo * b_lo
+    n = hi.astype(np.int64)
+    n += np.rint(lo, out=lo).astype(np.int64)
+    return n
+
+
+def _float_texts(values: np.ndarray, seps: np.ndarray) -> str:
+    """The texts ``_format_float`` gives a 1-D float64 array, joined.
+
+    Each text is preceded by the byte that ``seps`` holds for its value.
+    A value of 1e-4 <= |v| < 1e16 gets the 17 digits N and exponent x of
+    the module docstring from `_scaled`, and a zero the digits of N = 0
+    at x = 0, which its template writes "0.0".  An infinity gets its
+    fixed text, and any other value a `%` placeholder that one `%` pass
+    fills in at the end; a NaN raises.
+    """
+    a = np.abs(values)
+    all_in_range = np.minimum.reduce(a) >= 1e-4 and np.maximum.reduce(a) < 1e16
+    special = np.empty(0, dtype=np.intp)
+    if not all_in_range:
+        in_range = (a >= 1e-4) & (a < 1e16)
+        special = np.flatnonzero(~in_range & (values != 0.0))
+        if np.isnan(values[special]).any():
+            raise FileFormatError("NaN is not serializable")
+        big = a[special]
+        special_rows = np.where(np.isinf(big), _INF_ROW + np.signbit(values[special]),
+                                _PLACEHOLDER_ROW + (big >= 1e16) * (big < 1e17))
+        a = np.where(in_range, a, 1.0)
+    # e = x + 4, from floor(log10 |v|) and then stepped until N has 17 digits
+    e = np.log10(a)
+    e += 4.0
+    e = e.astype(np.intp)  # the sum is above -1e-15, so this is its floor or 0
+    np.minimum(e, 19, out=e)
+    n = _scaled(a, e)
+    if np.minimum.reduce(n) < 10 ** 16 or np.maximum.reduce(n) >= 10 ** 17:
+        off = np.flatnonzero((n < 10 ** 16) | (n >= 10 ** 17))
+        while off.size:
+            e[off] += np.where(n[off] < 10 ** 16, -1, 1)
+            n[off] = _scaled(a[off], e[off])
+            off = off[(n[off] < 10 ** 16) | (n[off] >= 10 ** 17)]
+    if not all_in_range:
+        n *= in_range
+    # word indices, one row per word of a field: the leading digit, then
+    # the four groups of four digits, those from the last nonzero group on
+    # without trailing zeros
+    words = np.empty((5, values.size), dtype=np.intp)
+    halves = np.empty((2, values.size), dtype=np.int64)  # the first nine and last eight digits
+    np.floor_divide(n, 10 ** 8, out=halves[0])
+    np.subtract(n, halves[0] * 10 ** 8, out=halves[1])
+    np.floor_divide(halves[0], 10 ** 8, out=words[0])
+    halves[0] -= words[0] * 10 ** 8
+    words[0] += 2 * 10 ** 4
+    np.floor_divide(halves, 10 ** 4, out=words[1::2])
+    np.subtract(halves, words[1::2] * 10 ** 4, out=words[2::2])
+    zeros_after = words[4] == 0
+    np.add(words[3], 10 ** 4, out=words[3], where=zeros_after)
+    np.equal(halves[1], 0, out=zeros_after)
+    np.add(words[2], 10 ** 4, out=words[2], where=zeros_after)
+    zeros_after &= words[2] == 10 ** 4
+    np.add(words[1], 10 ** 4, out=words[1], where=zeros_after)
+    words[4] += 10 ** 4
+    rows = np.signbit(values) * 20
+    rows += e
+    if special.size:
+        rows[special] = special_rows
+    field = _FIELD_TEMPLATES.take(rows, axis=0)
+    field |= _DIGIT_WORDS.take(words.T)
+    text_bytes = field.view(np.uint8)
+    text_bytes[:, 0] = seps
+    text = text_bytes.tobytes().translate(None, b"\0").decode("ascii")
+    if special.size:
+        placeholders = special[special_rows >= _PLACEHOLDER_ROW]
+        if placeholders.size:
+            text %= tuple(values[placeholders].tolist())
+    return text
+
+
+class _FloatArray:
+    """A nonempty 1-D or 2-D float64 array of a document, written value by value
+    as ``_format_float`` writes them.
+
+    ``pad`` is the indent of the array's brackets; a 1-D array is one row.
+    `runs` yields the cells to format: blocks of whole dense rows, then
+    the cells other than +0.0 of the spliced rows.  Once `_format_arrays`
+    has formatted them, `pieces` gives the array's text.
+    """
+
+    def __init__(self, arr: np.ndarray, pad: str) -> None:
+        self.vector = arr.ndim == 1
+        self.mat = arr[None] if self.vector else arr
+        self.pad = pad
+        self.row_pad = pad if self.vector else pad + "  "
+        self.item_pad = self.row_pad + "  "
+        self.sep = ",\n" + self.item_pad
+        width = self.mat.shape[1]
+        # -0.0 == 0.0, so its sign bit tells it from +0.0
+        live = (self.mat != 0.0) | np.signbit(self.mat)
+        splice = live.sum(axis=1) <= _SPLICE_SHARE * width
+        self.dense = np.flatnonzero(~splice)
+        self.zero = ""
+        self.row_of = self.col = self.dense[:0]
+        if self.dense.size < splice.size:
+            spliced = np.flatnonzero(splice)
+            self.zero = f"[\n{self.item_pad}{self.sep.join(['0.0'] * width)}\n{self.row_pad}]"
+            # the cells other than +0.0 of the spliced rows, in row-major order
+            row_of, self.col = np.divmod(np.flatnonzero(live[spliced]), width)
+            self.row_of = spliced[row_of]
+        self.rows: list = [self.zero] * self.mat.shape[0]
+        self.cell_texts: list[str] = []
+
+    def runs(self):
+        """(values, run length, taker of their text) for each run of cells to format.
+
+        A taker is given the run's texts with "," between the cells of a
+        row and "\x01" between rows.
+        """
+        width = self.mat.shape[1]
+        per_block = max(1, _BLOCK_CELLS // width)
+        for lo in range(0, self.dense.size, per_block):
+            block = self.dense[lo:lo + per_block]
+            yield self.mat[block].ravel(), width, partial(self._set_dense_rows, block.tolist())
+        values = self.mat[self.row_of, self.col]
+        for lo in range(0, values.size, _BLOCK_CELLS):
+            yield values[lo:lo + _BLOCK_CELLS], 1, self._add_cell_texts
+
+    def _set_dense_rows(self, rows: list[int], text: str) -> None:
+        start, end = f"[\n{self.item_pad}", f"\n{self.row_pad}]"
+        text = text.replace(",", self.sep).replace("\x01", f"{end}\x01{start}")
+        for i, row in zip(rows, f"{start}{text}{end}".split("\x01")):
+            self.rows[i] = row
+
+    def _add_cell_texts(self, text: str) -> None:
+        self.cell_texts += text.split("\x01")
+
+    def pieces(self) -> list[str]:
+        """The array's text in pieces: a spliced row is its cell texts between
+        the parts of the all-zero row around their "0.0"s."""
+        if self.col.size:
+            zero = self.zero
+            starts = len(self.item_pad) + 2 + (len(self.sep) + 3) * self.col
+            firsts = np.flatnonzero(np.append(True, self.row_of[1:] != self.row_of[:-1]))
+            ends = np.append(firsts[1:], starts.size)
+            gap_starts = np.append(0, starts[:-1] + 3)
+            gap_starts[firsts] = 0
+            parts: list = [None] * (2 * starts.size)
+            parts[::2] = [zero[lo:hi] for lo, hi in zip(gap_starts.tolist(), starts.tolist())]
+            parts[1::2] = self.cell_texts
+            for i, lo, hi, tail in zip(self.row_of[firsts].tolist(), (2 * firsts).tolist(),
+                                       (2 * ends).tolist(), (starts[ends - 1] + 3).tolist()):
+                self.rows[i] = (*parts[lo:hi], zero[tail:])
+        if self.vector:
+            return list(self.rows[0]) if isinstance(self.rows[0], tuple) else self.rows
+        out = ["[\n"]
+        for row in self.rows:
+            out.append(self.row_pad)
+            out += row if isinstance(row, tuple) else (row,)
+            out.append(",\n")
+        out[-1] = f"\n{self.pad}]"
+        return out
+
+
+def _format_arrays(arrays: list[_FloatArray]) -> None:
+    """Format the runs of cells of all ``arrays`` in order, joining consecutive
+    runs into one `_float_texts` pass of up to ``_BLOCK_CELLS`` cells, so
+    that the small arrays of a document share one pass."""
+    batch: list[tuple] = []
+    size = 0
+    for run in chain.from_iterable(arr.runs() for arr in arrays):
+        if batch and size + run[0].size > _BLOCK_CELLS:
+            _format_runs(batch)
+            batch, size = [], 0
+        batch.append(run)
+        size += run[0].size
+    if batch:
+        _format_runs(batch)
+
+
+def _format_runs(runs: list[tuple]) -> None:
+    # "\x02" ahead of the first cell of a run, "\x01" ahead of the first
+    # cell of each further row in it, "," ahead of the others
+    seps = np.full(sum(values.size for values, _, _ in runs), ord(","), dtype=np.uint8)
+    start = 0
+    for values, run_len, _ in runs:
+        seps[start:start + values.size:run_len] = 1
+        seps[start] = 2
+        start += values.size
+    values = np.concatenate([values for values, _, _ in runs]) if len(runs) > 1 else runs[0][0]
+    for text, (_, _, take) in zip(_float_texts(values, seps).split("\x02")[1:], runs):
+        take(text)
+
+
+def _write_canonical(obj: Any, pieces: list, indent: int) -> None:
+    """Append the canonical text of ``obj`` to ``pieces``, a float64 array as a `_FloatArray`."""
     pad = "  " * indent
     if obj is None:
         pieces.append("null")
@@ -166,14 +403,9 @@ def _write_canonical(obj: Any, pieces: list[str], indent: int) -> None:
             _write_canonical(value, pieces, indent + 1)
             pieces.append(",\n" if i + 1 < len(obj) else "\n")
         pieces.append(pad + "}")
-    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.size and obj.ndim == 1:
-        pieces.append(_format_float_rows(obj[None], pad)[0])
-    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.size and obj.ndim == 2:
-        item_pad = pad + "  "
-        pieces.append("[\n")
-        for row in _format_float_rows(obj, item_pad):
-            pieces += (item_pad, row, ",\n")
-        pieces[-1] = f"\n{pad}]"
+    elif (isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.size
+          and obj.ndim in (1, 2)):
+        pieces.append(_FloatArray(obj, pad))
     elif isinstance(obj, (list, tuple, np.ndarray)):
         if not len(obj):
             pieces.append("[]")
@@ -189,10 +421,12 @@ def _write_canonical(obj: Any, pieces: list[str], indent: int) -> None:
 
 
 def dumps_canonical(obj: Any) -> str:
-    pieces: list[str] = []
+    pieces: list = []
     _write_canonical(obj, pieces, 0)
     pieces.append("\n")
-    return "".join(pieces)
+    _format_arrays([piece for piece in pieces if isinstance(piece, _FloatArray)])
+    return "".join(chain.from_iterable(
+        piece.pieces() if isinstance(piece, _FloatArray) else (piece,) for piece in pieces))
 
 
 def _revive(obj: Any) -> Any:

@@ -61,6 +61,7 @@ import numpy as np
 
 from .core import (
     InfeasibleError,
+    InvariantError,
     IterationLimitError,
     MKLabError,
     ShapeError,
@@ -179,7 +180,15 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
     sink_down = demands > 0
     g_tail = np.concatenate([tails[order], np.arange(m), np.where(sink_down, root, sinks)])
     g_head = np.concatenate([heads[order] + m, np.full(m, root), np.where(sink_down, sinks, root)])
-    penalty = 3.0 * (1.0 + float(np.sum(np.abs(costs))))
+    with np.errstate(over="ignore"):
+        cost_sum = float(np.sum(np.abs(costs)))
+    penalty = 3.0 * (1.0 + cost_sum)
+    # a potential is at most 4/3 of the penalty in size and a reduced cost
+    # at most 3 times it, so all stay finite when 4 * penalty does
+    if not math.isfinite(4.0 * penalty):
+        raise InvariantError(
+            f"arc costs sum to {cost_sum:.6g}: the artificial-arc penalty 3 * (1 + sum |c|) "
+            "overflows float64 in the engine's potentials")
     # A real arc in the basis is priced at +inf, so that no scan enters it;
     # artificial arcs are never priced.
     g_cost = np.concatenate([costs[order], np.full(m + n, penalty)])

@@ -154,10 +154,21 @@ def level_matrix(inst: RotationInstance, k_max: int) -> np.ndarray:
     """Extended-real matrix carrying level(i, k) at cell (i, i + k*shift).
 
     Finite exactly on the k-step shift graphs for 0 <= k <= k_max < n,
-    which share no cell, as the shift is coprime.
+    which share no cell, as the shift is coprime.  At k_max = n - 1 the
+    graphs cover every cell, and cell (i, j) holds
+    1 + G(j) - G(i) + D [place(j) < place(i)], with G(i) the walk up to
+    i's place on the orbit and D the sum of the signs around it; with
+    fewer graphs their levels are written into an all-infinite matrix.
     """
     if not 0 <= k_max < inst.n:
         raise InvariantError(f"k_max must lie in [0, {inst.n - 1}]")
+    if k_max == inst.n - 1:
+        walk, place = _orbit_walk(inst, inst.n)
+        primitive = walk[place].astype(float)
+        out = np.add.outer(1.0 - primitive, primitive)
+        if walk[inst.n]:
+            out += np.greater.outer(place, place)
+        return out
     levels = birkhoff_levels(inst, k_max)
     out = np.full((inst.n, inst.n), math.inf)
     out[np.arange(inst.n), _graph_columns(inst, np.arange(k_max + 1)[:, None])] = levels

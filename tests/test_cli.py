@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -580,3 +581,46 @@ def test_fmt_keeps_the_csv_text(value):
 def test_fmt_refuses_nan():
     with pytest.raises(FileFormatError, match="NaN"):
         _fmt(math.nan)
+
+
+def generated_explicit(tmp_path, edit):
+    """`mklab gen --kind explicit --n 3 --seed 2`, written back with ``edit`` applied."""
+    path = tmp_path / "e3.json"
+    assert main(["gen", "--kind", "explicit", "--n", "3", "--seed", "2", "--out", str(path)]) == 0
+    doc = fileformats.loads_canonical(path.read_text())
+    edit(doc)
+    return write_instance(path, doc)
+
+
+class TestHugeFiniteCost:
+    @pytest.mark.parametrize("problem", ["primal", "dual", "partial:0.1"])
+    def test_penalty_overflow_is_an_error(self, tmp_path, capsys, problem):
+        def huge(doc):
+            doc["cost"][0][0] = 1.7e308
+
+        path = generated_explicit(tmp_path, huge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no NaN or overflow warning on the way
+            assert main(["solve", path, "--problem", problem]) == 1
+        assert capsys.readouterr().err == (
+            "error: arc costs sum to 1.7e+308: the artificial-arc penalty 3 * (1 + sum |c|) "
+            "overflows float64 in the engine's potentials\n")
+
+
+class TestMessagesPrintPythonFloats:
+    @pytest.mark.parametrize("array, scale, message", [
+        ("mu", 1.1, "error: invalid explicit instance: marginal mass {} is not 1 within 1e-12"),
+        ("nu", 0.5, "error: invalid explicit instance: marginal mass {} is not 1 within 1e-12"),
+        ("pi0", 2.0, "error: invalid explicit instance: plan mass {} exceeds 1"),
+    ])
+    def test_no_numpy_scalar_repr(self, tmp_path, capsys, array, scale, message):
+        def rescale(doc):
+            doc["pi0"] = [[1.0 / 9] * 3] * 3
+            doc[array] = (np.array(doc[array]) * scale).tolist()
+
+        path = generated_explicit(tmp_path, rescale)
+        assert main(["solve", path, "--problem", "primal"]) == 1
+        err = capsys.readouterr().err
+        assert "np.float64(" not in err
+        total = float(np.sum(fileformats.loads_canonical(open(path).read())[array]))
+        assert err == message.format(repr(total)) + "\n"

@@ -336,6 +336,13 @@ def nonzero_arcs(entries: np.ndarray) -> tuple:
     return arcs
 
 
+def divmod_arcs(entries: np.ndarray) -> tuple:
+    """The finite cells as `finite_arcs` listed them before its all-finite
+    case took the whole grid: one flat scan split by `np.divmod`."""
+    finite = np.isfinite(entries)
+    return (*np.divmod(np.flatnonzero(finite), entries.shape[1]), entries[finite])
+
+
 def cost_with_mask(rng, shape, share):
     entries = np.round(rng.uniform(0.0, 5.0, size=shape), 1)
     entries[rng.random(shape) < share] = math.inf
@@ -343,15 +350,18 @@ def cost_with_mask(rng, shape, share):
 
 
 class TestFiniteArcsAreFlat:
-    """`finite_arcs` lists the cells the 2-D `np.nonzero` formula lists, bit for bit."""
+    """`finite_arcs` lists the cells the 2-D `np.nonzero` formula and the
+    flat `np.divmod` one list, bit for bit."""
 
     @staticmethod
     def assert_same_arcs(entries):
-        got, want = CostMatrix(entries).finite_arcs, nonzero_arcs(np.array(entries, float))
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and g.shape == w.shape
-            assert g.tobytes() == w.tobytes()
-            assert not g.flags.writeable
+        got = CostMatrix(entries).finite_arcs
+        entries = np.array(entries, float)
+        for want in (nonzero_arcs(entries), divmod_arcs(entries)):
+            for g, w in zip(got, want, strict=True):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+                assert not g.flags.writeable
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_masks(self, seed):
@@ -372,6 +382,18 @@ class TestFiniteArcsAreFlat:
         rng = np.random.default_rng(7)
         self.assert_same_arcs(cost_with_mask(rng, (300, 300), 0.2))
 
+    @pytest.mark.parametrize("n", [4, 5, 12, 13, 144])
+    def test_rotation_costs(self, n):
+        inst = make_instance(n)
+        if n % 2 == 0:
+            self.assert_same_arcs(ap_cost(inst).entries)
+        for k_max in sorted({0, 1, n // 2, n - 2, n - 1}):
+            self.assert_same_arcs(ex33_cost(inst, k_max).entries)
+
+    def test_fortran_ordered_entries(self):
+        entries = np.asfortranarray(cost_with_mask(np.random.default_rng(4), (7, 9), 0.0))
+        self.assert_same_arcs(entries)
+
 
 def old_cost_error(entries: np.ndarray):
     """The message the four-pass cost check raised, or None."""
@@ -389,7 +411,7 @@ def old_plan_error(mass: np.ndarray):
     if np.any(mass < 0):
         return "plan entries must be nonnegative"
     if float(mass.sum()) > 1.0 + 1e-9:
-        return f"plan mass {mass.sum()!r} exceeds 1"
+        return f"plan mass {float(mass.sum())!r} exceeds 1"
     return None
 
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -321,10 +322,26 @@ def per_row_oracle(mat, pad):
     return rows
 
 
-def oracle_dumps(monkeypatch, obj):
-    with monkeypatch.context() as patch:
-        patch.setattr(fileformats, "_format_float_rows", per_row_oracle)
-        return dumps_canonical(obj)
+def as_lists(obj):
+    """``obj`` with every numpy array turned into nested lists of Python numbers."""
+    if isinstance(obj, dict):
+        return {key: as_lists(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [as_lists(value) for value in obj]
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+
+def oracle_dumps(obj):
+    """The document as the writer lays out lists: one `_format_float` per value."""
+    return dumps_canonical(as_lists(obj))
+
+
+def writer_rows(mat, pad):
+    """The rows the writer gives a matrix whose brackets sit at ``pad``."""
+    arr = fileformats._FloatArray(mat, pad)
+    fileformats._format_arrays([arr])
+    arr.pieces()
+    return ["".join(row) if isinstance(row, tuple) else row for row in arr.rows]
 
 
 def planted_matrix(rng, shape, live_per_row, values=EDGE_FLOATS[1:]):
@@ -339,54 +356,54 @@ class TestMatrixSpliceMatchesPerRowWriter:
     """The matrix-level splice writes the bytes of the per-row writer it replaced."""
 
     @staticmethod
-    def assert_same_bytes(monkeypatch, mat):
+    def assert_same_bytes(mat):
         for indent in range(4):
             pad = "  " * indent
-            assert fileformats._format_float_rows(mat, pad) == per_row_oracle(mat, pad)
+            assert writer_rows(mat, pad) == per_row_oracle(mat, pad + "  ")
         for doc in (mat, {"m": mat}, {"a": {"m": [mat, mat[0]]}}):
-            assert dumps_canonical(doc) == oracle_dumps(monkeypatch, doc)
+            assert dumps_canonical(doc) == oracle_dumps(doc)
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (1, 300), (300, 1), (7, 5)])
     @pytest.mark.parametrize("share", [0.0, 0.1, 0.5, 1.0])
-    def test_shapes(self, monkeypatch, shape, share):
+    def test_shapes(self, shape, share):
         rng = np.random.default_rng(shape[0] * 1000 + shape[1])
         live = [int(round(share * shape[1]))] * shape[0]
-        self.assert_same_bytes(monkeypatch, planted_matrix(rng, shape, live))
+        self.assert_same_bytes(planted_matrix(rng, shape, live))
 
-    def test_no_nonzero_cell(self, monkeypatch):
+    def test_no_nonzero_cell(self):
         for mat in (np.zeros((4, 6)), np.zeros((1, 1)), np.zeros((3, 300))):
-            self.assert_same_bytes(monkeypatch, mat)
+            self.assert_same_bytes(mat)
 
-    def test_all_dense(self, monkeypatch):
+    def test_all_dense(self):
         rng = np.random.default_rng(2)
         mat = rng.uniform(-5.0, 5.0, (6, 40))
         mat[rng.random(mat.shape) < 0.2] = math.inf
-        self.assert_same_bytes(monkeypatch, mat)
-        self.assert_same_bytes(monkeypatch, np.array([EDGE_FLOATS[1:]] * 3))
+        self.assert_same_bytes(mat)
+        self.assert_same_bytes(np.array([EDGE_FLOATS[1:]] * 3))
 
     @pytest.mark.parametrize("width", [4, 8, 12, 300])
-    def test_rows_at_the_splice_share(self, monkeypatch, width):
+    def test_rows_at_the_splice_share(self, width):
         at = int(fileformats._SPLICE_SHARE * width)
         assert at == fileformats._SPLICE_SHARE * width
         live = [at - 1, at, at + 1, 0, at, at + 1, width, at]
-        self.assert_same_bytes(monkeypatch, planted_matrix(np.random.default_rng(width),
-                                                           (len(live), width), live))
+        self.assert_same_bytes(planted_matrix(np.random.default_rng(width),
+                                              (len(live), width), live))
 
     @pytest.mark.parametrize("value", [-0.0, math.inf, -math.inf, 5e-324, -5e-324,
                                        2.2250738585072009e-308, 1e17, -1e17, 2.0 ** 60,
                                        99999999999999984.0, 1e300, 0.5])
-    def test_edge_cells(self, monkeypatch, value):
+    def test_edge_cells(self, value):
         mat = np.zeros((5, 12))
         mat[0, 0] = mat[1, 11] = mat[2, 5] = mat[2, 6] = mat[4, [0, 3, 11]] = value
-        self.assert_same_bytes(monkeypatch, mat)
+        self.assert_same_bytes(mat)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_mixtures(self, monkeypatch, seed):
+    def test_random_mixtures(self, seed):
         rng = np.random.default_rng(seed)
         shape = tuple(int(v) for v in rng.integers(1, 60, size=2))
         live = rng.integers(0, shape[1] + 1, size=shape[0]) * (rng.random(shape[0]) < 0.7)
         values = np.concatenate([EDGE_FLOATS[1:], rng.normal(size=20) * 1e3])
-        self.assert_same_bytes(monkeypatch, planted_matrix(rng, shape, live, values))
+        self.assert_same_bytes(planted_matrix(rng, shape, live, values))
 
     def test_nan_raises(self):
         mat = np.zeros((3, 8))
@@ -395,15 +412,15 @@ class TestMatrixSpliceMatchesPerRowWriter:
             with pytest.raises(FileFormatError, match="NaN"):
                 dumps_canonical({"m": arr})
 
-    def test_ex33_result_file(self, monkeypatch):
+    def test_ex33_result_file(self):
         spec = InstanceSpec(kind="ex33", n=144, shift="auto-golden", seed=1)
         problem = materialize(spec)
         report = solve_primal(problem.cost, problem.mu, problem.nu)
         doc = fileformats.result_document("primal", instance_to_jsonable(spec), report)
         assert np.count_nonzero(doc["plan"]) == 144
-        assert fileformats.serialize_result(doc) == oracle_dumps(monkeypatch, doc)
+        assert fileformats.serialize_result(doc) == oracle_dumps(doc)
 
-    def test_explicit_result_file(self, monkeypatch):
+    def test_explicit_result_file(self):
         # the shape of a benchmark instance: n = 300, a fifth of the cost
         # forbidden off the support of a north-west-corner pi0
         rng = np.random.default_rng(1)
@@ -416,7 +433,107 @@ class TestMatrixSpliceMatchesPerRowWriter:
         problem = materialize(spec)
         report = solve_primal(problem.cost, problem.mu, problem.nu)
         doc = fileformats.result_document("primal", instance_to_jsonable(spec), report)
-        assert fileformats.serialize_result(doc) == oracle_dumps(monkeypatch, doc)
+        assert fileformats.serialize_result(doc) == oracle_dumps(doc)
+
+
+def formatter_texts(values) -> list:
+    values = np.asarray(values, dtype=float)
+    return fileformats._float_texts(values, np.ones(values.size, np.uint8)).split("\x01")[1:]
+
+
+def ulp_ladder(center: float, steps: int) -> list:
+    """``center`` and its ``steps`` float neighbours on each side."""
+    below, above = [center], [center]
+    for _ in range(steps):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+def decimal_ties() -> list:
+    """Floats v with v * 10**(16 - x) exactly halfway between two integers.
+
+    v = m / 2**(p + 1) with m odd and p = 16 - x puts the half at the
+    17th digit: v * 10**p = m * 5**p / 2.  m lies in [b, 10 b) with
+    b = 2**(p + 1) * 10**(16 - p), so that v has exponent x, and below
+    2**53, so that v is exact.
+    """
+    out = []
+    for p in range(1, 21):
+        base = 2.0 ** (p + 1) * 10.0 ** (16 - p)
+        for scale in (1, 1.5, 2.25, 3, 7, 9.75):
+            m = math.ceil(base * scale) | 1
+            if m < 2 ** 53:
+                out.append(math.ldexp(m, -(p + 1)))
+    return out
+
+
+@functools.cache
+def exactness_families() -> dict:
+    rng = np.random.default_rng(20)
+    bits = rng.integers(0, 2 ** 64, size=20000, dtype=np.uint64).view(np.float64)
+    subnormal_bits = rng.integers(1, 2 ** 52, size=500, dtype=np.uint64).view(np.float64)
+    powers = [10.0 ** k for k in range(-30, 31)]
+    families = {
+        "raw bit patterns": bits[~np.isnan(bits)].tolist(),
+        "decimal edges": [v for edge in (1e-5, 1e-4, 1e16, 1e17) for v in ulp_ladder(edge, 40)],
+        "powers of ten": [v for p in powers for v in ulp_ladder(p, 1)],
+        "ties": decimal_ties(),
+        "subnormals": subnormal_bits.tolist() + [5e-324, 2.2250738585072009e-308],
+        # m / 2**k has k fraction digits, so its 17 digits end in zeros
+        # from every group on
+        "dyadic": (rng.integers(1, 2 ** 20, size=20000).astype(float)
+                   * 2.0 ** -rng.integers(0, 24, size=20000)).tolist(),
+        "integral": [float(k) for k in range(-50, 51)] + [2.0 ** k for k in range(40, 60)]
+                    + [99999999999999984.0, 1e17 + 16, 2.0 ** 53 + 2],
+        "fixed texts": [0.0, -0.0, math.inf, -math.inf],
+        "benchmark cost": rng.uniform(0.0, 5.0, size=5000).tolist(),
+    }
+    return {name: values + [-v for v in values] for name, values in families.items()}
+
+
+class TestExactFormatter:
+    """`_float_texts` writes what `_format_float` writes, value by value."""
+
+    @pytest.mark.parametrize("family", sorted(exactness_families()))
+    def test_family(self, family):
+        values = exactness_families()[family]
+        assert formatter_texts(values) == [_format_float(v) for v in values]
+
+    def test_ties_are_ties(self):
+        from fractions import Fraction
+
+        for v in decimal_ties():
+            x = math.floor(math.log10(v))
+            assert (Fraction(v) * 10 ** (16 - x)).denominator == 2
+
+    def test_separators(self):
+        values = np.arange(6) * 0.25 - 2.0
+        seps = np.frombuffer(b"\x01,,\x02,\x01", dtype=np.uint8)
+        assert (fileformats._float_texts(values, seps)
+                == "\x01-2.0,-1.75,-1.5\x02-1.25,-1.0\x01-0.75")
+
+    def test_nan_raises(self):
+        for values in ([math.nan], [1.0, math.nan, math.inf], [0.0, -math.nan]):
+            with pytest.raises(FileFormatError, match="NaN"):
+                formatter_texts(values)
+
+    def test_working_set_of_a_dense_matrix(self):
+        # what writing the rows of a 300 x 300 cost allocates beyond their
+        # text: one block of cells at a time, not the matrix
+        import tracemalloc
+
+        rng = np.random.default_rng(1)
+        mat = rng.uniform(0.0, 5.0, (300, 300))
+        mat[rng.random(mat.shape) < 0.2] = math.inf
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rows = writer_rows(mat, "")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base - sum(map(len, rows)) < 1.5 * 2 ** 20
 
 
 class TestInstanceFiles:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mklab import (
     CostMatrix,
     InfeasibleError,
+    InvariantError,
     Marginal,
     MKLabError,
     PlanKind,
@@ -129,6 +130,20 @@ def test_non_finite_masses_rejected(supplies, demands):
     tails, heads = full_arcs(2, 2)
     with pytest.raises(MKLabError, match="finite"):
         solve_bipartite(supplies, demands, tails, heads, np.array([0.0, 1.0, 1.0, 0.0]))
+
+
+def test_cost_sum_that_overflows_the_penalty_is_refused():
+    # the penalty 3 * (1 + sum |c|) bounds every potential and reduced
+    # cost; past float64 the solve used to end in NaN and a false
+    # infeasibility
+    tails, heads = full_arcs(2, 2)
+    with pytest.raises(InvariantError, match=r"sum to 1\.7e\+308: .* overflows float64"):
+        solve_bipartite([0.5, 0.5], [0.5, 0.5], tails, heads, np.array([0.0, 1.7e308, 1.0, 0.0]))
+    # a finite penalty of 6e307 still overflows a reduced cost three times its size
+    with pytest.raises(InvariantError, match="overflows float64"):
+        solve_bipartite([0.5, 0.5], [0.5, 0.5], tails, heads, np.array([0.0, 2e307, 1.0, 0.0]))
+    res = solve_bipartite([0.5, 0.5], [0.5, 0.5], tails, heads, np.array([0.0, 1e307, 1.0, 0.0]))
+    assert res.flow.tolist() == [0.5, 0.0, 0.0, 0.5]
 
 
 def test_degenerate_zero_mass_instance(rng):

@@ -174,6 +174,20 @@ class TestApCost:
             assert transport_cost(c, mix) == pytest.approx(1.0, abs=1e-12)
 
 
+def scattered_level_matrix(inst, k_max):
+    """`level_matrix` as it was built for every k_max: an all-infinite
+    matrix with each graph's levels written in through its columns."""
+    levels = birkhoff_levels(inst, k_max)
+    out = np.full((inst.n, inst.n), math.inf)
+    out[np.arange(inst.n), (np.arange(inst.n) + np.arange(k_max + 1)[:, None] * inst.shift)
+        % inst.n] = levels
+    return out
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestLevelMatrix:
     def test_diagonal_is_one(self):
         lm = level_matrix(make_instance(8, 3), 0)
@@ -197,6 +211,17 @@ class TestLevelMatrix:
                 for t in range(k):
                     expected += 1 if 2 * ((i + t * 5) % 12) < 12 else -1
                 assert lm[i, j] == expected
+
+    @pytest.mark.parametrize("n, shift", [(4, 1), (4, 3), (5, 2), (8, 3), (9, 4), (12, 5),
+                                          (13, None), (144, None), (145, None), (192, None)])
+    def test_matches_the_scattered_build(self, n, shift):
+        inst = make_instance(n, shift)
+        for k_max in sorted({0, 1, 2, n // 2, n - 2, n - 1}):
+            want = scattered_level_matrix(inst, k_max)
+            assert same_bits(level_matrix(inst, k_max), want)
+            assert same_bits(ex33_cost(inst, k_max).entries, np.maximum(want, 0.0))
+        if n % 2 == 0:
+            assert same_bits(ap_cost(inst).entries, scattered_level_matrix(inst, 1))
 
     def test_k_max_bounds(self):
         inst = make_instance(8, 3)

@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ("budget_dual_study.py", ["--n", "12"]),
     ("rotation_value_study.py", ["--sizes", "12,13"]),
     ("engine_scaling.py", ["--sizes", "12,13"]),
+    ("write_scaling.py", ["--sizes", "12,13", "--repeat", "2"]),
 ])
 def test_script_exits_zero(script, args):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
