@@ -16,7 +16,6 @@ import numpy as np
 from mklab import (
     ap_cost,
     make_instance,
-    mixture_plan,
     relaxed_dual_sweep,
     shift_graph_plan,
     solve_restricted_primal,
@@ -36,8 +35,7 @@ def main() -> int:
     inst = make_instance(args.n, args.shift)
     cost = ap_cost(inst)
     mu = uniform_marginal(inst)
-    pi_half = mixture_plan(
-        [shift_graph_plan(inst, 0), shift_graph_plan(inst, 1)], [0.5, 0.5])
+    pi_half = shift_graph_plan(inst, 0, 1)
     restricted = solve_restricted_primal(cost, pi_half).primal_value
     print(f"n={inst.n} shift={inst.shift} restricted value={restricted:.9f}")
 

@@ -109,7 +109,7 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
 def _solve(args: argparse.Namespace) -> tuple[InstanceSpec, DualityReport]:
     """Load the instance and solve the problem that ``--problem`` names on it."""
     spec, problem = _load_problem(args.instance)
-    name, _, param = args.problem.partition(":")
+    name, colon, param = args.problem.partition(":")
     eps = None
     if name in ("partial", "relaxed-dual"):
         if not param:
@@ -118,7 +118,7 @@ def _solve(args: argparse.Namespace) -> tuple[InstanceSpec, DualityReport]:
             eps = float(param)
         except ValueError as exc:
             raise UsageError(f"bad epsilon {param!r}") from exc
-    elif param:
+    elif colon:
         raise UsageError(f"problem {name} takes no parameter")
 
     if name == "primal":
@@ -211,6 +211,8 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     rows: list[list[str]] = []
 
     if args.diag == "ccm":
+        if args.grid is not None:
+            raise UsageError("the ccm diagnostic takes no --grid")
         report = solvers.solve_primal(problem.cost, problem.mu, problem.nu)
         result = check_strong_ccm(problem.cost, report.optimal_plan,
                                   report.optimal_potentials, LP_TOL)
@@ -260,6 +262,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.seed is not None and args.seed < 0:
         raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     if args.kind == "explicit":
+        if args.shift is not None or args.k_max is not None:
+            raise UsageError("--shift and --k-max apply to ap and ex33 instances only")
         if args.seed is not None:
             size = 4 if args.n is None else args.n
             if not 1 <= size <= MAX_SIDE:
@@ -281,7 +285,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if args.n is None:
             raise UsageError(f"gen --kind {args.kind} needs --n")
         shift: object = args.shift
-        if shift != AUTO_SHIFT:
+        if shift not in (None, AUTO_SHIFT):
             try:
                 shift = int(shift)
             except ValueError as exc:
@@ -332,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="write a template instance file")
     gen.add_argument("--kind", required=True, choices=list(fileformats.KINDS))
     gen.add_argument("--n", type=int)
-    gen.add_argument("--shift", default=AUTO_SHIFT, help=f'integer or "{AUTO_SHIFT}"')
+    gen.add_argument("--shift", help=f'integer or "{AUTO_SHIFT}" (the default)')
     gen.add_argument("--k-max", type=int, dest="k_max")
     gen.add_argument("--seed", type=int)
     gen.add_argument("--out")

@@ -3,11 +3,17 @@
 The test oracle for the network engine: it shares no code with it, so
 the tests solve the coupling program, the partial program and the
 budgeted relaxed dual in their own LP forms here and compare.  No
-solver in the package imports it.  Variables are
-nonnegative; rows carry "le", "ge" or "eq" sense.  Pricing is Dantzig
-with a Bland fallback after a run of degenerate pivots; row duals are
-recovered from the initial identity columns, so the caller gets exact
-LP multipliers without a separate factorization.
+solver in the package imports it.  Variables are nonnegative; rows
+carry "le", "ge" or "eq" sense and a nonnegative right-hand side.
+
+Both phases pivot by Bland's smallest-index rule (Bland, Math. Oper.
+Res. 2, 1977): the entering column is the lowest-indexed one with a
+negative reduced cost, and among the rows tied in the ratio test the
+one whose basic column has the lowest index leaves.  No basis then
+repeats, so each phase ends after finitely many pivots without any
+anti-cycling threshold.  Row duals are recovered from the initial
+identity columns, so the caller gets exact LP multipliers without a
+separate factorization.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import numpy as np
 
 from .core import (
     InfeasibleError,
+    InvariantError,
     IterationLimitError,
     MKLabError,
     ShapeError,
@@ -26,17 +33,11 @@ from .core import (
 
 _PIVOT_TOL = 1e-11
 _RATIO_TIE_TOL = 1e-12
-_DEGENERATE_TOL = 1e-12
 
 #: Phase-1 residual above which the program is infeasible, and the most
 #: negative reduced cost treated as zero.
-FEASIBILITY_TOL = 1e-9
-OPTIMALITY_TOL = 1e-9
+TOL = 1e-9
 MAX_ITERATIONS = 10 ** 6
-
-#: Bland's rule engages after this many consecutive degenerate pivots
-#: per tableau dimension (rows + columns).
-BLAND_AFTER_DEGENERATE = 10
 
 SENSES = ("le", "ge", "eq")
 
@@ -51,11 +52,11 @@ class DenseResult:
 
 
 def solve_dense(objective, lhs, senses, rhs) -> DenseResult:
-    """Minimize objective @ x subject to lhs x (senses) rhs, x >= 0.
+    """Minimize objective @ x subject to lhs x (senses) rhs, x >= 0, rhs >= 0.
 
     Returns the optimizer, the optimal value, and one dual multiplier per
-    row in the original row orientation (for a minimum problem the duals
-    satisfy objective - lhs.T @ y >= -OPTIMALITY_TOL componentwise).
+    row (for a minimum problem the duals satisfy
+    objective - lhs.T @ y >= -TOL componentwise).
     """
     c = np.asarray(objective, dtype=float).copy()
     a = np.asarray(lhs, dtype=float).copy()
@@ -68,16 +69,8 @@ def solve_dense(objective, lhs, senses, rhs) -> DenseResult:
     sense = list(senses)
     if len(sense) != n_rows or any(s not in SENSES for s in sense):
         raise ShapeError("one sense per row, each in {'le','ge','eq'}")
-
-    # Canonicalize to b >= 0; a flipped inequality swaps its sense.
-    flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-    for i in np.flatnonzero(flip):
-        if sense[i] == "le":
-            sense[i] = "ge"
-        elif sense[i] == "ge":
-            sense[i] = "le"
+    if np.any(b < 0):
+        raise InvariantError("right-hand side must be nonnegative")
 
     n_slack = sum(s != "eq" for s in sense)
     n_art = sum(s != "le" for s in sense)
@@ -113,28 +106,21 @@ def solve_dense(objective, lhs, senses, rhs) -> DenseResult:
             id_col[i] = art_col
             art_col += 1
 
-    cost2 = np.zeros(n_cols + 1)
-    cost2[:n_vars] = c
-    cost1 = np.zeros(n_cols + 1)
-    cost1[:n_cols][is_art] = 1.0
-
-    # Reduced-cost rows, canonicalized against the starting basis.
-    z2 = cost2.copy()
-    z1 = cost1.copy()
-    for i in range(n_rows):
-        if cost1[basis[i]] != 0.0:
-            z1 -= cost1[basis[i]] * tab[i]
-        if cost2[basis[i]] != 0.0:
-            z2 -= cost2[basis[i]] * tab[i]
+    # Reduced-cost rows against the starting basis.  Every starting basic
+    # column is a slack or an artificial with phase-2 cost 0, so only the
+    # phase-1 row needs its basic (artificial) columns priced out.
+    z2 = np.zeros(n_cols + 1)
+    z2[:n_vars] = c
+    z1 = np.zeros(n_cols + 1)
+    z1[:n_cols][is_art] = 1.0
+    for i in np.flatnonzero(is_art[basis]):
+        z1 -= tab[i]
 
     basic_mask = np.zeros(n_cols, dtype=bool)
     basic_mask[basis] = True
 
     iterations = 0
     pivots = 0
-    degenerate_run = 0
-    bland = False
-    bland_threshold = BLAND_AFTER_DEGENERATE * (n_rows + n_cols)
 
     def do_pivot(row: int, column: int) -> None:
         nonlocal pivots
@@ -151,21 +137,15 @@ def solve_dense(objective, lhs, senses, rhs) -> DenseResult:
         pivots += 1
 
     def run_phase(z: np.ndarray, allowed: np.ndarray) -> None:
-        nonlocal iterations, degenerate_run, bland
+        nonlocal iterations
         while True:
             if iterations >= MAX_ITERATIONS:
                 raise IterationLimitError(f"simplex exceeded {MAX_ITERATIONS} iterations")
             iterations += 1
-            reduced = np.where(allowed & ~basic_mask, z[:n_cols], np.inf)
-            if bland:
-                cands = np.flatnonzero(reduced < -OPTIMALITY_TOL)
-                if cands.size == 0:
-                    return
-                entering = int(cands[0])
-            else:
-                entering = int(np.argmin(reduced))
-                if reduced[entering] >= -OPTIMALITY_TOL:
-                    return
+            cands = np.flatnonzero(allowed & ~basic_mask & (z[:n_cols] < -TOL))
+            if cands.size == 0:
+                return
+            entering = int(cands[0])
             column = tab[:, entering]
             pos = column > _PIVOT_TOL
             if not pos.any():
@@ -173,22 +153,14 @@ def solve_dense(objective, lhs, senses, rhs) -> DenseResult:
             ratios = np.where(pos, tab[:, n_cols] / np.where(pos, column, 1.0), np.inf)
             rmin = float(ratios.min())
             ties = np.flatnonzero(ratios <= rmin + _RATIO_TIE_TOL * (1.0 + rmin))
-            leaving = int(ties[np.argmin(basis[ties])])
-            do_pivot(leaving, entering)
-            if rmin <= _DEGENERATE_TOL:
-                degenerate_run += 1
-                if degenerate_run > bland_threshold:
-                    bland = True
-            else:
-                degenerate_run = 0
-                bland = False
+            do_pivot(int(ties[np.argmin(basis[ties])]), entering)
 
     allowed = ~is_art
     if is_art.any():
         run_phase(z1, allowed)
         infeas = float(np.sum(tab[is_art[basis], n_cols]))
-        if infeas > FEASIBILITY_TOL:
-            raise InfeasibleError(f"phase-1 residual {infeas:.3e} exceeds {FEASIBILITY_TOL:.1e}")
+        if infeas > TOL:
+            raise InfeasibleError(f"phase-1 residual {infeas:.3e} exceeds {TOL:.1e}")
         # Drive basic artificials out; rows with no eligible column are
         # redundant and keep a zero-valued artificial harmlessly.
         for i in range(n_rows):
@@ -215,6 +187,5 @@ def solve_dense(objective, lhs, senses, rhs) -> DenseResult:
     # for a +e_i column with zero phase-2 cost, z2 = -y_i; the surplus
     # column of a "ge" row is -e_i, but those rows carry an artificial
     # which is used instead, so the +e_i formula applies throughout.
-    y = -z2[id_col]
-    y[flip] *= -1.0
-    return DenseResult(x=x, value=value, duals=y, iterations=iterations, pivots=pivots)
+    return DenseResult(x=x, value=value, duals=-z2[id_col], iterations=iterations,
+                       pivots=pivots)

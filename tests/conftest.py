@@ -60,21 +60,28 @@ def shuffled_coupling(rng: np.random.Generator, mu: Marginal, nu: Marginal) -> T
     return TransportPlan(mass, PlanKind.EXACT)
 
 
-def dense_coupling(cost: CostMatrix, mu: Marginal, nu: Marginal) -> DenseResult:
-    """The coupling program in equality form on the dense tableau.
+def dense_transport(m: int, n: int, tails: np.ndarray, heads: np.ndarray,
+                    costs: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> DenseResult:
+    """The transportation program over the arcs (tails[k], heads[k]) of
+    cost costs[k], in equality form on the dense tableau.
 
-    ``value`` is the optimum and ``duals`` are the row multipliers, phi
-    then psi.  This engine shares no code with the network simplex, so it
-    is the second engine for cross-checks.
+    ``duals`` are the row multipliers, the m source ones then the n sink
+    ones.  This engine shares no code with the network simplex, so it is
+    the second engine for cross-checks.
     """
+    cols = np.arange(costs.size)
+    lhs = np.zeros((m + n, costs.size))
+    lhs[tails, cols] = 1.0
+    lhs[m + heads, cols] = 1.0
+    return solve_dense(costs, lhs, ["eq"] * (m + n), np.concatenate([mu, nu]))
+
+
+def dense_coupling(cost: CostMatrix, mu: Marginal, nu: Marginal) -> DenseResult:
+    """The coupling program over the finite cells of ``cost``; ``value`` is
+    the optimum and ``duals`` are phi then psi."""
     tails, heads = np.nonzero(cost.finite_mask)
-    m, n = cost.shape
-    k = tails.size
-    lhs = np.zeros((m + n, k))
-    lhs[tails, np.arange(k)] = 1.0
-    lhs[m + heads, np.arange(k)] = 1.0
-    return solve_dense(cost.entries[tails, heads], lhs, ["eq"] * (m + n),
-                       np.concatenate([mu.weights, nu.weights]))
+    return dense_transport(*cost.shape, tails, heads, cost.entries[tails, heads],
+                           mu.weights, nu.weights)
 
 
 def dense_relaxed_dual(cost: CostMatrix, mu: Marginal, nu: Marginal,

@@ -8,6 +8,7 @@ import pytest
 from mklab import cli, fileformats, network_simplex, solvers
 from mklab.cli import _fmt, main
 from mklab.core import MAX_SIDE, InvariantError
+from mklab.diagnostics import singular_mass_estimate
 from mklab.fileformats import (
     FileFormatError,
     dumps_canonical,
@@ -131,6 +132,64 @@ class TestSolve:
     def test_bad_problem_name(self, explicit_instance):
         assert main(["solve", explicit_instance, "--problem", "dual:0.3"]) == 1
         assert main(["solve", explicit_instance, "--problem", "wat"]) == 1
+
+    @pytest.mark.parametrize("problem", ["primal:", "dual:", "restricted:"])
+    def test_empty_parameter_is_still_a_parameter(self, explicit_instance, tmp_path, capsys,
+                                                  problem):
+        out = tmp_path / "res.json"
+        assert main(["solve", explicit_instance, "--problem", problem,
+                     "--out", str(out)]) == 1
+        name = problem.rstrip(":")
+        assert capsys.readouterr().err == f"usage error: problem {name} takes no parameter\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("problem,message", [
+        ("partial", "usage error: problem partial needs a parameter, e.g. partial:0.1"),
+        ("partial:", "usage error: problem partial needs a parameter, e.g. partial:0.1"),
+        ("partial:abc", "usage error: bad epsilon 'abc'"),
+        ("partial:1.5", "error: eps must lie in [0, 1], got 1.5")])
+    def test_bad_partial_parameter(self, explicit_instance, tmp_path, capsys, problem,
+                                   message):
+        out = tmp_path / "res.json"
+        assert main(["solve", explicit_instance, "--problem", problem,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
+    def test_out_into_a_missing_directory(self, explicit_instance, tmp_path, capsys):
+        out = tmp_path / "missing" / "res.json"
+        assert main(["solve", explicit_instance, "--problem", "primal",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("i/o error: [Errno 2] No such file")
+        assert not out.parent.exists()
+
+    def test_reference_plan_must_carry_mass_one(self, tmp_path, capsys):
+        inst = write_instance(tmp_path / "halfref.json",
+                              {"schema_version": 1, "kind": "explicit",
+                               "cost": [[0.0, 1.0], [1.0, 0.0]],
+                               "mu": [0.5, 0.5], "nu": [0.5, 0.5],
+                               "pi0": [[0.25, 0.0], [0.0, 0.25]]})
+        assert main(["solve", inst, "--problem", "restricted"]) == 1
+        assert capsys.readouterr().err == "error: reference plan must carry total mass 1\n"
+
+    @pytest.mark.parametrize("kind,field,value,message", [
+        ("ap", "n", 12.0, "n must be an integer"),
+        ("ap", "n", "12", "n must be an integer"),
+        ("ap", "shift", 2.5, 'shift must be an integer or "auto-golden"'),
+        ("ex33", "shift", True, 'shift must be an integer or "auto-golden"'),
+        ("ap", "k_max", 3.0, "k_max must be an integer"),
+        ("ex33", "k_max", "5", "k_max must be an integer"),
+        ("ap", "k_max", 12, "k_max must lie in [1, 11]"),
+        ("ap", "k_max", 0, "k_max must lie in [1, 11]"),
+        ("ex33", "k_max", 12, "k_max must lie in [0, 11]"),
+        ("ex33", "k_max", -1, "k_max must lie in [0, 11]")])
+    def test_bad_rotation_instance_field(self, tmp_path, capsys, kind, field, value,
+                                         message):
+        doc = {"schema_version": 1, "kind": kind, "n": 12, "shift": "auto-golden"}
+        doc[field] = value
+        inst = write_instance(tmp_path / "bad.json", doc)
+        assert main(["solve", inst, "--problem", "primal"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestDeterminism:
@@ -276,6 +335,21 @@ class TestSweep:
         assert main(["sweep", explicit_instance, "--sweep", "epsilon-primal",
                      "--grid", "0.001,0.1", "--out", str(tmp_path / "x.csv")]) == 1
 
+    def test_grid_of_non_numbers(self, ap_instance, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["sweep", ap_instance, "--sweep", "epsilon-dual",
+                     "--grid", "0.1,abc", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: bad grid '0.1,abc': could not convert string to float: 'abc'\n")
+        assert not out.exists()
+
+    def test_n_scaling_needs_a_rotation_instance(self, explicit_instance, tmp_path, capsys):
+        out = tmp_path / "scale.csv"
+        assert main(["sweep", explicit_instance, "--sweep", "n-scaling",
+                     "--grid", "8,12", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "usage error: n-scaling needs an ap or ex33 instance\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["8.9,12.2", "8,12.5", "4.0000001,8"])
     def test_n_scaling_rejects_non_integer_sizes(self, ap_instance, tmp_path, capsys, grid):
         out = tmp_path / "scale.csv"
@@ -368,6 +442,13 @@ class TestDiagnose:
         rows = list(csv.DictReader(out.open()))
         assert rows[0]["passed"] == "true"
 
+    def test_ccm_takes_no_grid(self, explicit_instance, tmp_path, capsys):
+        out = tmp_path / "ccm.csv"
+        assert main(["diagnose", explicit_instance, "--diag", "ccm",
+                     "--grid", "0.1,banana", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "usage error: the ccm diagnostic takes no --grid\n"
+        assert not out.exists()
+
     def test_bound_table_all_pass(self, ap_instance, tmp_path):
         out = tmp_path / "bound.csv"
         assert main(["diagnose", ap_instance, "--diag", "bound",
@@ -417,6 +498,22 @@ class TestDiagnose:
         kinds = {r["record"] for r in rows}
         assert {"l1_distance", "positive_part", "small_set", "estimate"} <= kinds
 
+    def test_singular_on_ap_measures_against_the_cost(self, ap_instance, tmp_path):
+        out = tmp_path / "singular.csv"
+        assert main(["diagnose", ap_instance, "--diag", "singular",
+                     "--out", str(out)]) == 0
+        p = load_problem(ap_instance)
+        pots = solvers.dual_sequence(p.cost, p.mu, p.nu, p.reference_plan,
+                                     cli.DEFAULT_SINGULAR_EPS)
+        diag = singular_mass_estimate(p.reference_plan, pots, p.cost.entries,
+                                      cli.DEFAULT_DELTAS)
+        rows = [(r["record"], r["value"]) for r in csv.DictReader(out.open())]
+        assert rows == (
+            [("l1_distance", _fmt(v)) for v in diag.l1_distances_to_limit]
+            + [("positive_part", _fmt(v)) for v in diag.positive_part_norms]
+            + [("small_set", _fmt(v)) for _, v in diag.small_set_profile]
+            + [("estimate", _fmt(diag.singular_mass_estimate))])
+
     @pytest.mark.parametrize("grid", ["0.5,nan", "inf,0.5", "0.5,-inf"])
     def test_singular_rejects_non_finite_deltas(self, tmp_path, capsys, grid):
         inst = write_instance(tmp_path / "ex33.json",
@@ -450,6 +547,7 @@ class TestGen:
     def test_gen_ap_then_solve(self, tmp_path):
         inst = tmp_path / "gen.json"
         assert main(["gen", "--kind", "ap", "--n", "8", "--out", str(inst)]) == 0
+        assert parse_instance(inst.read_text()).shift == "auto-golden"
         out = tmp_path / "res.json"
         assert main(["solve", str(inst), "--problem", "primal", "--out", str(out)]) == 0
         assert parse_result(out.read_text())["primal_value"] == pytest.approx(1.0)
@@ -511,6 +609,16 @@ class TestGen:
 
     def test_gen_needs_n_for_rotation(self):
         assert main(["gen", "--kind", "ex33"]) == 1
+
+    @pytest.mark.parametrize("flags", [["--shift", "5"], ["--k-max", "7"],
+                                       ["--k-max", "7", "--shift", "5"]])
+    def test_gen_explicit_rejects_rotation_flags(self, tmp_path, capsys, flags):
+        out = tmp_path / "rand.json"
+        assert main(["gen", "--kind", "explicit", "--seed", "1", "--n", "3", *flags,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: --shift and --k-max apply to ap and ex33 instances only\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("shift", ["abc", "2.5"])
     def test_gen_non_integer_shift_is_a_usage_error(self, tmp_path, capsys, shift):

@@ -29,10 +29,9 @@ from mklab import (
     network_simplex,
     uniform_marginal,
 )
-from mklab.dense_simplex import solve_dense
 from mklab.network_simplex import _blocks, _matched_pairs, solve_bipartite
 
-from conftest import dense_coupling, nw_corner
+from conftest import dense_coupling, dense_transport, nw_corner
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -40,14 +39,6 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 def full_arcs(m, n):
     tails, heads = np.divmod(np.arange(m * n), n)
     return tails, heads
-
-
-def dense_value(m, n, tails, heads, costs, mu, nu):
-    cols = np.arange(costs.size)
-    lhs = np.zeros((m + n, costs.size))
-    lhs[tails, cols] = 1.0
-    lhs[m + heads, cols] = 1.0
-    return solve_dense(costs, lhs, ["eq"] * (m + n), np.concatenate([mu, nu])).value
 
 
 def assert_potentials_feasible_and_tight(res, tails, heads, costs):
@@ -157,7 +148,7 @@ def test_degenerate_zero_mass_instance(rng):
     res = solve_bipartite(mu, mu, tails, heads, costs)
     assert_potentials_feasible_and_tight(res, tails, heads, costs)
     assert res.flow @ costs == pytest.approx(
-        dense_value(5, 5, tails, heads, costs, mu, mu), abs=1e-9)
+        dense_transport(5, 5, tails, heads, costs, mu, mu).value, abs=1e-9)
 
 
 def test_matches_dense_engine(rng):
@@ -182,7 +173,7 @@ def test_matches_dense_engine(rng):
             net = solve_bipartite(mu, nu, tails, heads, costs)
             assert_potentials_feasible_and_tight(net, tails, heads, costs)
             assert net.flow @ costs == pytest.approx(
-                dense_value(m, n, tails, heads, costs, mu, nu), abs=1e-7)
+                dense_transport(m, n, tails, heads, costs, mu, nu).value, abs=1e-7)
 
 
 def test_arc_order_does_not_matter(rng):

@@ -1,5 +1,5 @@
-"""Every name a package module imports is used in that module, every
-module-level private name (`_name`) a module defines is read in it, and
+"""Every name a package module or script imports is used in that file,
+every module-level private name (`_name`) it defines is read in it, and
 every parameter of a function is read in its body."""
 
 import ast
@@ -9,8 +9,9 @@ import pytest
 
 import mklab
 
-MODULES = sorted(p for p in Path(mklab.__file__).parent.glob("*.py")
+SOURCES = sorted(p for p in Path(mklab.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+SOURCES += sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -88,16 +89,16 @@ def test_the_guard_sees_an_unread_parameter():
         "m(y) (line 4)", "<lambda>(w) (line 11)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unread_private_names(path):
     assert _unread_private_names(path.read_text(encoding="utf-8")) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unread_parameters(path):
     assert _unread_parameters(path.read_text(encoding="utf-8")) == []
