@@ -106,11 +106,16 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
 # solve
 
 
-def _solve(args: argparse.Namespace) -> tuple[InstanceSpec, DualityReport]:
-    """Load the instance and solve the problem that ``--problem`` names on it."""
+def _solve(args: argparse.Namespace) -> tuple[InstanceSpec, str, DualityReport]:
+    """Load the instance and solve the problem that ``--problem`` names on it.
+
+    Also returns the problem's canonical spelling, with the parameter as
+    the shortest repr of its float, so that one program has one name.
+    """
     spec, problem = _load_problem(args.instance)
     name, colon, param = args.problem.partition(":")
     eps = None
+    canonical = name
     if name in ("partial", "relaxed-dual"):
         if not param:
             raise UsageError(f"problem {name} needs a parameter, e.g. {name}:0.1")
@@ -118,6 +123,7 @@ def _solve(args: argparse.Namespace) -> tuple[InstanceSpec, DualityReport]:
             eps = float(param)
         except ValueError as exc:
             raise UsageError(f"bad epsilon {param!r}") from exc
+        canonical = f"{name}:{eps!r}"
     elif colon:
         raise UsageError(f"problem {name} takes no parameter")
 
@@ -134,17 +140,17 @@ def _solve(args: argparse.Namespace) -> tuple[InstanceSpec, DualityReport]:
             problem.cost, problem.mu, problem.nu, _reference_plan(problem), eps)
     else:
         raise UsageError(f"unknown problem {args.problem!r}")
-    return spec, report
+    return spec, canonical, report
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     # the problem, its cost and its arcs are freed before the result is written
-    spec, report = _solve(args)
+    spec, name, report = _solve(args)
     if args.out:
         doc = fileformats.result_document(
-            args.problem, fileformats.instance_to_jsonable(spec), report)
+            name, fileformats.instance_to_jsonable(spec), report)
         _write_text(args.out, fileformats.serialize_result(doc))
-    print(f"problem        {args.problem}")
+    print(f"problem        {name}")
     print(f"primal value   {_fmt(report.primal_value)}")
     print(f"dual value     {_fmt(report.dual_value)}")
     print(f"gap            {_fmt(report.gap)}")

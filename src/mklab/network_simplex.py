@@ -49,7 +49,10 @@ models) most nodes begin matched, and most of the pivots that the plain
 star spends pushing artificial flow out are saved.  Without equal masses the start
 is the plain star.  Only equal masses are matched: hanging sinks of
 any mass below cheap sources makes each re-hang larger, which costs
-more than the pivots it saves.
+more than the pivots it saves.  The walk sorts the arcs by cost,
+stably: when every cost is an integer in the int16 range, as in the
+rotation models, it sorts an exact int16 key, which numpy radix-sorts
+into the same order as the float sort it otherwise runs.
 """
 
 from __future__ import annotations
@@ -88,6 +91,12 @@ _FINE_RATIO, _FINE_SHARE = 4, 0.01
 #: The matched start walks the cost-sorted arcs this many at a time.
 _MATCH_CHUNK = 4096
 
+#: The real arcs are gathered into scattered order this many slots at a time.
+_SCATTER_BLOCK = 8192
+
+#: Start costs that are all integers in this range sort by an int16 key.
+_INT16 = np.iinfo(np.int16)
+
 
 @dataclass(frozen=True)
 class BipartiteFlow:
@@ -118,15 +127,33 @@ def _blocks(g_cost, g_tail, g_head, e_real: int, step: int) -> list[tuple]:
     return [(lo, g_cost[lo:hi], g_tail[lo:hi], g_head[lo:hi]) for lo, hi in bounds]
 
 
+def _cost_order(costs) -> np.ndarray:
+    """Stable argsort of the costs, by an exact int16 key when they are all
+    integers in its range: numpy radix-sorts such a key, into the same
+    permutation as the float sort."""
+    if costs.size and _INT16.min <= costs.min() and costs.max() <= _INT16.max:
+        key = costs.astype(np.int16)
+        if (key == costs).all():
+            return np.argsort(key, kind="stable")
+    return np.argsort(costs, kind="stable")
+
+
 def _matched_pairs(supplies, demands, tails, heads, costs) -> list[tuple[int, int, int]]:
     """Greedy (arc, source, sink) pairs of equal positive mass, cheapest arcs first.
 
     Each arc whose ends carry the same positive mass and are both still
     unmatched joins them; ties in cost keep the input order.
     """
-    mass = supplies[tails]
-    candidates = np.flatnonzero((mass > 0) & (mass == demands[heads]))
-    by_cost = candidates[np.argsort(costs[candidates], kind="stable")]
+    value = supplies[:1]
+    if value.size and value[0] > 0 and (supplies == value).all() and (demands == value).all():
+        # one mass everywhere: every arc is a candidate
+        by_cost = _cost_order(costs)
+    elif set(supplies[supplies > 0].tolist()).isdisjoint(demands.tolist()):
+        return []
+    else:
+        mass = supplies[tails]
+        candidates = np.flatnonzero((mass > 0) & (mass == demands[heads]))
+        by_cost = candidates[_cost_order(costs[candidates])]
     # the arrays screen a chunk at once; their list copies answer the
     # per-arc checks inside it
     src_free, snk_free = np.ones(supplies.size, bool), np.ones(demands.size, bool)
@@ -170,18 +197,11 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
     if not np.all(np.isfinite(costs)):
         raise MKLabError("arc costs must be finite (forbidden pairs are deleted, not priced)")
 
-    # Real arcs are stored in scattered order.  Artificial arc e_real + v
-    # joins node v to the root, pointing down only to a sink with demand,
-    # so that every artificial arc without flow points up.
-    root = m + n
-    stride = _scattered_stride(e_real)
-    order = np.arange(e_real, dtype=np.int64) * stride % max(e_real, 1)
-    sinks = np.arange(n) + m
-    sink_down = demands > 0
-    g_tail = np.concatenate([tails[order], np.arange(m), np.where(sink_down, root, sinks)])
-    g_head = np.concatenate([heads[order] + m, np.full(m, root), np.where(sink_down, sinks, root)])
+    n_arcs = e_real + m + n
+    g_cost = np.empty(n_arcs)
+    # the real slots hold |cost| until the gather below fills them
     with np.errstate(over="ignore"):
-        cost_sum = float(np.sum(np.abs(costs)))
+        cost_sum = float(np.sum(np.abs(costs, out=g_cost[:e_real])))
     penalty = 3.0 * (1.0 + cost_sum)
     # a potential is at most 4/3 of the penalty in size and a reduced cost
     # at most 3 times it, so all stay finite when 4 * penalty does
@@ -189,10 +209,29 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
         raise InvariantError(
             f"arc costs sum to {cost_sum:.6g}: the artificial-arc penalty 3 * (1 + sum |c|) "
             "overflows float64 in the engine's potentials")
-    # A real arc in the basis is priced at +inf, so that no scan enters it;
-    # artificial arcs are never priced.
-    g_cost = np.concatenate([costs[order], np.full(m + n, penalty)])
-    n_arcs = e_real + m + n
+
+    # Real arcs are stored in scattered order.  Artificial arc e_real + v
+    # joins node v to the root, pointing down only to a sink with demand,
+    # so that every artificial arc without flow points up.  A real arc in
+    # the basis is priced at +inf, so that no scan enters it; artificial
+    # arcs are never priced.
+    root = m + n
+    stride = _scattered_stride(e_real)
+    g_tail, g_head = np.empty(n_arcs, dtype=int), np.empty(n_arcs, dtype=int)
+    # a block of slots at a time, so that no scratch array grows with the arcs
+    for lo in range(0, e_real, _SCATTER_BLOCK):
+        hi = min(lo + _SCATTER_BLOCK, e_real)
+        ids = np.arange(lo, hi, dtype=np.int64)
+        ids *= stride
+        ids %= e_real
+        g_tail[lo:hi], g_head[lo:hi], g_cost[lo:hi] = tails[ids], heads[ids], costs[ids]
+    g_head[:e_real] += m
+    sink_down = demands > 0
+    sinks = np.arange(m, root)
+    g_tail[e_real:e_real + m], g_head[e_real:e_real + m] = np.arange(m), root
+    g_tail[e_real + m:] = np.where(sink_down, root, sinks)
+    g_head[e_real + m:] = np.where(sink_down, sinks, root)
+    g_cost[e_real:] = penalty
 
     # The tree, per node: up[v] says that the arc to the parent points from
     # v to it, and arc_cost and flow belong to that arc; children[v] is a
@@ -344,21 +383,22 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
     for v in sorted(range(root), key=depth.__getitem__, reverse=True):
         basic_flow[v] = excess[v] if up[v] else -excess[v]
         excess[parent[v]] += excess[v]
-    flow_exact = np.zeros(n_arcs)
-    flow_exact[parent_arc[:root]] = basic_flow
-    # written so that a NaN fails them
+    basic_arc, basic = np.array(parent_arc[:root], dtype=int), np.array(basic_flow)
+    # written so that a NaN fails them; an arc out of the basis carries 0
     if not abs(excess[root]) <= tol:
         raise MKLabError("flow conservation failed at the root")  # pragma: no cover
-    if not float(np.min(flow_exact)) >= -tol:
+    if not float(np.min(basic, initial=0.0)) >= -tol:
         raise MKLabError("negative basic flow after recomputation")  # pragma: no cover
-    np.clip(flow_exact, 0.0, None, out=flow_exact)
+    np.clip(basic, 0.0, None, out=basic)
     # An unshipped unit crosses two artificial arcs, up into the root and
     # down out of it, so half the artificial flow is the mass not shipped.
-    if 0.5 * float(np.sum(flow_exact[e_real:])) > tol:
+    artificial = basic_arc >= e_real
+    if 0.5 * float(np.sum(basic[artificial])) > tol:
         raise InfeasibleError("no feasible shipment avoids the deleted pairs")
 
-    real_flow = np.empty(e_real)
-    real_flow[order] = flow_exact[:e_real]
+    # the basic real arcs, from their slots back to input order
+    real_flow = np.zeros(e_real)
+    real_flow[basic_arc[~artificial] * stride % max(e_real, 1)] = basic[~artificial]
     return BipartiteFlow(
         flow=real_flow,
         source_potentials=pi[:m].copy(),

@@ -157,21 +157,25 @@ def level_matrix(inst: RotationInstance, k_max: int) -> np.ndarray:
     which share no cell, as the shift is coprime.  At k_max = n - 1 the
     graphs cover every cell, and cell (i, j) holds
     1 + G(j) - G(i) + D [place(j) < place(i)], with G(i) the walk up to
-    i's place on the orbit and D the sum of the signs around it; with
-    fewer graphs their levels are written into an all-infinite matrix.
+    i's place on the orbit and D the sum of the signs around it.  With
+    fewer graphs, whichever is the smaller set is scattered: infinity on
+    the graphs past k_max of that all-finite form, or the levels into an
+    all-infinite matrix.
     """
     if not 0 <= k_max < inst.n:
         raise InvariantError(f"k_max must lie in [0, {inst.n - 1}]")
-    if k_max == inst.n - 1:
+    rows = np.arange(inst.n)
+    if 2 * k_max >= inst.n:
         walk, place = _orbit_walk(inst, inst.n)
         primitive = walk[place].astype(float)
         out = np.add.outer(1.0 - primitive, primitive)
         if walk[inst.n]:
             out += np.greater.outer(place, place)
+        out[rows, _graph_columns(inst, np.arange(k_max + 1, inst.n)[:, None])] = math.inf
         return out
     levels = birkhoff_levels(inst, k_max)
     out = np.full((inst.n, inst.n), math.inf)
-    out[np.arange(inst.n), _graph_columns(inst, np.arange(k_max + 1)[:, None])] = levels
+    out[rows, _graph_columns(inst, np.arange(k_max + 1)[:, None])] = levels
     return out
 
 

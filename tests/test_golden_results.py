@@ -120,3 +120,16 @@ def test_ex33_primal_file_facts(tmp_path):
 @pytest.mark.parametrize("kind,problem", sorted(GOLDEN_SHA256))
 def test_result_bytes_match_golden(tmp_path, kind, problem):
     assert result_sha256(tmp_path, kind, problem) == GOLDEN_SHA256[kind, problem]
+
+
+@pytest.mark.parametrize("kind,problem,spelling", [
+    ("explicit", "partial:0.05", "partial:0.05"),
+    ("explicit", "partial:0.05", "partial:5e-2"),
+    ("explicit", "partial:0.05", "partial:0.050"),
+    ("explicit", "partial:0.05", "partial: 0.05"),
+    ("ap", "relaxed-dual:0.01", "relaxed-dual:1e-2"),
+])
+def test_one_program_one_result_file_whatever_its_spelling(tmp_path, kind, problem, spelling):
+    """The result names the problem by its parameter's float repr."""
+    assert result_sha256(tmp_path, kind, spelling) == GOLDEN_SHA256[kind, problem]
+    assert json.loads((tmp_path / "result.json").read_text())["problem"] == problem

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -560,31 +561,83 @@ def counted_matched_pairs(supplies, demands, tails, heads, costs):
     return pairs
 
 
+def greedy_matched_pairs(supplies, demands, tails, heads, costs):
+    """The matched start with no chunks and no screens: every arc in
+    (cost, arc index) order, one at a time."""
+    src_open, snk_open = [True] * supplies.size, [True] * demands.size
+    pairs = []
+    for a in sorted(range(costs.size), key=lambda a: (costs[a], a)):
+        i, j = int(tails[a]), int(heads[a])
+        if 0 < supplies[i] == demands[j] and src_open[i] and snk_open[j]:
+            src_open[i] = snk_open[j] = False
+            pairs.append((a, i, j))
+    return pairs
+
+
+#: Cost families: integers that an int16 key holds (small, negative, and
+#: at both ends of its range), integers past that range, and non-integral
+#: costs, with -0.0 tied to 0.0.
+MATCH_COSTS = [
+    [0.0, 1.0, 2.0, 3.0],
+    [-3.0, -1.0, 0.0, 2.0],
+    [-32768.0, 0.0, 32767.0],
+    [0.0, 1.0, 32768.0],
+    [-32769.0, 0.0, 1.0],
+    [0.0, 1.0, 1e300],
+    [0.0, 1.0, 1.5, 2.0],
+    [-0.0, 0.0, 0.5],
+]
+
+
 @st.composite
 def matching_problems(draw):
-    """Masses that recur on one side or both, zero masses, tied costs,
-    parallel arcs, empty arc sets, and a chunk as small as one arc."""
-    mass = st.sampled_from([0.0, 0.125, 0.25, 1.0 / 3.0, 0.5, 0.3, 0.7])
+    """Masses that recur on one side or both, one mass everywhere, masses
+    that no demand shares, zero masses, tied costs, parallel arcs, empty
+    arc sets, and a chunk as small as one arc."""
     m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
-    supplies = np.array(draw(st.lists(mass, min_size=m, max_size=m)), dtype=float)
-    demands = np.array(draw(st.lists(mass, min_size=n, max_size=n)), dtype=float)
+    masses = draw(st.sampled_from(["mixed", "one", "disjoint"]))
+    if masses == "one":
+        value = draw(st.sampled_from([0.125, 1.0 / 3.0, 0.5]))
+        supplies, demands = np.full(m, value), np.full(n, value)
+    else:
+        pools = {"mixed": ([0.0, 0.125, 0.25, 1.0 / 3.0, 0.5, 0.3, 0.7],) * 2,
+                 "disjoint": ([0.0, 0.125, 0.25], [0.0, 0.5, 0.3])}[masses]
+        supplies, demands = (
+            np.array(draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)),
+                     dtype=float) for pool, size in zip(pools, (m, n)))
     cells = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
     arcs = draw(st.lists(cells, max_size=40) if m and n else st.just([]))
-    costs = draw(st.lists(st.sampled_from([0.0, 1.0, 1.5, 2.0]), min_size=len(arcs),
-                          max_size=len(arcs)))
+    family = draw(st.sampled_from(MATCH_COSTS))
+    costs = draw(st.lists(st.sampled_from(family), min_size=len(arcs), max_size=len(arcs)))
     tails = np.array([a for a, _ in arcs], dtype=int)
     heads = np.array([b for _, b in arcs], dtype=int)
     chunk = draw(st.sampled_from([1, 2, 3, 4096]))
     return (supplies, demands, tails, heads, np.array(costs, dtype=float)), chunk
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(derandomize=True, max_examples=400, deadline=None)
 @given(matching_problems())
 def test_matched_pairs_equal_the_counted_walk(problem):
     args, chunk = problem
-    with pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
         patch.setattr(network_simplex, "_MATCH_CHUNK", chunk)
-        assert _matched_pairs(*args) == counted_matched_pairs(*args)
+        warnings.simplefilter("error")
+        pairs = _matched_pairs(*args)
+    assert pairs == counted_matched_pairs(*args) == greedy_matched_pairs(*args)
+
+
+def test_matched_start_casts_no_cost_it_cannot_hold():
+    """Costs past the int16 range keep the float sort, with no cast warning."""
+    costs = np.array([1e300, 32768.0, -32769.0, 0.5, -1e300, 2.0])
+    tails, heads = np.array([0, 0, 1, 1, 2, 2]), np.array([0, 1, 1, 2, 2, 0])
+    uniform = np.full(3, 1.0 / 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairs = _matched_pairs(uniform, uniform, tails, heads, costs)
+        res = solve_bipartite(uniform, uniform, tails, heads, costs)
+    assert pairs == greedy_matched_pairs(uniform, uniform, tails, heads, costs) == [
+        (4, 2, 2), (2, 1, 1), (0, 0, 0)]
+    assert res.flow.sum() == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("cost", [

@@ -223,6 +223,16 @@ class TestLevelMatrix:
         if n % 2 == 0:
             assert same_bits(ap_cost(inst).entries, scattered_level_matrix(inst, 1))
 
+    @pytest.mark.parametrize("n", [4, 5, 12, 13, 48, 49, 192])
+    def test_every_k_max_matches_the_scattered_build(self, n):
+        """Both builds, the all-finite form with the graphs past k_max set
+        to infinity (2 k_max >= n) and the levels scattered into infinity,
+        give the oracle's bytes at every k_max."""
+        for shift in sorted({golden_shift(n), 1, n - 1}):
+            inst = make_instance(n, shift)
+            for k_max in range(n):
+                assert same_bits(level_matrix(inst, k_max), scattered_level_matrix(inst, k_max))
+
     def test_k_max_bounds(self):
         inst = make_instance(8, 3)
         with pytest.raises(InvariantError):

@@ -23,6 +23,11 @@ def test_script_exits_zero(script, args):
                          env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout
+    if script == "engine_scaling.py":
+        # every row times the matched start in the last column
+        header, *rows = [line.split() for line in run.stdout.splitlines()]
+        assert header[-1] == "match_s" and len(rows) == 6
+        assert all(len(row) == len(header) and float(row[-1]) >= 0.0 for row in rows)
 
 
 #: The ops of each benchmark workload, in the order `ab_ops.py` prints them.
