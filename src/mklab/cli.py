@@ -63,8 +63,12 @@ def _fmt(value: float) -> str:
 
 
 def _parse_grid(text: str) -> list[float]:
+    """The grid's numbers.  A grid of blanks alone is empty, which each command rejects."""
+    entries = [v.strip() for v in text.split(",")]
+    if any(entries) and not all(entries):
+        raise UsageError(f"bad grid {text!r}: entry {entries.index('') + 1} is blank")
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        return [float(v) for v in entries if v]
     except ValueError as exc:
         raise UsageError(f"bad grid {text!r}: {exc}") from exc
 

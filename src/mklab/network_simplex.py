@@ -301,28 +301,24 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
 
         # Cycle created by the entering arc, oriented along it: from the
         # apex down the tree path to its tail, then the entering arc, then
-        # from its head up to the apex.  Each side lists the nodes whose
-        # parent arcs it uses, from the entering arc upward.  The leaving
-        # arc is the last blocking arc met along the cycle's orientation
-        # from the apex, which keeps the tree strongly feasible: the first
-        # least backward arc (pointing up) of the tail side, or the last
-        # least backward arc (pointing down) of the head side, which wins
-        # a tie.
+        # from its head up to the apex.  Each side is the parent arcs of
+        # the nodes from the entering arc's end up to the apex.  The
+        # leaving arc is the last blocking arc met along the cycle's
+        # orientation from the apex, which keeps the tree strongly
+        # feasible: the first least backward arc (pointing up) of the tail
+        # side, or the last least backward arc (pointing down) of the head
+        # side, which wins a tie.
         tail_e = int(g_tail[entering])
         head_e = int(g_head[entering])
         x, y = tail_e, head_e
-        tail_side: list[int] = []
-        head_side: list[int] = []
         theta = theta_head = math.inf
         cut = cut_head = -1
         while x != y:
             if depth[x] >= depth[y]:
-                tail_side.append(x)
                 if up[x] and flow[x] < theta:
                     theta, cut = flow[x], x
                 x = parent[x]
             else:
-                head_side.append(y)
                 if not up[y] and flow[y] <= theta_head:
                     theta_head, cut_head = flow[y], y
                 y = parent[y]
@@ -333,16 +329,15 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
             raise UnboundedError("all-forward cycle in a balanced problem")  # pragma: no cover
 
         if theta:
-            # an artificial arc on the cycle joins a root apex to a side's top node
-            ends = [side[-1] for side in (tail_side, head_side) if side] if x == root else ()
-            for v in ends:
-                loaded -= flow[v] > tol
-            for v in tail_side:
-                flow[v] += -theta if up[v] else theta
-            for v in head_side:
-                flow[v] += theta if up[v] else -theta
-            for v in ends:
-                loaded += flow[v] > tol
+            # walk each side again up to the apex x; an artificial arc on
+            # the cycle joins a root apex to a side's top node
+            for v, push in ((tail_e, -theta), (head_e, theta)):
+                while v != x:
+                    moved = flow[v] + (push if up[v] else -push)
+                    if parent[v] == root:
+                        loaded += (moved > tol) - (flow[v] > tol)
+                    flow[v] = moved
+                    v = parent[v]
         else:
             degenerate_pivots += 1
         leaving = parent_arc[cut]

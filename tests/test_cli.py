@@ -343,6 +343,20 @@ class TestSweep:
             "usage error: bad grid '0.1,abc': could not convert string to float: 'abc'\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, grid, position", [
+        (("sweep", "--sweep", "epsilon-dual"), "0.1,,0.01", 2),
+        (("sweep", "--sweep", "epsilon-dual"), "0.1,0.01,", 3),
+        (("sweep", "--sweep", "epsilon-primal"), " ,0.1", 1),
+        (("diagnose", "--diag", "bound"), "0.01, ,0.001", 2)])
+    def test_grid_with_a_blank_entry(self, ap_instance, tmp_path, capsys, command, grid,
+                                     position):
+        out = tmp_path / "x.csv"
+        assert main([command[0], ap_instance, *command[1:], "--grid", grid,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: bad grid {grid!r}: entry {position} is blank\n")
+        assert not out.exists()
+
     def test_n_scaling_needs_a_rotation_instance(self, explicit_instance, tmp_path, capsys):
         out = tmp_path / "scale.csv"
         assert main(["sweep", explicit_instance, "--sweep", "n-scaling",

@@ -1,6 +1,8 @@
 """The study and measurement scripts run to completion at small sizes."""
 
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,29 +10,85 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
-
-@pytest.mark.parametrize("script, args", [
+#: A small run of each study script and of the former names of `measure.py
+#: engine` and `write`; `measure.py` and `ab_ops.py` have the tests below.
+SCRIPT_RUNS = [
     ("budget_dual_study.py", ["--n", "12"]),
     ("rotation_value_study.py", ["--sizes", "12,13"]),
     ("engine_scaling.py", ["--sizes", "12,13"]),
     ("write_scaling.py", ["--sizes", "12,13", "--repeat", "2"]),
-])
-def test_script_exits_zero(script, args):
+]
+
+RECORD_KEYS = {"commit", "dirty", "date", "host", "cpu", "python", "numpy", "command",
+               "columns", "rows"}
+
+
+def run_script(script, *args, code=0):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
-                         env=env, capture_output=True, text=True, timeout=60)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout
+    run = subprocess.run([sys.executable, str(SCRIPTS / script), *map(str, args)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == code, run.stderr
+    return run.stdout
+
+
+def test_every_script_is_run_here():
+    assert sorted(p.name for p in SCRIPTS.glob("*.py")) == sorted(
+        [script for script, _ in SCRIPT_RUNS] + ["measure.py", "ab_ops.py"])
+
+
+@pytest.mark.parametrize("script, args", SCRIPT_RUNS)
+def test_script_exits_zero(script, args):
+    out = run_script(script, *args)
+    assert out
     if script == "engine_scaling.py":
         # every row times the matched start in the last column
-        header, *rows = [line.split() for line in run.stdout.splitlines()]
+        header, *rows = [line.split() for line in out.splitlines()]
         assert header[-1] == "match_s" and len(rows) == 6
         assert all(len(row) == len(header) and float(row[-1]) >= 0.0 for row in rows)
 
 
-#: The ops of each benchmark workload, in the order `ab_ops.py` prints them.
+def recorded(tmp_path, *args):
+    """The rows `measure.py` prints, and the one record it appends."""
+    bench = tmp_path / "bench.json"
+    bench.write_text('{"earlier": "record"}\n')
+    header, *rows = [line.split() for line in run_script(
+        "measure.py", *args, "--record", bench).splitlines()]
+    earlier, entry = [json.loads(line) for line in bench.read_text().splitlines()]
+    assert earlier == {"earlier": "record"}
+    assert set(entry) == RECORD_KEYS
+    assert entry["command"] == ["scripts/measure.py", *args, "--record", str(bench)]
+    assert entry["columns"] == header
+    # the record keeps each printed row, its times unrounded
+    for printed, kept in zip(rows, entry["rows"], strict=True):
+        assert len(printed) == len(kept)
+        assert [p for p, v in zip(printed, kept) if not isinstance(v, float)] == [
+            str(v) for v in kept if not isinstance(v, float)]
+    return dict(zip(header, zip(*rows))), entry
+
+
+def test_measure_engine_records(tmp_path):
+    columns, entry = recorded(tmp_path, "engine", "--sizes", "12,13")
+    assert columns["kind"] == ("ex33", "ap-restricted", "ex33", "ex33", "explicit", "explicit")
+    assert columns["n"] == ("144", "192", "12", "13", "12", "13")
+    assert all(float(t) >= 0.0 for t in columns["cpu_s"] + columns["match_s"])
+    # the benchmark's two small engine calls: the ap counters are the pins of
+    # test_network_simplex.py, and ex33's pivots there are all degenerate
+    ex33, ap = entry["rows"][:2]
+    assert ex33[2:7] == [20736, 142, 141, 141, 63648]
+    assert ap[2:7] == [384, 209, 208, 185, 12816]
+
+
+def test_measure_write_records(tmp_path):
+    columns, entry = recorded(tmp_path, "write", "--sizes", "12,13", "--repeat", "2")
+    assert columns["n"] == ("12", "13")
+    assert all(isinstance(row[2], int) and isinstance(row[4], int) and row[4] > row[2]
+               for row in entry["rows"])
+
+
+#: The ops of each benchmark workload, in the order `measure.py ab` prints them.
 WORKLOAD_OPS = {
     "ex33-primal": ["solve-primal"],
     "explicit-io": ["solve-restricted", "solve-primal", "solve-partial"],
@@ -39,12 +97,27 @@ WORKLOAD_OPS = {
 }
 
 
-def test_ab_ops_compares_the_repo_with_itself():
+def test_measure_ab_compares_the_repo_with_itself():
     for workload, ops in WORKLOAD_OPS.items():
-        run = subprocess.run([sys.executable, str(ROOT / "scripts" / "ab_ops.py"), str(ROOT),
-                              str(ROOT), "--workload", workload, "--rounds", "1"],
-                             capture_output=True, text=True, timeout=120)
-        assert run.returncode == 0, run.stderr
-        lines = run.stdout.splitlines()
+        lines = run_script("measure.py", "ab", ROOT, ROOT, "--workload", workload,
+                           "--rounds", "1").splitlines()
         assert [line.split()[0] for line in lines[2:]] == ops + ["all"]
         assert all(line.endswith("same") for line in lines[2:-1])
+
+
+def test_ab_ops_runs_measure_ab():
+    lines = run_script("ab_ops.py", ROOT, ROOT, "--workload", "ex33-primal",
+                       "--rounds", "1").splitlines()
+    assert lines[1].split() == ["op", "parent", "change", "ratio", "bytes"]
+    assert lines[2].startswith("solve-primal") and lines[2].endswith("same")
+
+
+def test_measure_ab_exits_one_when_bytes_differ(tmp_path):
+    # a tree whose results end in one more byte
+    shutil.copytree(ROOT / "src", tmp_path / "src")
+    with open(tmp_path / "src" / "mklab" / "cli.py", "a", encoding="utf-8") as fh:
+        fh.write("\n_write_text = (lambda write: lambda path, text: write(path, text + ' '))"
+                 "(_write_text)\n")
+    lines = run_script("measure.py", "ab", tmp_path, ROOT, "--workload", "ex33-primal",
+                       "--rounds", "1", code=1).splitlines()
+    assert lines[2].startswith("solve-primal") and lines[2].endswith("DIFFER")
