@@ -7,7 +7,9 @@
 
 Each subcommand pins the process to the lowest CPU it may use, as the
 benchmark worker does, and builds instances as `mklab gen --kind KIND
---n N --seed 1` writes them.  Times depend on the host; counters and byte
+--n N --seed 1` writes them, or as the benchmark writes its explicit
+ones.  `benchmark_calls` defines the benchmark's engine calls, which
+the engine tests pin.  Times depend on the host; counters and byte
 counts do not.  `--record PATH` appends the table to PATH as one JSON line
 with the commit, date, host, CPU, Python and numpy versions and command.
 """
@@ -28,6 +30,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -54,6 +57,11 @@ def generated(kind: str, n: int):
     return fileformats.parse_instance(text.getvalue())
 
 
+def explicit_spec(fileformats, workloads: dict, n: int):
+    """The explicit instance spec that the benchmark writes at size ``n``."""
+    return fileformats.InstanceSpec("explicit", *workloads["explicit_arrays"](SEED, n), seed=SEED)
+
+
 def best_of(k: int, call, clock=time.perf_counter) -> tuple:
     """The least ``clock`` seconds of ``k`` calls of ``call``, and its last result."""
     best = float("inf")
@@ -76,40 +84,73 @@ class Table:
         print(self.template.format(*row), flush=True)
 
 
-def engine(args) -> tuple:
-    """Engine CPU time and exact counters of `solve_bipartite` by size.
+def engine_call(solve) -> tuple:
+    """The one `solve_bipartite` call that ``solve()`` makes: (arguments, result, CPU s)."""
+    from mklab import network_simplex
+    real, calls = network_simplex.solve_bipartite, []
 
-    First the benchmark's small engine calls: the primal program of `ex33`
-    n=144, and the restricted program of `ap` n=192, which every `ap`
-    relaxed dual solves.  Then the primal program of `ex33` at n = 384, 768,
-    1536 and explicit at n = 300, 1000, 2000.  The counters (degenerate
-    pivots move no flow) show a pricing regression on any host.  `cpu_s`
-    times the call once; `match_s` is the best of five timings of its
-    matched start, `_matched_pairs`.
+    def recording(*args):
+        t0 = time.process_time()
+        res = real(*args)
+        calls.append((args, res, time.process_time() - t0))
+        return res
+
+    with mock.patch.object(network_simplex, "solve_bipartite", recording):
+        solve()
+    [call] = calls
+    return call
+
+
+def benchmark_calls() -> dict:
+    """The engine call of each benchmark op, by name, as `engine_call` gives it.
+
+    Each op's solver runs on the instance the benchmark writes.  Every `ap`
+    op of `dual-side` solves `ap-192-restricted`; its `solve-dual` is
+    `explicit-60-primal`.
     """
-    from mklab import fileformats
-    from mklab.network_simplex import _matched_pairs, solve_bipartite
+    from mklab import fileformats as ff, solvers
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+    ex33, ap = ff.materialize(generated("ex33", 144)), ff.materialize(generated("ap", 192))
+    x300, x60 = (ff.materialize(explicit_spec(ff, workloads, n)) for n in (300, 60))
+    solves = {
+        "ex33-144-primal": lambda: solvers.solve_primal(ex33.cost, ex33.mu, ex33.nu),
+        "ap-192-restricted": lambda: solvers.solve_relaxed_dual(
+            ap.cost, ap.mu, ap.nu, ap.reference_plan, workloads["RELAXED_DUAL_EPS"][0]),
+        "explicit-300-primal": lambda: solvers.solve_primal(x300.cost, x300.mu, x300.nu),
+        "explicit-300-partial": lambda: solvers.solve_partial(
+            x300.cost, x300.mu, x300.nu, workloads["PARTIAL_EPS"]),
+        "explicit-300-restricted": lambda: solvers.solve_restricted_primal(
+            x300.cost, x300.reference_plan),
+        "explicit-60-primal": lambda: solvers.solve_dual(x60.cost, x60.mu, x60.nu),
+    }
+    return {name: engine_call(solve) for name, solve in solves.items()}
 
-    def primal(p):
-        return (p.mu.weights, p.nu.weights, *p.cost.finite_arcs)
 
-    def restricted(p):
-        tails, heads = np.nonzero(p.reference_plan.support())
-        mass = p.reference_plan.total_mass()
-        return (p.reference_plan.row_sums() / mass, p.reference_plan.col_sums() / mass,
-                tails, heads, p.cost.entries[tails, heads])
+def engine(args) -> tuple:
+    """Engine CPU time and exact counters of `solve_bipartite` calls.
 
-    cases = [("ex33", "ex33", 144, primal), ("ap-restricted", "ap", 192, restricted)]
-    cases += [(kind, kind, n, primal)
-              for kind, sizes in ENGINE_SIZES.items() for n in args.sizes or sizes]
-    table = Table("{:>13} {:>5} {:>9} {:>10} {:>7} {:>10} {:>13} {:>8.3f} {:>8.4f}",
-                  ("kind", "n", "arcs", "iterations", "pivots", "degenerate", "arcs_priced",
+    First the engine calls of the benchmark ops, then the primal program
+    of `ex33` at n = 384, 768, 1536 and explicit at n = 300, 1000, 2000, as
+    `mklab gen` writes them.  The counters (degenerate pivots move no
+    flow) show a pricing regression on any host.  `cpu_s` times the call
+    once; `match_s` is the best of five timings of its matched start.
+    """
+    from mklab import fileformats, solvers
+    from mklab.network_simplex import _matched_pairs
+
+    def gen_primal(kind, n):
+        p = fileformats.materialize(generated(kind, n))
+        return engine_call(lambda: solvers.solve_primal(p.cost, p.mu, p.nu))
+
+    table = Table("{:>23} {:>9} {:>10} {:>7} {:>10} {:>13} {:>8.3f} {:>8.4f}",
+                  ("call", "arcs", "iterations", "pivots", "degenerate", "arcs_priced",
                    "cpu_s", "match_s"))
-    for label, kind, n, program in cases:
-        call = program(fileformats.materialize(generated(kind, n)))
-        cpu, res = best_of(1, lambda: solve_bipartite(*call), time.process_time)
+    calls = list(benchmark_calls().items())
+    calls += [(f"gen-{kind}-{n}", gen_primal(kind, n))
+              for kind, sizes in ENGINE_SIZES.items() for n in args.sizes or sizes]
+    for name, (call, res, cpu) in calls:
         match, _ = best_of(5, lambda: _matched_pairs(*call), time.process_time)
-        table.add(label, n, call[-1].size, res.iterations, res.pivots, res.degenerate_pivots,
+        table.add(name, call[-1].size, res.iterations, res.pivots, res.degenerate_pivots,
                   res.arcs_priced, cpu, match)
     return 0, table
 
@@ -163,16 +204,14 @@ class Side:
             raise SystemExit(f"{argv[0]} exited {code} in {self.dir}")
         return wall
 
-    def write_instances(self, explicit_arrays, workload) -> dict:
+    def write_instances(self, workloads: dict, workload) -> dict:
         """The workload's instance files, written as the benchmark worker writes them."""
         paths = {}
         for inst in workload.instances:
             paths[inst.key] = path = str(self.dir / f"{inst.key}.json")
             if inst.kind == "explicit":
                 ff = self.fileformats
-                cost, mu, nu, pi0 = explicit_arrays(SEED, inst.n)
-                spec = ff.InstanceSpec(kind="explicit", cost=cost, mu=mu, nu=nu, pi0=pi0,
-                                       seed=SEED)
+                spec = explicit_spec(ff, workloads, inst.n)
                 ff.materialize(spec)
                 Path(path).write_text(ff.dumps_canonical(ff.instance_to_jsonable(spec)),
                                       encoding="utf-8")
@@ -218,7 +257,7 @@ def ab(args) -> tuple:
     with tempfile.TemporaryDirectory() as tmp:
         sides = [Side("mklab_parent", args.parent, Path(tmp)),
                  Side("mklab_change", args.change, Path(tmp))]
-        paths = [side.write_instances(workloads["explicit_arrays"], workload) for side in sides]
+        paths = [side.write_instances(workloads, workload) for side in sides]
         times = {op.name: ([], []) for op in workload.ops}
         same = dict.fromkeys(times, True)
         for rnd in range(args.rounds):

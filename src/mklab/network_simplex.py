@@ -197,11 +197,10 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
     if not np.all(np.isfinite(costs)):
         raise MKLabError("arc costs must be finite (forbidden pairs are deleted, not priced)")
 
-    n_arcs = e_real + m + n
-    g_cost = np.empty(n_arcs)
-    # the real slots hold |cost| until the gather below fills them
+    g_cost = np.empty(e_real)
+    # the slots hold |cost| until the gather below fills them
     with np.errstate(over="ignore"):
-        cost_sum = float(np.sum(np.abs(costs, out=g_cost[:e_real])))
+        cost_sum = float(np.sum(np.abs(costs, out=g_cost)))
     penalty = 3.0 * (1.0 + cost_sum)
     # a potential is at most 4/3 of the penalty in size and a reduced cost
     # at most 3 times it, so all stay finite when 4 * penalty does
@@ -214,10 +213,10 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
     # joins node v to the root, pointing down only to a sink with demand,
     # so that every artificial arc without flow points up.  A real arc in
     # the basis is priced at +inf, so that no scan enters it; artificial
-    # arcs are never priced.
+    # arcs are never priced and live only in the tree.
     root = m + n
     stride = _scattered_stride(e_real)
-    g_tail, g_head = np.empty(n_arcs, dtype=int), np.empty(n_arcs, dtype=int)
+    g_tail, g_head = np.empty(e_real, dtype=int), np.empty(e_real, dtype=int)
     # a block of slots at a time, so that no scratch array grows with the arcs
     for lo in range(0, e_real, _SCATTER_BLOCK):
         hi = min(lo + _SCATTER_BLOCK, e_real)
@@ -225,20 +224,15 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
         ids *= stride
         ids %= e_real
         g_tail[lo:hi], g_head[lo:hi], g_cost[lo:hi] = tails[ids], heads[ids], costs[ids]
-    g_head[:e_real] += m
+    g_head += m
     sink_down = demands > 0
-    sinks = np.arange(m, root)
-    g_tail[e_real:e_real + m], g_head[e_real:e_real + m] = np.arange(m), root
-    g_tail[e_real + m:] = np.where(sink_down, root, sinks)
-    g_head[e_real + m:] = np.where(sink_down, sinks, root)
-    g_cost[e_real:] = penalty
 
     # The tree, per node: up[v] says that the arc to the parent points from
     # v to it, and arc_cost and flow belong to that arc; children[v] is a
     # dict used as an ordered set.  The tree starts as the star on the root.
     up = [True] * m + (~sink_down).tolist() + [False]
     parent = [root] * (m + n) + [-1]
-    parent_arc = list(range(e_real, n_arcs)) + [-1]
+    parent_arc = list(range(e_real, e_real + m + n)) + [-1]
     arc_cost = [penalty] * (m + n) + [0.0]
     flow = masses.tolist() + [0.0]
     depth = [1] * (m + n) + [0]

@@ -50,7 +50,7 @@ class TestSolve:
     @pytest.mark.parametrize("problem", ["primal", "dual", "relaxed-dual:0.01"])
     def test_no_result_document_without_out(self, ap_instance, tmp_path, monkeypatch,
                                             capsys, problem):
-        def refuse(*args, **kwargs):
+        def refuse(*_args, **_kwargs):
             raise AssertionError("a result was built with no --out to write it to")
 
         monkeypatch.setattr(fileformats, "result_document", refuse)
@@ -266,7 +266,7 @@ class TestReferencePlanOnDemand:
                                "mu": [0.5, 0.5], "nu": [0.5, 0.5],
                                "pi0": [[0.0, -0.5], [0.5, 0.0]]})
 
-        def no_solve(*args, **kwargs):
+        def no_solve(*_args, **_kwargs):
             raise AssertionError("solved an instance with an invalid pi0")
         monkeypatch.setattr(network_simplex, "solve_bipartite", no_solve)
         assert main(["solve", inst, "--problem", "primal"]) == 1
@@ -411,7 +411,7 @@ class TestEpsilonGrids:
     @pytest.mark.parametrize("entry", [*LIBRARY_SWEEPS, *CLI_SWEEPS])
     def test_bad_grid_rejected_before_any_solve(self, ap_instance, tmp_path, capsys,
                                                 monkeypatch, entry, grid):
-        def no_solve(*args, **kwargs):
+        def no_solve(*_args, **_kwargs):
             raise AssertionError("a solve ran before the grid was checked")
 
         monkeypatch.setattr(solvers, "solve_partial", no_solve)
@@ -545,7 +545,7 @@ class TestDiagnose:
         (",", "empty delta grid")])
     def test_singular_deltas_checked_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                       grid, message):
-        def no_solve(*args, **kwargs):
+        def no_solve(*_args, **_kwargs):
             raise AssertionError("a solve ran before the deltas were checked")
 
         monkeypatch.setattr(network_simplex, "solve_bipartite", no_solve)
@@ -588,7 +588,7 @@ class TestGen:
     @pytest.mark.parametrize("n", ["-3", "0", str(MAX_SIDE + 1)])
     def test_gen_explicit_size_out_of_range_is_a_usage_error(self, tmp_path, capsys,
                                                                monkeypatch, n):
-        def no_draw(*args, **kwargs):
+        def no_draw(*_args, **_kwargs):
             raise AssertionError("the matrix was drawn before its size was checked")
 
         monkeypatch.setattr(np.random, "default_rng", no_draw)
@@ -603,7 +603,7 @@ class TestGen:
     def test_gen_explicit_size_bounds_are_accepted(self, tmp_path, monkeypatch, n):
         out = tmp_path / "rand.json"
         # the largest size is checked without writing its 4 million cells
-        monkeypatch.setattr(cli.fileformats, "dumps_canonical", lambda doc: "")
+        monkeypatch.setattr(cli.fileformats, "dumps_canonical", lambda _doc: "")
         assert main(["gen", "--kind", "explicit", "--n", n, "--seed", "1",
                      "--out", str(out)]) == 0
 

@@ -5,11 +5,13 @@ import pytest
 
 from mklab import (
     CostMatrix,
+    DualityReport,
     InvariantError,
     Marginal,
     PlanKind,
     PotentialPair,
     ShapeError,
+    SolverStats,
     TransportPlan,
     gauge_normalized,
     mixture_plan,
@@ -38,6 +40,29 @@ class TestConstruction:
             Marginal(np.array([0.5, 0.6]))
         with pytest.raises(InvariantError):
             Marginal(np.array([-0.5, 1.5]))
+
+    @pytest.mark.parametrize("weights, error, match", [
+        (np.array([]), ShapeError, "nonempty vector"),
+        (np.array([[1.0]]), ShapeError, "nonempty vector"),
+        (np.full(core.MAX_SIDE + 1, 1.0 / (core.MAX_SIDE + 1)), InvariantError,
+         "size 2001 exceeds the 2000 cap"),
+        (np.array([np.inf, 0.5]), InvariantError, "must be finite"),
+        (np.array([np.nan, 1.0]), InvariantError, "must be finite"),
+    ], ids=["empty", "matrix", "over-cap", "inf", "nan"])
+    def test_marginal_rejects_bad_shape_size_and_cells(self, weights, error, match):
+        with pytest.raises(error, match=match):
+            Marginal(weights)
+        # a marginal at the cap is accepted
+        assert Marginal(np.full(core.MAX_SIDE, 1.0 / core.MAX_SIDE)).size == core.MAX_SIDE
+
+    def test_report_rejects_a_gap_below_weak_duality(self):
+        stats = SolverStats(iterations=1, pivots=0, wall_ms=0.0)
+        tol = core.WEAK_DUALITY_TOL
+        assert DualityReport(0.0, tol / 2, None, None, stats).gap == -tol / 2
+        # an infinite value has no gap to check
+        assert DualityReport(1.0, math.inf, None, None, stats).gap == -math.inf
+        with pytest.raises(InvariantError, match="weak duality violated: gap -2.000e-07"):
+            DualityReport(0.0, 2 * tol, None, None, stats)
 
     def test_cost_rejects_negative_and_nan(self):
         with pytest.raises(InvariantError):

@@ -64,6 +64,25 @@ class TestCanonicalJson:
         doc = {"b": [1.5, 2], "a": {"nested": [True, None]}}
         assert dumps_canonical(doc) == dumps_canonical(doc)
 
+    def test_empty_containers(self):
+        assert dumps_canonical({}) == "{}\n"
+        assert dumps_canonical([]) == "[]\n"
+        assert dumps_canonical({"a": {}, "b": (), "c": np.array([])}) == (
+            '{\n  "a": {},\n  "b": [],\n  "c": []\n}\n')
+
+    def test_non_string_key_and_unknown_type_rejected(self):
+        with pytest.raises(FileFormatError, match="object keys must be strings"):
+            dumps_canonical({"a": {1: 2.0}})
+        with pytest.raises(FileFormatError, match="cannot serialize set"):
+            dumps_canonical({"a": [{1.0}]})
+
+    def test_result_must_be_an_object_of_this_schema(self):
+        assert fileformats.parse_result('{"schema_version": 1}') == {"schema_version": 1}
+        with pytest.raises(FileFormatError, match="result file must hold a JSON object"):
+            fileformats.parse_result('[{"schema_version": 1}]')
+        with pytest.raises(FileFormatError, match="schema_version must be 1"):
+            fileformats.parse_result('{"schema_version": 2}')
+
     def test_parse_error_reports_position(self):
         with pytest.raises(FileFormatError, match=r"line 2 column"):
             loads_canonical('{\n  "a": }')

@@ -1,6 +1,5 @@
 import hashlib
-import importlib.util
-import sys
+import runpy
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -15,9 +14,8 @@ from mklab import (
     InvariantError,
     Marginal,
     MKLabError,
-    PlanKind,
     RotationInstance,
-    TransportPlan,
+    ShapeError,
     ap_cost,
     ex33_cost,
     golden_shift,
@@ -34,7 +32,8 @@ from mklab.network_simplex import _blocks, _matched_pairs, solve_bipartite
 
 from conftest import dense_coupling, dense_transport, nw_corner
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+#: `scripts/measure.py`, loaded by path: it defines the benchmark's engine calls.
+MEASURE = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "measure.py"))
 
 
 def full_arcs(m, n):
@@ -122,6 +121,17 @@ def test_non_finite_masses_rejected(supplies, demands):
     tails, heads = full_arcs(2, 2)
     with pytest.raises(MKLabError, match="finite"):
         solve_bipartite(supplies, demands, tails, heads, np.array([0.0, 1.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("supplies, tails, costs, error, match", [
+    ([0.5, 0.5], [0, 0, 1], [0.0, 1.0, 1.0, 0.0], ShapeError, "arc arrays must have equal length"),
+    ([1.5, -0.5], [0, 0, 1, 1], [0.0, 1.0, 1.0, 0.0], MKLabError, "negative supply or demand"),
+    ([0.5, 0.5], [0, 0, 1, 1], [0.0, np.inf, 1.0, 0.0], MKLabError, "arc costs must be finite"),
+    ([0.5, 0.5], [0, 0, 1, 1], [0.0, np.nan, 1.0, 0.0], MKLabError, "arc costs must be finite"),
+], ids=["short-tails", "negative-supply", "inf-cost", "nan-cost"])
+def test_bad_arcs_and_masses_rejected(supplies, tails, costs, error, match):
+    with pytest.raises(error, match=match):
+        solve_bipartite(supplies, [0.5, 0.5], tails, [0, 1, 0, 1], costs)
 
 
 def test_cost_sum_that_overflows_the_penalty_is_refused():
@@ -222,117 +232,63 @@ def test_ex33_arcs_priced():
     assert costs.size <= res.arcs_priced < costs.size * res.iterations / 4
 
 
-def load_workloads():
-    """The benchmark's instance builders, loaded by path and only read."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up while they are built
-    sys.modules[spec.name] = workloads
-    try:
-        spec.loader.exec_module(workloads)
-    finally:
-        del sys.modules[spec.name]
-    return workloads
-
-
-def engine_results(monkeypatch, solve):
-    """The result of each engine call that ``solve()`` makes."""
-    runs = []
-
-    def recording(*args):
-        runs.append(solve_bipartite(*args))
-        return runs[-1]
-
-    with monkeypatch.context() as patch:
-        patch.setattr(network_simplex, "solve_bipartite", recording)
-        solve()
-    return runs
-
-
-def engine_counters(monkeypatch, solve):
-    """(iterations, pivots, arcs_priced) of each engine call that ``solve()`` makes."""
-    return [(res.iterations, res.pivots, res.arcs_priced)
-            for res in engine_results(monkeypatch, solve)]
-
-
-def explicit_solves(n):
-    """The engine-backed solves of the benchmark's seed-1 explicit instance."""
-    workloads = load_workloads()
-    cost, mu, nu, pi0 = workloads.explicit_arrays(1, n)
-    cost, mu, nu = CostMatrix(cost), Marginal(mu), Marginal(nu)
-    return {"primal": lambda: solve_primal(cost, mu, nu),
-            "partial": lambda: solve_partial(cost, mu, nu, workloads.PARTIAL_EPS),
-            "restricted": lambda: solve_restricted_primal(cost, TransportPlan(pi0, PlanKind.EXACT))}
-
-
-def ap_restricted_solve():
-    inst = make_instance(192)
-    pi0 = mixture_plan([shift_graph_plan(inst, 0), shift_graph_plan(inst, 1)], [0.5, 0.5])
-    return solve_restricted_primal(ap_cost(inst), pi0)
-
-
-def ex33_primal_solve():
-    """The primal solve of the benchmark's ex33 n=144 instance."""
-    inst = make_instance(144)
-    mu = uniform_marginal(inst)
-    return solve_primal(ex33_cost(inst, 143), mu, mu)
-
-
-#: Each engine call of the benchmark workloads: its solve, its degenerate
-#: pivots, and the SHA-256 of its flow, source and sink potential bytes.
-#: The digests were taken before the engine moved its per-node bookkeeping
-#: onto Python floats, which changed no bit.
+#: The benchmark's engine calls, as `scripts/measure.py` captures them from
+#: the solver call of each benchmark op: iterations, pivots, degenerate
+#: pivots and arcs priced (the columns of `measure.py engine`), and the
+#: SHA-256 of the flow, source and sink potential bytes.  None of them
+#: prices fine blocks: at explicit n=300 most pivots come while artificial
+#: flow remains, and later scans find a median 0.07% of their block below
+#: zero; the others are too small.  On the rotation costs the masses are
+#: uniform, so the matched start is feasible from the first pivot (567 and
+#: 382 pivots from the plain star), and most pivots only build the tree;
+#: the explicit instances move flow on every pivot but one.  Counters do
+#: not depend on the host, so these pins catch a pricing or tree change
+#: whatever the noise.  The digests were taken before the engine moved its
+#: per-node bookkeeping onto Python floats, which changed no bit.
 BENCHMARK_ENGINE_CALLS = {
+    "ex33-144-primal": (
+        142, 141, 141, 63_648,
+        "6313844f22b2d11f41e15066e9960eecb92c6e21fa0240248f03c078039348e6"),
+    "ap-192-restricted": (
+        209, 208, 185, 12_816,
+        "ceaac8dcac6e5784dbcc450d5259599d58ad5dfb592834dc35db81c1fa286e51"),
     "explicit-300-primal": (
-        lambda: explicit_solves(300)["primal"](), 0,
+        1041, 1040, 0, 9_579_096,
         "57a023f151b51efaf8cc4d129d7af8e1fae0e5b952cbdcc96a69b9cade92228f"),
     "explicit-300-partial": (
-        lambda: explicit_solves(300)["partial"](), 1,
+        985, 984, 1, 9_113_761,
         "3e08ef623f8fa633e062fbd06de97c29bf8f91918ee8fd516cfb3e6d813bf013"),
     "explicit-300-restricted": (
-        lambda: explicit_solves(300)["restricted"](), 0,
+        611, 610, 0, 47_546,
         "888a6db84372c8bedadbd68d9738c5e6c90627bcca80f53b15fdabfddc2826b4"),
     "explicit-60-primal": (
-        lambda: explicit_solves(60)["primal"](), 0,
+        211, 210, 0, 85_511,
         "36d4a258bd15fa099b7a5c5dea7fc1b978afaff0bf138de7016ddd61ee0037fd"),
-    "ap-192-restricted": (
-        ap_restricted_solve, 185,
-        "ceaac8dcac6e5784dbcc450d5259599d58ad5dfb592834dc35db81c1fa286e51"),
-    "ex33-144-primal": (
-        ex33_primal_solve, 141,
-        "6313844f22b2d11f41e15066e9960eecb92c6e21fa0240248f03c078039348e6"),
 }
 
 
-def test_counters_of_the_benchmark_instances(monkeypatch):
-    # The seed-1 explicit instances and the ap restricted solve of the
-    # benchmark workloads.  None of them prices fine blocks: at n=300 most
-    # pivots come while artificial flow remains, and later scans find a
-    # median 0.07% of their block below zero; the others are too small.
-    # Counters do not depend on the host, so these pins catch a pricing
-    # or tree change whatever the noise.
-    at_300 = explicit_solves(300)
-    assert engine_counters(monkeypatch, at_300["primal"]) == [(1041, 1040, 9_579_096)]
-    assert engine_counters(monkeypatch, at_300["partial"]) == [(985, 984, 9_113_761)]
-    assert engine_counters(monkeypatch, at_300["restricted"]) == [(611, 610, 47_546)]
-    assert engine_counters(monkeypatch, explicit_solves(60)["primal"]) == [(211, 210, 85_511)]
-    assert engine_counters(monkeypatch, ap_restricted_solve) == [(209, 208, 12_816)]
+@pytest.fixture(scope="module")
+def benchmark_calls():
+    return MEASURE["benchmark_calls"]()
+
+
+def test_counters_of_the_benchmark_instances(benchmark_calls):
+    assert list(benchmark_calls) == list(BENCHMARK_ENGINE_CALLS)
+    for name, (iterations, pivots, _, arcs_priced, _) in BENCHMARK_ENGINE_CALLS.items():
+        _, res, _ = benchmark_calls[name]
+        assert (res.iterations, res.pivots, res.arcs_priced) == (iterations, pivots, arcs_priced), name
 
 
 @pytest.mark.parametrize("name", BENCHMARK_ENGINE_CALLS)
-def test_degenerate_pivots_of_the_benchmark_instances(monkeypatch, name):
-    # On the rotation costs most pivots only build the tree: 185 of the ap
-    # solve's 208 and all 141 of ex33's move no flow.  The explicit
-    # instances move flow on every pivot but one.
-    solve, degenerate, _ = BENCHMARK_ENGINE_CALLS[name]
-    runs = engine_results(monkeypatch, solve)
-    assert [res.degenerate_pivots for res in runs] == [degenerate]
+def test_degenerate_pivots_of_the_benchmark_instances(benchmark_calls, name):
+    _, res, _ = benchmark_calls[name]
+    assert res.degenerate_pivots == BENCHMARK_ENGINE_CALLS[name][2]
 
 
 @pytest.mark.parametrize("name", BENCHMARK_ENGINE_CALLS)
-def test_benchmark_instances_keep_their_bits(monkeypatch, name):
-    solve, _, digest = BENCHMARK_ENGINE_CALLS[name]
-    [res] = engine_results(monkeypatch, solve)
+def test_benchmark_instances_keep_their_bits(benchmark_calls, name):
+    digest = BENCHMARK_ENGINE_CALLS[name][-1]
+    _, res, _ = benchmark_calls[name]
     arrays = (res.flow, res.source_potentials, res.sink_potentials)
     assert hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest() == digest
 
@@ -452,7 +408,9 @@ def test_ex33_matched_start_pivots():
 def test_ap_restricted_matched_start_pivots():
     # The restricted solve inside every ap relaxed dual: 208 pivots on 384
     # arcs, against 382 from the plain star.
-    report = ap_restricted_solve()
+    inst = make_instance(192)
+    pi0 = mixture_plan([shift_graph_plan(inst, 0), shift_graph_plan(inst, 1)], [0.5, 0.5])
+    report = solve_restricted_primal(ap_cost(inst), pi0)
     assert report.primal_value == pytest.approx(1.0, abs=1e-12)
     assert report.stats.pivots <= 300
 

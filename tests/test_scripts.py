@@ -9,16 +9,15 @@ from pathlib import Path
 
 import pytest
 
+from test_network_simplex import BENCHMARK_ENGINE_CALLS
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
-#: A small run of each study script and of the former names of `measure.py
-#: engine` and `write`; `measure.py` and `ab_ops.py` have the tests below.
+#: A small run of each study script; `measure.py` has the tests below.
 SCRIPT_RUNS = [
     ("budget_dual_study.py", ["--n", "12"]),
     ("rotation_value_study.py", ["--sizes", "12,13"]),
-    ("engine_scaling.py", ["--sizes", "12,13"]),
-    ("write_scaling.py", ["--sizes", "12,13", "--repeat", "2"]),
 ]
 
 RECORD_KEYS = {"commit", "dirty", "date", "host", "cpu", "python", "numpy", "command",
@@ -36,18 +35,12 @@ def run_script(script, *args, code=0):
 
 def test_every_script_is_run_here():
     assert sorted(p.name for p in SCRIPTS.glob("*.py")) == sorted(
-        [script for script, _ in SCRIPT_RUNS] + ["measure.py", "ab_ops.py"])
+        [script for script, _ in SCRIPT_RUNS] + ["measure.py"])
 
 
 @pytest.mark.parametrize("script, args", SCRIPT_RUNS)
 def test_script_exits_zero(script, args):
-    out = run_script(script, *args)
-    assert out
-    if script == "engine_scaling.py":
-        # every row times the matched start in the last column
-        header, *rows = [line.split() for line in out.splitlines()]
-        assert header[-1] == "match_s" and len(rows) == 6
-        assert all(len(row) == len(header) and float(row[-1]) >= 0.0 for row in rows)
+    assert run_script(script, *args)
 
 
 def recorded(tmp_path, *args):
@@ -71,14 +64,13 @@ def recorded(tmp_path, *args):
 
 def test_measure_engine_records(tmp_path):
     columns, entry = recorded(tmp_path, "engine", "--sizes", "12,13")
-    assert columns["kind"] == ("ex33", "ap-restricted", "ex33", "ex33", "explicit", "explicit")
-    assert columns["n"] == ("144", "192", "12", "13", "12", "13")
+    # first the benchmark's engine calls with their pinned counters, then the
+    # primal program of each generated size
+    assert columns["call"] == (*BENCHMARK_ENGINE_CALLS, "gen-ex33-12", "gen-ex33-13",
+                               "gen-explicit-12", "gen-explicit-13")
+    for row, (*counters, _) in zip(entry["rows"], BENCHMARK_ENGINE_CALLS.values()):
+        assert row[2:6] == counters
     assert all(float(t) >= 0.0 for t in columns["cpu_s"] + columns["match_s"])
-    # the benchmark's two small engine calls: the ap counters are the pins of
-    # test_network_simplex.py, and ex33's pivots there are all degenerate
-    ex33, ap = entry["rows"][:2]
-    assert ex33[2:7] == [20736, 142, 141, 141, 63648]
-    assert ap[2:7] == [384, 209, 208, 185, 12816]
 
 
 def test_measure_write_records(tmp_path):
@@ -103,13 +95,6 @@ def test_measure_ab_compares_the_repo_with_itself():
                            "--rounds", "1").splitlines()
         assert [line.split()[0] for line in lines[2:]] == ops + ["all"]
         assert all(line.endswith("same") for line in lines[2:-1])
-
-
-def test_ab_ops_runs_measure_ab():
-    lines = run_script("ab_ops.py", ROOT, ROOT, "--workload", "ex33-primal",
-                       "--rounds", "1").splitlines()
-    assert lines[1].split() == ["op", "parent", "change", "ratio", "bytes"]
-    assert lines[2].startswith("solve-primal") and lines[2].endswith("same")
 
 
 def test_measure_ab_exits_one_when_bytes_differ(tmp_path):

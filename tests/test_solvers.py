@@ -5,10 +5,14 @@ import pytest
 
 from mklab import (
     CostMatrix,
+    DualityReport,
     InfeasibleError,
     InvariantError,
     Marginal,
+    MKLabError,
     PlanKind,
+    PotentialPair,
+    SolverStats,
     TransportPlan,
     ap_cost,
     dual_sequence,
@@ -26,6 +30,7 @@ from mklab import (
     solve_primal,
     solve_relaxed_dual,
     solve_restricted_primal,
+    solvers,
     transport_cost,
     uniform_marginal,
 )
@@ -243,6 +248,23 @@ class TestEstimateRelaxedPrimal:
         with pytest.raises(InvariantError):
             estimate_relaxed_primal(c, mu, mu, (0.01, 0.1))
 
+    def test_one_point_grid_is_its_own_limit(self, rng):
+        c = random_cost(rng, 3, 3)
+        mu = random_marginal(rng, 3)
+        nu = random_marginal(rng, 3)
+        sweep = estimate_relaxed_primal(c, mu, nu, (0.1,))
+        assert sweep.limit == sweep.values[0] == solve_partial(c, mu, nu, 0.1).primal_value
+
+    def test_values_falling_with_eps_raise(self, rng, monkeypatch):
+        # partial values may only rise as eps falls, up to ten times the
+        # engine tolerance of rounding
+        values = {0.1: 1.0, 0.01: 1.0 - 2e-8}
+        monkeypatch.setattr(solvers, "solve_partial", lambda _c, _mu, _nu, eps: DualityReport(
+            values[eps], values[eps], None, None, SolverStats(1, 0, 0.0)))
+        mu = random_marginal(rng, 3)
+        with pytest.raises(MKLabError, match="move the wrong way along the grid"):
+            estimate_relaxed_primal(random_cost(rng, 3, 3), mu, mu, (0.1, 0.01))
+
     def test_reports_keep_values_but_not_plans(self, rng):
         c = random_cost(rng, 4, 4)
         mu = random_marginal(rng, 4)
@@ -384,7 +406,7 @@ class TestRelaxedDual:
     def test_sweep_rejects_budget_above_one_before_solving(self, monkeypatch):
         from mklab import network_simplex, solvers
 
-        def no_solve(*args, **kwargs):
+        def no_solve(*_args, **_kwargs):
             raise AssertionError("a budget was solved before the grid was checked")
 
         monkeypatch.setattr(solvers, "solve_relaxed_dual", no_solve)
@@ -513,6 +535,18 @@ class TestReportInvariants:
         report = solve_primal(c, mu, nu)
         j = potential_plan_integral(report.optimal_potentials, report.optimal_plan)
         assert j == pytest.approx(report.primal_value, abs=1e-7)
+
+    def test_relaxed_dual_primal_below_its_dual_raises(self, monkeypatch):
+        c, mu, pi = two_graph_case("ap", 24)
+        dual = solvers._RelaxedDual(c, mu, mu, pi)
+        good = dual.answer(0.01)
+        # the probes are kept, so a second answer only re-normalizes its pair;
+        # raising phi by 1 raises the dual value by 1 over the same primal
+        normalized = solvers.gauge_normalized
+        monkeypatch.setattr(solvers, "gauge_normalized", lambda pair, marginal: PotentialPair(
+            normalized(pair, marginal).phi + 1.0, normalized(pair, marginal).psi))
+        with pytest.raises(MKLabError, match=f"relaxed dual: primal {good.primal_value!r} below"):
+            dual.answer(0.01)
 
     def test_iteration_limit_raises(self, rng, monkeypatch):
         c = random_cost(rng, 6, 6)

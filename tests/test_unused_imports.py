@@ -1,4 +1,4 @@
-"""Every name a package module or script imports is used in that file,
+"""Every name a package module, script or test file imports is used in that file,
 every module-level private name (`_name`) it defines is read in it, and
 every parameter of a function is read in its body."""
 
@@ -12,6 +12,7 @@ import mklab
 SOURCES = sorted(p for p in Path(mklab.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
 SOURCES += sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+SOURCES += sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
