@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Measure mklab: engine counters and CPU time, write times, and an A/B of two trees.
 
-    python scripts/measure.py engine [--sizes 384,768] [--record PATH]
+    python scripts/measure.py engine [--sizes 384,768] [--parent PARENT] [--record PATH]
     python scripts/measure.py write [--sizes 300,1000,2000] [--repeat 5] [--record PATH]
     python scripts/measure.py ab PARENT CHANGE --workload NAME [--rounds 40] [--record PATH]
 
@@ -43,6 +43,9 @@ SEED = 1
 ENGINE_SIZES = {"ex33": (384, 768, 1536), "explicit": (300, 1000, 2000)}
 WRITE_SIZES = (300, 1000, 2000)
 
+#: Timings per tree of each engine call that `engine --parent` alternates.
+ENGINE_AB_ROUNDS = 7
+
 
 def gen_argv(kind: str, n: int) -> list:
     return ["gen", "--kind", kind, "--n", str(n), "--seed", str(SEED)]
@@ -82,6 +85,16 @@ class Table:
     def add(self, *row) -> None:
         self.rows.append(row)
         print(self.template.format(*row), flush=True)
+
+
+def load(name: str, root: Path):
+    """The `mklab` package of the source tree ``root``, imported as ``name``."""
+    package = root / "src" / "mklab"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 def engine_call(solve) -> tuple:
@@ -134,24 +147,41 @@ def engine(args) -> tuple:
     `mklab gen` writes them.  The counters (degenerate pivots move no
     flow) show a pricing regression on any host.  `cpu_s` times the call
     once; `match_s` is the best of five timings of its matched start.
+    With `--parent PARENT`, the call is also solved by PARENT's engine:
+    `cpu_s` and `parent_cpu_s` are then the medians of timings of the two
+    trees alternated on the same arguments, and `ratio` is their quotient.
     """
     from mklab import fileformats, solvers
-    from mklab.network_simplex import _matched_pairs
+    from mklab.network_simplex import _matched_pairs, solve_bipartite
 
     def gen_primal(kind, n):
         p = fileformats.materialize(generated(kind, n))
         return engine_call(lambda: solvers.solve_primal(p.cost, p.mu, p.nu))
 
-    table = Table("{:>23} {:>9} {:>10} {:>7} {:>10} {:>13} {:>8.3f} {:>8.4f}",
-                  ("call", "arcs", "iterations", "pivots", "degenerate", "arcs_priced",
-                   "cpu_s", "match_s"))
+    template = "{:>23} {:>9} {:>10} {:>7} {:>10} {:>13} {:>8.3f} {:>8.4f}"
+    columns = ("call", "arcs", "iterations", "pivots", "degenerate", "arcs_priced",
+               "cpu_s", "match_s")
+    if args.parent:
+        parent = load("mklab_parent", args.parent).network_simplex.solve_bipartite
+        template += " {:>12.3f} {:>6.3f}"
+        columns += ("parent_cpu_s", "ratio")
+    table = Table(template, columns)
     calls = list(benchmark_calls().items())
     calls += [(f"gen-{kind}-{n}", gen_primal(kind, n))
               for kind, sizes in ENGINE_SIZES.items() for n in args.sizes or sizes]
     for name, (call, res, cpu) in calls:
         match, _ = best_of(5, lambda: _matched_pairs(*call), time.process_time)
-        table.add(name, call[-1].size, res.iterations, res.pivots, res.degenerate_pivots,
-                  res.arcs_priced, cpu, match)
+        row = [name, call[-1].size, res.iterations, res.pivots, res.degenerate_pivots,
+               res.arcs_priced, cpu, match]
+        if args.parent:
+            times = ([], [])
+            for rnd in range(ENGINE_AB_ROUNDS):
+                for side in (0, 1) if rnd % 2 == 0 else (1, 0):
+                    solve = (solve_bipartite, parent)[side]
+                    times[side].append(best_of(1, lambda: solve(*call), time.process_time)[0])
+            row[6], parent_cpu = map(statistics.median, times)
+            row += [parent_cpu, row[6] / parent_cpu]
+        table.add(*row)
     return 0, table
 
 
@@ -185,11 +215,7 @@ class Side:
     """One source tree's `mklab`, loaded as the top-level package ``name``."""
 
     def __init__(self, name: str, root: Path, workdir: Path) -> None:
-        package = root / "src" / "mklab"
-        spec = importlib.util.spec_from_file_location(
-            name, package / "__init__.py", submodule_search_locations=[str(package)])
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
+        load(name, root)
         self.cli = importlib.import_module(f"{name}.cli")
         self.fileformats = importlib.import_module(f"{name}.fileformats")
         self.dir = workdir / name
@@ -322,6 +348,8 @@ def main(argv=None) -> int:
         p.set_defaults(run=run, error=p.error)
         p.add_argument("--record", metavar="PATH", help="append the table to PATH as JSON")
     sub["engine"].add_argument("--sizes", type=sizes, help="comma-separated n of each kind")
+    sub["engine"].add_argument("--parent", type=Path,
+                               help="root of a source tree whose engine is timed too")
     sub["write"].add_argument("--sizes", type=sizes, help="comma-separated n")
     sub["write"].add_argument("--repeat", type=positive, default=5, help="timed builds per file")
     sub["ab"].add_argument("parent", type=Path, help="root of the first source tree")

@@ -21,6 +21,16 @@ changed only in its counters (20/19, were 46/45).  The explicit
 instance has no two equal masses, so its three files did not move.
 The engine-independent facts of the ex33 primal file are asserted
 below as well.
+
+The ex33 primal digest was pinned again when the network simplex began
+to prove a perfect matched start optimal by label correcting, before
+any pivot.  The plan and the values did not move.  The potentials are
+the same pair up to the rounding of the gauge: each 0.0 of the old
+file is now -4.163336342344337e-17 in phi and 4.163336342344337e-17 in
+psi, because the engine's pair already has sum(phi * mu) = 0 and the
+gauge subtracts the rounding error of that sum (the old pair sat 1838
+higher, where the sum rounded to an integer).  The iterations and
+pivots are 3/0, were 19/18.
 """
 
 import hashlib
@@ -44,7 +54,7 @@ GOLDEN_SHA256 = {
     ("explicit", "partial:0.05"):
         "94db0a57f88e24d62c20b18dc250287802b0860747e2ae58ba3d98f5f72dd662",
     ("ex33", "primal"):
-        "0164bb6025b759a9ead06c46c72126828580eb7f129dd37c584d69eed1d26ae5",
+        "224adab5168f9ef6dec4c56686bcded4a2d6b58d72998b8ea09c73dd529809b4",
     ("ap", "relaxed-dual:0.01"):
         "42971f7ff2d63346604c79a0d67d6813e28b17fb38caa5f97356e234a9de4447",
 }

@@ -17,6 +17,7 @@ from mklab import (
     RotationInstance,
     ShapeError,
     ap_cost,
+    check_strong_ccm,
     ex33_cost,
     golden_shift,
     make_instance,
@@ -28,7 +29,7 @@ from mklab import (
     network_simplex,
     uniform_marginal,
 )
-from mklab.network_simplex import _blocks, _matched_pairs, solve_bipartite
+from mklab.network_simplex import _blocks, _label_correcting, _matched_pairs, solve_bipartite
 
 from conftest import dense_coupling, dense_transport, nw_corner
 
@@ -207,11 +208,11 @@ def test_arc_order_does_not_matter(rng):
 
 @pytest.mark.parametrize("n, bound", [(96, 800), (192, 2100)])
 def test_ex33_pivot_count(n, bound):
-    # Pivot counts do not depend on the host.  Block pricing over the
-    # scattered arc order takes 95 pivots at n=96 and 181 at n=192 from the
-    # matched start (96 and 180 with coarse blocks only; 516 and 1,377
-    # from the plain star).  The bounds sit far below the degenerate stall
-    # of Dantzig pricing in row-major order (1,944 and 7,887).
+    # Pivot counts do not depend on the host.  The matched start is proved
+    # optimal with no pivot; pivoting from it took 95 pivots at n=96 and
+    # 181 at n=192 (516 and 1,377 from the plain star).  The bounds sit far
+    # below the degenerate stall of Dantzig pricing in row-major order
+    # (1,944 and 7,887).
     inst = RotationInstance(n=n, shift=golden_shift(n))
     mu = uniform_marginal(inst)
     report = solve_primal(ex33_cost(inst, n - 1), mu, mu)
@@ -220,15 +221,22 @@ def test_ex33_pivot_count(n, bound):
 
 
 def test_ex33_arcs_priced():
-    # The final round scans all E arcs; a round that finds an entering arc
-    # stops at its block.  Measured: 34,432 arcs priced over 96
-    # iterations, 0.04 E per iteration, where Dantzig pricing takes E
-    # (119,808 over 97 with coarse blocks only).
+    # Three label-correcting rounds, each pricing all E arcs, prove the
+    # matched start optimal; pivoting from it priced 34,432 arcs over 96
+    # iterations.  With k_max = 48 the start is not a perfect matching and
+    # the solve pivots.  Its final round scans all E arcs; a round that
+    # finds an entering arc stops at its block.  Measured: 88,200 arcs
+    # priced over 143 iterations, 0.13 E per iteration, where Dantzig
+    # pricing takes E.
     n = 96
     inst = RotationInstance(n=n, shift=golden_shift(n))
     mu = uniform_marginal(inst).weights
     costs = ex33_cost(inst, n - 1).entries.ravel()
     res = solve_bipartite(mu, mu, *full_arcs(n, n), costs)
+    assert (res.iterations, res.pivots, res.arcs_priced) == (3, 0, 3 * costs.size)
+    tails, heads, costs = ex33_cost(inst, 48).finite_arcs
+    res = solve_bipartite(mu, mu, tails, heads, costs)
+    assert res.pivots > 0
     assert costs.size <= res.arcs_priced < costs.size * res.iterations / 4
 
 
@@ -240,15 +248,18 @@ def test_ex33_arcs_priced():
 #: flow remains, and later scans find a median 0.07% of their block below
 #: zero; the others are too small.  On the rotation costs the masses are
 #: uniform, so the matched start is feasible from the first pivot (567 and
-#: 382 pivots from the plain star), and most pivots only build the tree;
-#: the explicit instances move flow on every pivot but one.  Counters do
+#: 382 pivots from the plain star).  On ex33 it is a perfect matching that
+#: three label-correcting rounds prove optimal, with no pivot (it took 141
+#: degenerate pivots, 63,648 arcs priced and another digest, 6313844f…, to
+#: pivot there); on ap it is not perfect, and 23 of its pivots move flow.
+#: The explicit instances move flow on every pivot but one.  Counters do
 #: not depend on the host, so these pins catch a pricing or tree change
 #: whatever the noise.  The digests were taken before the engine moved its
 #: per-node bookkeeping onto Python floats, which changed no bit.
 BENCHMARK_ENGINE_CALLS = {
     "ex33-144-primal": (
-        142, 141, 141, 63_648,
-        "6313844f22b2d11f41e15066e9960eecb92c6e21fa0240248f03c078039348e6"),
+        3, 0, 0, 62_208,
+        "b253dec52712a660a5690e76d411068dc5654da1c72917d246a033bff9ca136a"),
     "ap-192-restricted": (
         209, 208, 185, 12_816,
         "ceaac8dcac6e5784dbcc450d5259599d58ad5dfb592834dc35db81c1fa286e51"),
@@ -314,10 +325,11 @@ def test_leaving_arc_ties(supplies, demands, tails, heads, costs, source_pot, si
 
 @pytest.mark.parametrize("n, bound", [(144, 100_000), (384, 1_000_000)])
 def test_ex33_fine_pricing(n, bound):
-    # The matched start leaves no artificial flow and its scans find about
-    # a quarter of their block below zero, so pricing turns fine at once.
-    # Measured: 63,648 arcs priced at n=144 and 436,992 at n=384, against
-    # 373,248 and 6,782,976 with coarse blocks only.
+    # The matched start is proved optimal in three rounds of E arcs:
+    # 62,208 arcs priced at n=144 and 442,368 at n=384.  Pivoting from it
+    # turned fine at once (no artificial flow, about a quarter of each
+    # block below zero) and priced 63,648 and 436,992, against 373,248
+    # and 6,782,976 with coarse blocks only.
     inst = make_instance(n)
     mu = uniform_marginal(inst).weights
     res = solve_bipartite(mu, mu, *full_arcs(n, n), ex33_cost(inst, n - 1).entries.ravel())
@@ -395,14 +407,103 @@ def test_fine_pricing_matches_dense_oracle(rng, monkeypatch):
 
 def test_ex33_matched_start_pivots():
     # Uniform masses make ex33 an assignment problem, and the matched start
-    # is feasible from the first pivot: 141 pivots (136 with coarse blocks
-    # only), against 567 from the plain star.
+    # is an optimal perfect matching: the label-correcting pass proves it
+    # with no pivot.  Pivoting from it took 141 pivots (136 with coarse
+    # blocks only), against 567 from the plain star.
     n = 144
     inst = RotationInstance(n=n, shift=golden_shift(n))
     mu = uniform_marginal(inst)
     report = solve_primal(ex33_cost(inst, n - 1), mu, mu)
     assert report.primal_value == pytest.approx(1.0, abs=1e-12)
     assert report.stats.pivots <= 200
+
+
+@pytest.mark.parametrize("n", [24, 144, 192])
+def test_ex33_certificate_at_zero_tolerance(n):
+    # the proved pair is exact in integers, and stays so through the gauge
+    inst = make_instance(n)
+    mu = uniform_marginal(inst)
+    cost = ex33_cost(inst, n - 1)
+    report = solve_primal(cost, mu, mu)
+    assert report.stats.pivots == 0
+    assert check_strong_ccm(cost, report.optimal_plan, report.optimal_potentials, tol=0.0).passed
+
+
+def proof_runs(monkeypatch):
+    """The results of the label-correcting passes the solves run, in order."""
+    runs = []
+
+    def recording(*args):
+        runs.append(_label_correcting(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(network_simplex, "_label_correcting", recording)
+    return runs
+
+
+def test_perfect_matching_that_is_not_optimal_is_pivoted(monkeypatch):
+    # the greedy start matches the cells of cost 0 and 100; the pass finds
+    # no potentials, and the pivots reach the cells of cost 1
+    runs = proof_runs(monkeypatch)
+    tails, heads = full_arcs(2, 2)
+    costs = np.array([0.0, 1.0, 1.0, 100.0])
+    res = solve_bipartite([0.5, 0.5], [0.5, 0.5], tails, heads, costs)
+    assert runs == [None]
+    assert res.flow.tolist() == [0.0, 0.5, 0.5, 0.0] and res.flow @ costs == 1.0
+    assert res.pivots > 0 and res.arcs_priced > network_simplex._PROOF_ROUNDS * costs.size
+
+
+def integer_assignments(shift=0.0):
+    """Derandomized n x n assignment problems, n = 2..7, with uniform masses
+    and integer costs plus ``shift``: some on every cell, some with a third
+    of the cells off a random permutation forbidden, some with their arcs
+    shuffled out of row-major order.  Yields the cost matrix and its arcs."""
+    rng = np.random.default_rng(26)
+    for case in range(90):
+        n = int(rng.integers(2, 8))
+        entries = rng.integers(0, (2, 4, 10)[case % 3], (n, n)) + shift
+        if case % 6 >= 3:
+            keep = np.zeros((n, n), bool)
+            keep[np.arange(n), rng.permutation(n)] = True
+            entries[~keep & (rng.random((n, n)) < 0.35)] = np.inf
+        cost = CostMatrix(entries)
+        tails, heads, costs = cost.finite_arcs
+        if case % 2:
+            order = rng.permutation(costs.size)
+            tails, heads, costs = tails[order], heads[order], costs[order]
+        yield cost, tails, heads, costs
+
+
+def test_proof_pass_matches_dense_oracle(monkeypatch):
+    runs = proof_runs(monkeypatch)
+    proved = []
+    for cost, tails, heads, costs in integer_assignments():
+        mu = np.full(cost.shape[0], 1.0 / cost.shape[0])
+        runs.clear()
+        res = solve_bipartite(mu, mu, tails, heads, costs)
+        oracle = dense_coupling(cost, Marginal(mu), Marginal(mu)).value
+        assert abs(res.flow @ costs - oracle) <= 1e-9
+        # a greedy matching of the sparser instances may not be perfect
+        assert len(runs) <= 1
+        proved.append(runs[0] is not None if runs else None)
+        if res.pivots == 0:
+            # exact: feasible everywhere and tight on the plan, with no tolerance
+            reduced = costs - res.source_potentials[tails] - res.sink_potentials[heads]
+            assert reduced.min() >= 0.0 and not reduced[res.flow > 0].any()
+    # both outcomes occur, in row-major and in shuffled arc order
+    outcomes = Counter(proved)
+    assert outcomes[True] >= 20 and outcomes[False] >= 20
+    assert True in proved[1::2] and True in proved[::2]
+
+
+def test_fractional_costs_never_enter_the_proof_pass(monkeypatch):
+    runs = proof_runs(monkeypatch)
+    for cost, tails, heads, costs in integer_assignments(0.5):
+        mu = np.full(cost.shape[0], 1.0 / cost.shape[0])
+        res = solve_bipartite(mu, mu, tails, heads, costs)
+        oracle = dense_coupling(cost, Marginal(mu), Marginal(mu)).value
+        assert abs(res.flow @ costs - oracle) <= 1e-9
+    assert runs == []
 
 
 def test_ap_restricted_matched_start_pivots():
@@ -427,7 +528,7 @@ def test_generic_masses_keep_the_star_start():
     keep |= rng.random(n * n) > 0.2
     tails, heads = full_arcs(n, n)
     tails, heads, costs = tails[keep], heads[keep], cost.ravel()[keep]
-    assert _matched_pairs(mu, nu, tails, heads, costs) == []
+    assert _matched_pairs(mu, nu, tails, heads, costs) == ([], False)
     res = solve_bipartite(mu, nu, tails, heads, costs)
     assert (res.iterations, res.pivots, res.arcs_priced) == (154, 153, 28420)
 
@@ -481,7 +582,7 @@ def test_matched_start_matches_dense_oracle(rng, monkeypatch):
         pairs = []
         for (supplies, demands, tails, heads, costs), res in runs:
             assert_potentials_feasible_and_tight(res, tails, heads, costs)
-            pairs.append(_matched_pairs(supplies, demands, tails, heads, costs))
+            pairs.append(_matched_pairs(supplies, demands, tails, heads, costs)[0])
             unmatched += len(pairs[-1]) < np.count_nonzero(supplies)
         matched += bool(pairs[0])
         # the dummy pair of the partial solve begins matched
@@ -532,6 +633,14 @@ def greedy_matched_pairs(supplies, demands, tails, heads, costs):
     return pairs
 
 
+def proof_ready(supplies, demands, tails, heads, costs):
+    """Whether every arc joins ends of equal positive mass and costs an
+    integer in the int16 range: the costs the proof pass may read."""
+    return bool(costs.size) and all(
+        0 < supplies[i] == demands[j] and c.is_integer() and -32768 <= c <= 32767
+        for i, j, c in zip(tails.tolist(), heads.tolist(), costs.tolist()))
+
+
 #: Cost families: integers that an int16 key holds (small, negative, and
 #: at both ends of its range), integers past that range, and non-integral
 #: costs, with -0.0 tied to 0.0.
@@ -580,8 +689,9 @@ def test_matched_pairs_equal_the_counted_walk(problem):
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
         patch.setattr(network_simplex, "_MATCH_CHUNK", chunk)
         warnings.simplefilter("error")
-        pairs = _matched_pairs(*args)
+        pairs, integral = _matched_pairs(*args)
     assert pairs == counted_matched_pairs(*args) == greedy_matched_pairs(*args)
+    assert integral == proof_ready(*args)
 
 
 def test_matched_start_casts_no_cost_it_cannot_hold():
@@ -591,10 +701,11 @@ def test_matched_start_casts_no_cost_it_cannot_hold():
     uniform = np.full(3, 1.0 / 3.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pairs = _matched_pairs(uniform, uniform, tails, heads, costs)
+        pairs, integral = _matched_pairs(uniform, uniform, tails, heads, costs)
         res = solve_bipartite(uniform, uniform, tails, heads, costs)
     assert pairs == greedy_matched_pairs(uniform, uniform, tails, heads, costs) == [
         (4, 2, 2), (2, 1, 1), (0, 0, 0)]
+    assert not integral
     assert res.flow.sum() == pytest.approx(1.0)
 
 
@@ -608,5 +719,5 @@ def test_matched_pairs_on_rotation_costs_equal_the_counted_walk(cost):
     n = c.shape[0]
     uniform = np.full(n, 1.0 / n)
     tails, heads, costs = c.finite_arcs
-    pairs = _matched_pairs(uniform, uniform, tails, heads, costs)
-    assert pairs and pairs == counted_matched_pairs(uniform, uniform, tails, heads, costs)
+    pairs, integral = _matched_pairs(uniform, uniform, tails, heads, costs)
+    assert integral and pairs and pairs == counted_matched_pairs(uniform, uniform, tails, heads, costs)

@@ -73,6 +73,15 @@ def test_measure_engine_records(tmp_path):
     assert all(float(t) >= 0.0 for t in columns["cpu_s"] + columns["match_s"])
 
 
+def test_measure_engine_times_a_parent_engine_too(tmp_path):
+    columns, entry = recorded(tmp_path, "engine", "--sizes", "12", "--parent", str(ROOT))
+    assert columns["call"] == (*BENCHMARK_ENGINE_CALLS, "gen-ex33-12", "gen-explicit-12")
+    for row, (*counters, _) in zip(entry["rows"], BENCHMARK_ENGINE_CALLS.values()):
+        assert row[2:6] == counters
+        cpu, parent_cpu, ratio = row[6], row[8], row[9]
+        assert cpu > 0.0 and parent_cpu > 0.0 and ratio == cpu / parent_cpu
+
+
 def test_measure_write_records(tmp_path):
     columns, entry = recorded(tmp_path, "write", "--sizes", "12,13", "--repeat", "2")
     assert columns["n"] == ("12", "13")
