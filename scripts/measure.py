@@ -146,7 +146,10 @@ def engine(args) -> tuple:
     of `ex33` at n = 384, 768, 1536 and explicit at n = 300, 1000, 2000, as
     `mklab gen` writes them.  The counters (degenerate pivots move no
     flow) show a pricing regression on any host.  `cpu_s` times the call
-    once; `match_s` is the best of five timings of its matched start.
+    once; `match_s` is the best of five timings of its matched start,
+    which a call that starts from a spanning tree of its arcs does not
+    run (the two restricted rows of the benchmark, `ap-192-restricted`
+    and `explicit-300-restricted`).
     With `--parent PARENT`, the call is also solved by PARENT's engine:
     `cpu_s` and `parent_cpu_s` are then the medians of timings of the two
     trees alternated on the same arguments, and `ratio` is their quotient.

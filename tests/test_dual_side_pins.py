@@ -7,6 +7,14 @@ sweep table and the bound table.  Their SHA-256 digests are pinned here
 at the test size and at the benchmark size.  The sweep table's
 `wall_ms` column is a timing, so it is dropped before hashing.  Instance
 files are written with the standard `json` module.
+
+The restricted and sweep digests were pinned again when a program with
+no more arcs than nodes began from a spanning tree of its arcs.  The
+restricted support of `ap` is one cycle, and its tree start is optimal
+at once.  Only the counters moved: `iterations` 20 -> 1 and `pivots`
+19 -> 0 at n = 24, 209 -> 1 and 208 -> 0 at n = 192, in the result
+files and in every row of the sweep tables.  The plans, potentials and
+values kept their bytes, and the bound tables did not move.
 """
 
 import hashlib
@@ -18,15 +26,15 @@ from mklab.cli import main
 
 DUAL_SIDE_SHA256 = {
     (24, "restricted"):
-        "6d1858317504b0338907c17c2e4040ef03df52a9af71a43de6305f3845ba0d48",
+        "f132b00e56065419bb67d9bde83309cee7c0e2db4a58930becbd749627a0349c",
     (24, "sweep"):
-        "ede6358bf55829110c4526cffca716a9de98e889937702fd0017b1142fc315a0",
+        "7025fbf3d7255271c9ced7f544e9cd565daf7c5dca4103abbf5becd2f1bfb505",
     (24, "bound"):
         "2fedf61cbb315042ee7a99ce7d7ca8d03b0dea1907a3d4e35d181d0a3060cbca",
     (192, "restricted"):
-        "fe46f94aafd565bbc88e0d41ed8dd83af12f8f350bc9d905a1cfcc1b5f254721",
+        "0de711848d78c03d7f7ce08f2a0f53af8b22c0df45815de9243fe1b7f4f1521d",
     (192, "sweep"):
-        "67f5cd6f01b978371a68e7ef79dc54a06a9a21bd5a179511d4b9be3faa84866e",
+        "003d99e7d906bb4b15724d5c688e89bc02164c95185624a6ba173456017e3713",
     (192, "bound"):
         "82a79c8b1f76fb3659d1477bf3142014f4e54d05424eecb937073164017266ce",
 }

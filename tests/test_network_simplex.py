@@ -18,6 +18,7 @@ from mklab import (
     ShapeError,
     ap_cost,
     check_strong_ccm,
+    fileformats,
     ex33_cost,
     golden_shift,
     make_instance,
@@ -29,7 +30,13 @@ from mklab import (
     network_simplex,
     uniform_marginal,
 )
-from mklab.network_simplex import _blocks, _label_correcting, _matched_pairs, solve_bipartite
+from mklab.network_simplex import (
+    _blocks,
+    _label_correcting,
+    _matched_pairs,
+    _spanning_tree,
+    solve_bipartite,
+)
 
 from conftest import dense_coupling, dense_transport, nw_corner
 
@@ -246,23 +253,27 @@ def test_ex33_arcs_priced():
 #: SHA-256 of the flow, source and sink potential bytes.  None of them
 #: prices fine blocks: at explicit n=300 most pivots come while artificial
 #: flow remains, and later scans find a median 0.07% of their block below
-#: zero; the others are too small.  On the rotation costs the masses are
-#: uniform, so the matched start is feasible from the first pivot (567 and
-#: 382 pivots from the plain star).  On ex33 it is a perfect matching that
-#: three label-correcting rounds prove optimal, with no pivot (it took 141
-#: degenerate pivots, 63,648 arcs priced and another digest, 6313844f…, to
-#: pivot there); on ap it is not perfect, and 23 of its pivots move flow.
-#: The explicit instances move flow on every pivot but one.  Counters do
-#: not depend on the host, so these pins catch a pricing or tree change
-#: whatever the noise.  The digests were taken before the engine moved its
-#: per-node bookkeeping onto Python floats, which changed no bit.
+#: zero; the others are too small.  The two restricted programs have no
+#: more arcs than nodes, and each starts from a strongly feasible spanning
+#: tree of its arcs that one pricing round proves optimal: the 384 arcs of
+#: ap's supp(pi0) form one cycle, and the 599 of the explicit
+#: north-west-corner pi0 a tree.  From the matched start they took 208
+#: pivots (185 degenerate, 12,816 arcs priced, digest ceaac8dc…) and 610
+#: (47,546 arcs priced, digest 888a6db8…).  On ex33 the matched start is a
+#: perfect matching that three label-correcting rounds prove optimal, with
+#: no pivot (it took 141 degenerate pivots, 63,648 arcs priced and another
+#: digest, 6313844f…, to pivot there).  The explicit primal and partial
+#: calls move flow on every pivot but one.  Counters do not depend on the
+#: host, so these pins catch a pricing or tree change whatever the noise.
+#: The digests were taken before the engine moved its per-node
+#: bookkeeping onto Python floats, which changed no bit.
 BENCHMARK_ENGINE_CALLS = {
     "ex33-144-primal": (
         3, 0, 0, 62_208,
         "b253dec52712a660a5690e76d411068dc5654da1c72917d246a033bff9ca136a"),
     "ap-192-restricted": (
-        209, 208, 185, 12_816,
-        "ceaac8dcac6e5784dbcc450d5259599d58ad5dfb592834dc35db81c1fa286e51"),
+        1, 0, 0, 384,
+        "8ef40fb7d45410153293663064535e5486383a1d8845c26800450b7945ecaa62"),
     "explicit-300-primal": (
         1041, 1040, 0, 9_579_096,
         "57a023f151b51efaf8cc4d129d7af8e1fae0e5b952cbdcc96a69b9cade92228f"),
@@ -270,8 +281,8 @@ BENCHMARK_ENGINE_CALLS = {
         985, 984, 1, 9_113_761,
         "3e08ef623f8fa633e062fbd06de97c29bf8f91918ee8fd516cfb3e6d813bf013"),
     "explicit-300-restricted": (
-        611, 610, 0, 47_546,
-        "888a6db84372c8bedadbd68d9738c5e6c90627bcca80f53b15fdabfddc2826b4"),
+        1, 0, 0, 599,
+        "f67b4fc7ea832cc11e7002dd4865ddd9a318df51ba4352c4d0fccb2ce6ef7414"),
     "explicit-60-primal": (
         211, 210, 0, 85_511,
         "36d4a258bd15fa099b7a5c5dea7fc1b978afaff0bf138de7016ddd61ee0037fd"),
@@ -305,9 +316,10 @@ def test_benchmark_instances_keep_their_bits(benchmark_calls, name):
 
 
 @pytest.mark.parametrize("supplies, demands, tails, heads, costs, source_pot, sink_pot", [
-    # a tie on the tail side: its first least arc leaves
-    ([2, 1, 1], [2, 2], [0, 0, 1, 2, 2], [0, 1, 0, 0, 1], [2, 0, 1, 2, 1],
-     [22, 21, 22], [-20, -22]),
+    # a tie on the tail side: its first least arc leaves (the full grid, so
+    # that more arcs than nodes keep the solve on the matched start)
+    ([2, 1, 1], [2, 2], [0, 0, 1, 1, 2, 2], [0, 1, 0, 1, 0, 1], [2, 0, 1, 3, 2, 1],
+     [31, 30, 31], [-29, -31]),
     # a tie on the head side: its last least arc leaves
     ([1, 1, 1], [0, 1, 2], [0, 0, 0, 1, 1, 2, 2, 2], [0, 1, 2, 0, 1, 0, 1, 2],
      [0, 0, 1, 1, 1, 0, 1, 0], [14, 15, 13], [-15, -14, -13]),
@@ -442,14 +454,16 @@ def proof_runs(monkeypatch):
 
 
 def test_perfect_matching_that_is_not_optimal_is_pivoted(monkeypatch):
-    # the greedy start matches the cells of cost 0 and 100; the pass finds
-    # no potentials, and the pivots reach the cells of cost 1
+    # the greedy start matches the cells of cost 0, 9 and 9; the pass finds
+    # no potentials, and the pivots reach the two cells of cost 1 (a 3 x 3
+    # grid, so that more arcs than nodes keep the solve off the tree start)
     runs = proof_runs(monkeypatch)
-    tails, heads = full_arcs(2, 2)
-    costs = np.array([0.0, 1.0, 1.0, 100.0])
-    res = solve_bipartite([0.5, 0.5], [0.5, 0.5], tails, heads, costs)
+    tails, heads = full_arcs(3, 3)
+    costs = np.array([0.0, 1.0, 9.0, 1.0, 9.0, 9.0, 9.0, 9.0, 9.0])
+    res = solve_bipartite([1.0] * 3, [1.0] * 3, tails, heads, costs)
     assert runs == [None]
-    assert res.flow.tolist() == [0.0, 0.5, 0.5, 0.0] and res.flow @ costs == 1.0
+    assert res.flow.tolist() == [0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+    assert res.flow @ costs == 11.0
     assert res.pivots > 0 and res.arcs_priced > network_simplex._PROOF_ROUNDS * costs.size
 
 
@@ -507,13 +521,176 @@ def test_fractional_costs_never_enter_the_proof_pass(monkeypatch):
 
 
 def test_ap_restricted_matched_start_pivots():
-    # The restricted solve inside every ap relaxed dual: 208 pivots on 384
-    # arcs, against 382 from the plain star.
+    # The restricted solve inside every ap relaxed dual: its 384 arcs form
+    # one cycle, and the spanning tree of them is optimal, with no pivot.
+    # From the matched start it took 208 pivots, and 382 from the plain star.
     inst = make_instance(192)
     pi0 = mixture_plan([shift_graph_plan(inst, 0), shift_graph_plan(inst, 1)], [0.5, 0.5])
     report = solve_restricted_primal(ap_cost(inst), pi0)
     assert report.primal_value == pytest.approx(1.0, abs=1e-12)
     assert report.stats.pivots <= 300
+
+
+def tree_starts(monkeypatch):
+    """The start trees that the solves built, None for each one refused, in order."""
+    starts = []
+
+    def recording(*args):
+        starts.append(_spanning_tree(*args))
+        return starts[-1]
+
+    monkeypatch.setattr(network_simplex, "_spanning_tree", recording)
+    return starts
+
+
+def assert_strongly_feasible(tree, supplies, demands, tails, heads):
+    """The start tree spans the nodes by arcs of the program, every
+    component hanging from the root by an artificial arc of no flow; its
+    flows ship the masses, none is below -TOL, and each tree arc that
+    carries at most TOL points up, from a source to its parent sink."""
+    order, parent, via, flows = tree
+    m, n = supplies.size, demands.size
+    assert sorted(order) == list(range(m + n))
+    place = {v: k for k, v in enumerate(order)}
+    real = [v for v in order if via[v] >= 0]
+    for v in order:
+        if via[v] < 0:
+            assert parent[v] == m + n and flows[v] == 0.0
+        else:
+            assert place[parent[v]] < place[v]
+            assert {v, parent[v]} == {int(tails[via[v]]), m + int(heads[via[v]])}
+    arcs = np.array([via[v] for v in real], dtype=int)
+    shipped = np.array([flows[v] for v in real])
+    assert np.bincount(tails[arcs], shipped, m) == pytest.approx(supplies, abs=1e-12)
+    assert np.bincount(heads[arcs], shipped, n) == pytest.approx(demands, abs=1e-12)
+    tol = network_simplex.TOL
+    assert all(flows[v] >= -tol and (flows[v] > tol or v < m) for v in real)
+
+
+def solve_or_infeasible(supplies, demands, tails, heads, costs):
+    """The engine's value, after checking it against the dense tableau's;
+    None when both find the program infeasible."""
+    m, n = supplies.size, demands.size
+    try:
+        oracle = dense_transport(m, n, tails, heads, costs, supplies, demands).value
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            solve_bipartite(supplies, demands, tails, heads, costs)
+        return None
+    res = solve_bipartite(supplies, demands, tails, heads, costs)
+    assert_potentials_feasible_and_tight(res, tails, heads, costs)
+    assert res.flow @ costs == pytest.approx(oracle, abs=1e-9)
+    return res.flow @ costs
+
+
+@pytest.mark.parametrize("supplies, demands, tails, heads, taken", [
+    ([0.5, 0.5], [0.5, 0.5], [0, 0, 1, 1], [0, 1, 0, 1], True),
+    ([0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0, 1], [0, 1], True),
+    ([0.0, 1.0], [0.0, 1.0], [0, 1, 1], [0, 0, 1], False),
+    ([0.75, 0.25], [0.5, 0.5], [0, 0, 1, 1], [0, 1, 0, 1], False),
+    ([0.75, 0.25], [0.5, 0.5], [0, 1], [0, 1], False),
+    ([0.5, 0.5], [1.0], [0], [0], False),
+], ids=["zero-flow-up", "isolated-zero-mass", "zero-flow-down", "negative-flow",
+        "unbalanced-components", "isolated-mass"])
+def test_which_start_a_sparse_program_takes(monkeypatch, supplies, demands, tails, heads, taken):
+    # zero-flow-up: the path s0-t1-s1-t0 leaves s1 -> t1 at zero flow,
+    # pointing up.  zero-flow-down: s0 -> t0 sits below s0 with no flow.
+    # negative-flow: the path needs -0.25 on s1 -> t1.  The last two are
+    # infeasible: a component ships more than it receives.
+    starts = tree_starts(monkeypatch)
+    supplies, demands = np.array(supplies), np.array(demands)
+    tails, heads = np.array(tails), np.array(heads)
+    solve_or_infeasible(supplies, demands, tails, heads, np.arange(1.0, tails.size + 1))
+    assert [tree is not None for tree in starts] == [taken]
+
+
+def sparse_programs():
+    """Derandomized programs with no more arcs than nodes, m, n = 1..7: a
+    random bipartite spanning tree on each of one to three components,
+    plus no extra arc (a forest), one per component, or two in one
+    component; nodes alone on their side of a component stay isolated.
+    The masses are those of a random flow on the arcs, with zeros.  Every
+    fifth program moves mass from a source to a sink of another component,
+    and every twelfth, a forest, puts a negative flow on one arc; either
+    leaves it infeasible.  Yields the masses and the arcs."""
+    rng = np.random.default_rng(27)
+    for case in range(210):
+        m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        label = rng.integers(0, 1 + case % 3, m + n)
+        arcs, groups = [], []
+        for c in np.unique(label):
+            members = rng.permutation(np.flatnonzero(label == c)).tolist()
+            sources, sinks = [v for v in members if v < m], [v - m for v in members if v >= m]
+            if not sources or not sinks:
+                label[members] = -1 - np.array(members)  # isolated nodes
+                continue
+            placed = [sources[:1], sinks[:1]]
+            arcs.append((sources[0], sinks[0]))
+            for v in members:
+                if v == sources[0] or v == m + sinks[0]:
+                    continue
+                if v < m:
+                    arcs.append((v, int(rng.choice(placed[1]))))
+                    placed[0].append(v)
+                else:
+                    arcs.append((int(rng.choice(placed[0])), v - m))
+                    placed[1].append(v - m)
+            groups.append((sources, sinks))
+        if not arcs:
+            continue
+        shape = case % 4
+        extra = [] if shape in (0, 3) else groups if shape == 1 else groups[:1] * 2
+        for sources, sinks in extra[:m + n - len(arcs)]:
+            arcs.append((int(rng.choice(sources)), int(rng.choice(sinks))))
+        tails, heads = (np.array(side) for side in zip(*arcs))
+        x = (rng.integers(0, 3, tails.size) / 4 if case % 2
+             else rng.uniform(0.05, 1.0, tails.size) * (rng.random(tails.size) > 0.2))
+        if shape == 0 and case % 12 == 8:
+            x[rng.integers(tails.size)] = -0.125
+        supplies, demands = np.bincount(tails, x, m), np.bincount(heads, x, n)
+        if case % 5 == 4:
+            i = int(rng.integers(m))
+            elsewhere = np.flatnonzero(label[m:] != label[i])
+            if elsewhere.size:
+                supplies[i] += 0.25
+                demands[rng.choice(elsewhere)] += 0.25
+        if supplies.min() < 0 or demands.min() < 0:
+            continue
+        assert tails.size <= m + n
+        costs = rng.integers(0, 4, tails.size).astype(float) if case % 3 else rng.uniform(
+            0.0, 5.0, tails.size)
+        yield supplies, demands, tails, heads, costs
+
+
+def test_tree_start_matches_dense_oracle(monkeypatch):
+    starts = tree_starts(monkeypatch)
+    outcomes = Counter()
+    for supplies, demands, tails, heads, costs in sparse_programs():
+        starts.clear()
+        value = solve_or_infeasible(supplies, demands, tails, heads, costs)
+        [tree] = starts
+        if tree is not None:
+            assert_strongly_feasible(tree, supplies, demands, tails, heads)
+        outcomes[tree is not None, value is not None] += 1
+    # taken, refused on a feasible program, and refused on an infeasible one
+    assert outcomes[True, True] >= 40 and outcomes[False, True] >= 20
+    assert outcomes[False, False] >= 10 and not outcomes[True, False]
+
+
+@pytest.mark.parametrize("n, counters", [(24, (35, 34, 20, 645)),
+                                         (192, (261, 260, 252, 33_720))])
+def test_restricted_program_with_more_arcs_than_nodes_keeps_its_start(monkeypatch, n, counters):
+    # ex33's reference plan mixes five shift graphs: 5n arcs on 2n nodes,
+    # outside the tree start's gate, so the restricted solve keeps the
+    # matched start and the counters it had before the tree start existed.
+    # Without the gate, the tree of n=24 is taken and ends with no pivot;
+    # that of n=192 is refused.
+    problem = fileformats.materialize(MEASURE["generated"]("ex33", n))
+    starts = tree_starts(monkeypatch)
+    _, res, _ = MEASURE["engine_call"](
+        lambda: solve_restricted_primal(problem.cost, problem.reference_plan))
+    assert starts == []
+    assert (res.iterations, res.pivots, res.degenerate_pivots, res.arcs_priced) == counters
 
 
 def test_generic_masses_keep_the_star_start():
