@@ -2,8 +2,9 @@
 
 Exit codes: 0 solved, 1 usage or I/O or validation error, 2 infeasible,
 3 iteration limit.  Single solves write deterministic JSON result files;
-sweeps and diagnostics write CSV tables (those include wall-clock
-columns and are not byte-reproducible).
+sweeps and diagnostics write CSV tables.  Only sweep tables carry a
+wall-clock column, `wall_ms`, and are not byte-reproducible; diagnostic
+tables are.
 """
 
 from __future__ import annotations

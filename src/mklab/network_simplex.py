@@ -24,7 +24,7 @@ potentials do not drift as pivots accumulate.  Per-node reads and sums
 run on Python floats: the subtree walk reads a list mirror of the
 potentials and writes each sum to it and to the array that pricing
 gathers from.  Numpy otherwise handles whole arrays: the pricing scans,
-the matched start and the final flow scatter.
+the arc gather and the final flow scatter.
 
 Pricing is block search (Kovács, *Minimum-cost flow algorithms: an
 experimental evaluation*, OMS 2015): it scans blocks of arcs, resuming
@@ -32,23 +32,26 @@ where the last scan stopped, and enters the most negative reduced cost
 of the first block that has one; a full round of blocks without one
 proves optimality.  Arcs are scanned in a fixed scattered order, so
 that the many tied costs of a structured instance are not all met in
-row-major order.  Blocks start coarse: a pivot costs far more in Python
-than a numpy scan, and while artificial flow remains or entering arcs
-are rare, the best arc of a large block saves pivots.  Once no
-artificial arc carries flow and a scan finds 1% of its block below
-zero, the solve turns for good to fine blocks of about 2 sqrt(E) arcs,
-whose scans cost little next to the pivot they find.
+row-major order.  Blocks are large, min(E/8, 34 sqrt(E)) arcs: a pivot
+costs far more in Python than a numpy scan, and the best arc of a large
+block saves pivots.  Smaller blocks once artificial flow is gone would
+cut the arcs priced where a problem pivots long after it, as ex33 at odd
+n does (2.7 and 2.9 times fewer at n=145 and 385), but on explicit
+costs they cost more pivots than they save scans.
 
-The start tree is the star on the root, except that sources and sinks
-of equal positive mass begin matched: walking the arcs whose two ends
-carry the same positive mass from the cheapest, each arc whose two ends
-are unmatched hangs its sink below its source with that whole mass, and
-the source's artificial arc stays in the tree with zero flow, pointing
-up.  In an assignment problem (uniform marginals, as in the rotation
-models) most nodes begin matched, and most of the pivots that the plain
-star spends pushing artificial flow out are saved.  Without equal masses the start
-is the plain star.  Only equal masses are matched: hanging sinks of
-any mass below cheap sources makes each re-hang larger, which costs
+The start tree is the star on the root with a start forest hung into
+it, by one loop: each forest node leaves its artificial arc for the arc
+to its forest parent, with its forest flow, and each forest root keeps
+its artificial arc, pointing up with no flow.  The forest is the
+spanning forest below when a sparse program has one, and otherwise the
+matched pairs: walking the arcs whose two ends carry the same positive
+mass from the cheapest, each arc whose two ends are unmatched makes a
+forest of two nodes, its sink below its source with their common mass.
+In an assignment problem (uniform marginals, as in the rotation models)
+most nodes begin matched, and most of the pivots that the plain star
+spends pushing artificial flow out are saved.  Without equal masses the
+start is the plain star.  Only equal masses are matched: hanging sinks
+of any mass below cheap sources makes each re-hang larger, which costs
 more than the pivots it saves.  The walk sorts the arcs by cost,
 stably: when every cost is an integer in the int16 range, as in the
 rotation models, it sorts an exact int16 key, which numpy radix-sorts
@@ -60,33 +63,32 @@ any tree is built.  Optimal potentials exist iff the difference
 constraints that a perfect matching puts on the sink potentials have no
 negative cycle (negative-cycle optimality; Ahuja, Magnanti and Orlin,
 *Network Flows*, 1993, ch. 9), and a label-correcting pass either finds
-them or keeps lowering a potential, the test that CS2's price refinement
-makes before it does any work (Goldberg, *An efficient implementation of
-a scaling minimum-cost flow algorithm*, J. Algorithms 22, 1997).  On
-integer costs the sums are exact, so a pass that settles returns the
-matching with potentials that are feasible and tight with no tolerance,
-and no pivot.  A pass that is still lowering potentials after
+them or keeps lowering a potential, the test that CS2 makes at the start
+of a scaling phase, before it does any work (Goldberg, *An efficient
+implementation of a scaling minimum-cost flow algorithm*, J. Algorithms
+22, 1997).  On integer costs the sums are exact, so a pass that settles
+returns the matching with potentials that are feasible and tight with no
+tolerance, and no pivot.  A pass that is still lowering potentials after
 _PROOF_ROUNDS rounds gives up, and the solve pivots from the matched
-tree as it would have without the pass.
+forest as it would have without the pass.
 
 A program with no more arcs than nodes (0 < E <= m + n), such as the
 restricted program on the support of a plan that is a tree or a single
 cycle, first tries to start from a spanning tree of its own arcs.  A
 depth-first search over the arcs, from the nodes in index order and
-following the last arc at a node first, gives a spanning forest.  Each
-of its components hangs from the root by the artificial arc of its first
-node, pointing up with no flow.  The tree flows push each node's excess
-to its parent, children first, by the helper that the exact flow
-recovery uses.  The solve starts from that tree when it is a strongly
-feasible basis: every component balanced, no flow below -TOL, and every
-tree arc that carries at most TOL pointing up (Cunningham 1976; Ahuja,
-Magnanti and Orlin 1993, ch. 11).  Such a start needs no phase-1 pivot,
-and it keeps the anti-cycling guarantee.  Otherwise the solve takes the
-matched start above.  The search costs Python work per arc, so the gate
-keeps it to sparse programs: without the gate, the tree of the full ex33
-n=144 grid is taken and the solve takes 6 times the CPU of the matched
-start's proof, and the tree of the explicit n=300 grid is refused after
-27 ms of search.
+following the last arc at a node first, gives a spanning forest, whose
+components are rooted at their first nodes.  The tree flows push each
+node's excess to its parent, children first, by the helper that the
+exact flow recovery uses.  The solve starts from that tree when it is a
+strongly feasible basis: every component balanced, no flow below -TOL,
+and every tree arc that carries at most TOL pointing up (Cunningham
+1976; Ahuja, Magnanti and Orlin 1993, ch. 11).  Such a start needs no
+phase-1 pivot, and it keeps the anti-cycling guarantee.  Otherwise the
+solve takes the matched start above.  The search costs Python work per
+arc, so the gate keeps it to sparse programs: without the gate, the tree
+of the full ex33 n=144 grid is taken and the solve takes 6 times the CPU
+of the matched start's proof, and the tree of the explicit n=300 grid is
+refused after 27 ms of search.
 """
 
 from __future__ import annotations
@@ -113,14 +115,8 @@ TOL = 1e-9
 #: Pivoting iterations allowed before IterationLimitError.
 MAX_ITERATIONS = 10 ** 6
 
-#: Coarse blocks hold min(ceil(E / 8), ceil(34 sqrt(E))) of the E real
-#: arcs, fine ones max(256, ceil(2 sqrt(E))).  Pricing turns fine when a
-#: fine block is at most a quarter of a coarse one, no artificial tree arc
-#: carries more than TOL, and a successful scan finds at least 1% of its
-#: block below -TOL.
-_COARSE_BLOCKS, _COARSE_ROOT = 8, 34
-_FINE_MIN, _FINE_ROOT = 256, 2
-_FINE_RATIO, _FINE_SHARE = 4, 0.01
+#: A pricing block holds min(ceil(E / 8), ceil(34 sqrt(E))) of the E real arcs.
+_BLOCKS, _BLOCK_ROOT = 8, 34
 
 #: The matched start walks the cost-sorted arcs this many at a time.
 _MATCH_CHUNK = 4096
@@ -158,12 +154,6 @@ def _scattered_stride(n_arcs: int) -> int:
     while math.gcd(stride, n_arcs) != 1:
         stride += 1
     return stride
-
-
-def _blocks(g_cost, g_tail, g_head, e_real: int, step: int) -> list[tuple]:
-    """(first arc, costs, tails, heads) of each block of ``step`` real arcs, as views."""
-    bounds = [(lo, min(lo + step, e_real)) for lo in range(0, e_real, step)]
-    return [(lo, g_cost[lo:hi], g_tail[lo:hi], g_head[lo:hi]) for lo, hi in bounds]
 
 
 def _cost_order(costs) -> tuple[np.ndarray, bool]:
@@ -267,14 +257,14 @@ def _push_excess(excess: list, parent: list, up: list, order) -> list[float]:
 
 
 def _spanning_tree(supplies, demands, tails, heads):
-    """The depth-first spanning forest of the arcs as a start tree, or None
-    when it is not a strongly feasible basis.
+    """The depth-first spanning forest of the arcs as a start forest, or
+    None when it is not a strongly feasible basis.
 
     Nodes are sources 0..m-1, then sinks, then the root.  The search starts
     a component at each node not yet reached, in index order, and hangs it
     from the root by that node's artificial arc, pointing up.  Returns the
-    non-root nodes in preorder, with each one's parent, the input arc to
-    it (-1 for an artificial arc) and its tree flow.
+    start forest: the non-root nodes in preorder, and per node its parent,
+    the input arc to it (-1 for an artificial arc) and its tree flow.
     """
     m, n = supplies.size, demands.size
     root = m + n
@@ -343,8 +333,9 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
     if not np.all(np.isfinite(costs)):
         raise MKLabError("arc costs must be finite (forbidden pairs are deleted, not priced)")
 
-    tree = _spanning_tree(supplies, demands, tails, heads) if 0 < e_real <= m + n else None
-    matched, integral = ([], False) if tree else _matched_pairs(
+    root = m + n
+    forest = _spanning_tree(supplies, demands, tails, heads) if 0 < e_real <= root else None
+    matched, integral = ([], False) if forest else _matched_pairs(
         supplies, demands, tails, heads, costs)
     proof_rounds = 0
     if matched:
@@ -359,6 +350,12 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
                                      iterations=rounds, pivots=0, arcs_priced=e_real * rounds,
                                      degenerate_pivots=0)
             proof_rounds = _PROOF_ROUNDS
+        # each pair is a start forest of two nodes: the source at the root,
+        # and its sink below it with their common mass
+        above, via, carried = np.full(root, root), np.full(root, -1), np.zeros(root)
+        above[m + snks], via[m + snks], carried[m + snks] = srcs, arcs, supplies[srcs]
+        forest = (np.column_stack([srcs, m + snks]).ravel().tolist(),
+                  above.tolist(), via.tolist(), carried.tolist())
 
     g_cost = np.empty(e_real)
     # the slots hold |cost| until the gather below fills them
@@ -377,7 +374,6 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
     # with demand, so that every artificial arc without flow points up.  A
     # real arc in the basis is priced at +inf, so that no scan enters it;
     # artificial arcs are never priced and live only in the tree.
-    root = m + n
     stride = _scattered_stride(e_real)
     g_tail, g_head = np.empty(e_real, dtype=int), np.empty(e_real, dtype=int)
     # a block of slots at a time, so that no scratch array grows with the arcs
@@ -400,50 +396,33 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
     flow = masses.tolist() + [0.0]
     depth = [1] * (m + n) + [0]
     children: list[dict] = [{} for _ in range(m + n)] + [dict.fromkeys(range(m + n))]
-    pi = np.array([penalty if up[v] else -penalty for v in range(m + n)] + [0.0])
-    # Matched start: sink j hangs below source i by the real arc in slot
-    # k, which carries their common mass down; the artificial arc of i
-    # keeps zero flow pointing up, and that of j leaves the tree.
-    if matched:
-        slots = arcs * pow(stride, -1, e_real) % e_real
-        pair_cost = costs[arcs]
-        # every matched source keeps its start potential, penalty
-        pi[m + snks] = penalty - pair_cost
-        g_cost[slots] = np.inf
-        for k, i, v, c in zip(slots.tolist(), srcs.tolist(), (m + snks).tolist(),
-                              pair_cost.tolist()):
-            del children[root][v]
-            children[i][v] = None
-            parent[v], parent_arc[v], up[v], arc_cost[v], depth[v] = i, k, False, c, 2
-            flow[v], flow[i] = flow[i], 0.0
-    pot = pi.tolist()
-    # Tree start: each node hangs from its parent in the spanning forest
-    # with its tree flow, and a component's first node keeps its
-    # artificial arc, pointing up with no flow.
-    if tree:
-        order, tree_parent, tree_arc, tree_flow = tree
-        inverse, arc_costs, tree_slots = pow(stride, -1, e_real), costs.tolist(), []
+    pot = [penalty if up[v] else -penalty for v in range(m + n)] + [0.0]
+    # Each start forest node leaves the star for the arc to its parent,
+    # with its forest flow; a forest root keeps its artificial arc, pointing
+    # up with no flow.
+    if forest:
+        order, forest_parent, forest_arc, forest_flow = forest
+        # per node, the cost of its forest arc (a forest root's -1 reads one it never uses)
+        arc_costs = costs[forest_arc].tolist()
+        inverse, forest_slots = pow(stride, -1, e_real), []
         for v in order:
-            u, a = tree_parent[v], tree_arc[v]
-            flow[v] = tree_flow[v]
+            u, a = forest_parent[v], forest_arc[v]
+            flow[v] = forest_flow[v]
             if a < 0:
                 up[v], pot[v] = True, penalty
                 continue
-            k, c = a * inverse % e_real, arc_costs[a]
+            k, c = a * inverse % e_real, arc_costs[v]
             del children[root][v]
             children[u][v] = None
             parent[v], parent_arc[v], up[v], arc_cost[v], depth[v] = u, k, v < m, c, depth[u] + 1
             pot[v] = c + pot[u] if up[v] else pot[u] - c
-            tree_slots.append(k)
-        g_cost[tree_slots] = np.inf
-        pi[:] = pot
-    # artificial tree arcs (those joining the root to its children) that carry more than tol
-    loaded = sum(flow[v] > tol for v in children[root])
+            forest_slots.append(k)
+        g_cost[forest_slots] = np.inf
+    pi = np.array(pot)
 
-    coarse = max(1, min(-(-e_real // _COARSE_BLOCKS), math.ceil(_COARSE_ROOT * math.sqrt(e_real))))
-    fine = max(_FINE_MIN, math.ceil(_FINE_ROOT * math.sqrt(e_real)))
-    refine = _FINE_RATIO * fine <= coarse
-    blocks = _blocks(g_cost, g_tail, g_head, e_real, coarse)
+    step = max(1, min(-(-e_real // _BLOCKS), math.ceil(_BLOCK_ROOT * math.sqrt(e_real))))
+    blocks = [(lo, g_cost[lo:lo + step], g_tail[lo:lo + step], g_head[lo:lo + step])
+              for lo in range(0, e_real, step)]
     n_blocks = len(blocks)
     next_block = 0
     # a proof pass that hit its cap priced every arc in each of its rounds
@@ -466,13 +445,6 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
                 break
         if entering < 0:
             break
-        if refine and not loaded and (
-                np.count_nonzero(reduced < -tol) >= _FINE_SHARE * reduced.size):
-            # resume in the fine block that holds the next coarse block's first arc
-            next_block = blocks[next_block][0] // fine
-            blocks = _blocks(g_cost, g_tail, g_head, e_real, fine)
-            n_blocks = len(blocks)
-            refine = False
 
         # Cycle created by the entering arc, oriented along it: from the
         # apex down the tree path to its tail, then the entering arc, then
@@ -508,10 +480,7 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
             # the cycle joins a root apex to a side's top node
             for v, push in ((tail_e, -theta), (head_e, theta)):
                 while v != x:
-                    moved = flow[v] + (push if up[v] else -push)
-                    if parent[v] == root:
-                        loaded += (moved > tol) - (flow[v] > tol)
-                    flow[v] = moved
+                    flow[v] += push if up[v] else -push
                     v = parent[v]
         else:
             degenerate_pivots += 1

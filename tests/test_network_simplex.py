@@ -31,7 +31,6 @@ from mklab import (
     uniform_marginal,
 )
 from mklab.network_simplex import (
-    _blocks,
     _label_correcting,
     _matched_pairs,
     _spanning_tree,
@@ -42,6 +41,8 @@ from conftest import dense_coupling, dense_transport, nw_corner
 
 #: `scripts/measure.py`, loaded by path: it defines the benchmark's engine calls.
 MEASURE = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "measure.py"))
+#: `perfbench/workloads.py`, loaded by path as `scripts/measure.py` loads it.
+WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
 
 
 def full_arcs(m, n):
@@ -216,10 +217,10 @@ def test_arc_order_does_not_matter(rng):
 @pytest.mark.parametrize("n, bound", [(96, 800), (192, 2100)])
 def test_ex33_pivot_count(n, bound):
     # Pivot counts do not depend on the host.  The matched start is proved
-    # optimal with no pivot; pivoting from it took 95 pivots at n=96 and
-    # 181 at n=192 (516 and 1,377 from the plain star).  The bounds sit far
-    # below the degenerate stall of Dantzig pricing in row-major order
-    # (1,944 and 7,887).
+    # optimal with no pivot; pivoting from it takes 96 pivots at n=96 and
+    # 180 at n=192 (95 and 181 with fine blocks, 516 and 1,377 from the
+    # plain star).  The bounds sit far below the degenerate stall of
+    # Dantzig pricing in row-major order (1,944 and 7,887).
     inst = RotationInstance(n=n, shift=golden_shift(n))
     mu = uniform_marginal(inst)
     report = solve_primal(ex33_cost(inst, n - 1), mu, mu)
@@ -229,9 +230,10 @@ def test_ex33_pivot_count(n, bound):
 
 def test_ex33_arcs_priced():
     # Three label-correcting rounds, each pricing all E arcs, prove the
-    # matched start optimal; pivoting from it priced 34,432 arcs over 96
-    # iterations.  With k_max = 48 the start is not a perfect matching and
-    # the solve pivots.  Its final round scans all E arcs; a round that
+    # matched start optimal at every even n: 3E arcs priced and no pivot.
+    # Pivoting from it prices 119,808 arcs at n=96, and priced 34,432 with
+    # fine blocks.  With k_max = 48 the start is not a perfect matching
+    # and the solve pivots.  Its final round scans all E arcs; a round that
     # finds an entering arc stops at its block.  Measured: 88,200 arcs
     # priced over 143 iterations, 0.13 E per iteration, where Dantzig
     # pricing takes E.
@@ -241,22 +243,40 @@ def test_ex33_arcs_priced():
     costs = ex33_cost(inst, n - 1).entries.ravel()
     res = solve_bipartite(mu, mu, *full_arcs(n, n), costs)
     assert (res.iterations, res.pivots, res.arcs_priced) == (3, 0, 3 * costs.size)
+    inst = RotationInstance(n=n, shift=golden_shift(n))
+    mu = uniform_marginal(inst).weights
     tails, heads, costs = ex33_cost(inst, 48).finite_arcs
     res = solve_bipartite(mu, mu, tails, heads, costs)
     assert res.pivots > 0
     assert costs.size <= res.arcs_priced < costs.size * res.iterations / 4
 
 
+@pytest.mark.parametrize("n, bound", [(144, 100_000), (384, 1_000_000)])
+def test_ex33_fine_pricing(n, bound):
+    # The matched start is proved optimal in three rounds of E arcs:
+    # 62,208 arcs priced at n=144 and 442,368 at n=384, with no pivot.
+    # The bounds are what pivoting from it once priced with fine blocks
+    # (63,648 and 436,992); with the one block size left it prices 373,248
+    # and 4,571,136, so the proof is what keeps these solves under them.
+    inst = make_instance(n)
+    mu = uniform_marginal(inst).weights
+    costs = ex33_cost(inst, n - 1).entries.ravel()
+    res = solve_bipartite(mu, mu, *full_arcs(n, n), costs)
+    assert res.arcs_priced <= bound
+    assert (res.iterations, res.pivots, res.arcs_priced) == (3, 0, 3 * costs.size)
+
+
 #: The benchmark's engine calls, as `scripts/measure.py` captures them from
 #: the solver call of each benchmark op: iterations, pivots, degenerate
 #: pivots and arcs priced (the columns of `measure.py engine`), and the
-#: SHA-256 of the flow, source and sink potential bytes.  None of them
-#: prices fine blocks: at explicit n=300 most pivots come while artificial
-#: flow remains, and later scans find a median 0.07% of their block below
-#: zero; the others are too small.  The two restricted programs have no
-#: more arcs than nodes, and each starts from a strongly feasible spanning
-#: tree of its arcs that one pricing round proves optimal: the 384 arcs of
-#: ap's supp(pi0) form one cycle, and the 599 of the explicit
+#: SHA-256 of the flow, source and sink potential bytes.  A switch to
+#: smaller blocks once no artificial arc carried flow, since deleted, fired
+#: on none of them and left these pins unchanged: at explicit n=300 most
+#: pivots come while artificial flow remains, and later scans find a
+#: median 0.07% of their block below zero.  The two restricted programs
+#: have no more arcs than nodes, and each starts from a strongly feasible
+#: spanning tree of its arcs that one pricing round proves optimal: the
+#: 384 arcs of ap's supp(pi0) form one cycle, and the 599 of the explicit
 #: north-west-corner pi0 a tree.  From the matched start they took 208
 #: pivots (185 degenerate, 12,816 arcs priced, digest ceaac8dc…) and 610
 #: (47,546 arcs priced, digest 888a6db8…).  On ex33 the matched start is a
@@ -315,6 +335,27 @@ def test_benchmark_instances_keep_their_bits(benchmark_calls, name):
     assert hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest() == digest
 
 
+@pytest.mark.parametrize("seed, problem, counters, value", [
+    (17, "partial", (1011, 1010, 1, 9_373_470), 0.02816874632869167),
+    (33, "primal", (1143, 1142, 0, 10_511_611), 0.04051466364949444),
+], ids=["17-partial", "33-primal"])
+def test_one_block_size_on_explicit_seeds(seed, problem, counters, value):
+    # The benchmark's explicit n=300 instance at other seeds.  A switch to
+    # smaller blocks once no artificial arc carried flow, since deleted,
+    # fired on 19 of the 80 primal and partial:0.05 solves of seeds 1-40,
+    # and each of them took more pivots with it, to the same value.  Here
+    # it took 1,255 / 1,254 / 1 / 8,824,828 and 1,305 / 1,304 / 0 / 9,023,538
+    # (iterations, pivots, degenerate pivots, arcs priced).
+    cost, mu, nu, _ = WORKLOADS["explicit_arrays"](seed, 300)
+    cost, mu, nu = CostMatrix(cost), Marginal(mu), Marginal(nu)
+    solve = {"primal": lambda: solve_primal(cost, mu, nu),
+             "partial": lambda: solve_partial(cost, mu, nu, WORKLOADS["PARTIAL_EPS"])}[problem]
+    reports = []
+    _, res, _ = MEASURE["engine_call"](lambda: reports.append(solve()))
+    assert (res.iterations, res.pivots, res.degenerate_pivots, res.arcs_priced) == counters
+    assert reports[0].primal_value == value
+
+
 @pytest.mark.parametrize("supplies, demands, tails, heads, costs, source_pot, sink_pot", [
     # a tie on the tail side: its first least arc leaves (the full grid, so
     # that more arcs than nodes keep the solve on the matched start)
@@ -333,31 +374,6 @@ def test_leaving_arc_ties(supplies, demands, tails, heads, costs, source_pot, si
     res = solve_bipartite(supplies, demands, tails, heads, costs)
     assert res.source_potentials.tolist() == source_pot
     assert res.sink_potentials.tolist() == sink_pot
-
-
-@pytest.mark.parametrize("n, bound", [(144, 100_000), (384, 1_000_000)])
-def test_ex33_fine_pricing(n, bound):
-    # The matched start is proved optimal in three rounds of E arcs:
-    # 62,208 arcs priced at n=144 and 442,368 at n=384.  Pivoting from it
-    # turned fine at once (no artificial flow, about a quarter of each
-    # block below zero) and priced 63,648 and 436,992, against 373,248
-    # and 6,782,976 with coarse blocks only.
-    inst = make_instance(n)
-    mu = uniform_marginal(inst).weights
-    res = solve_bipartite(mu, mu, *full_arcs(n, n), ex33_cost(inst, n - 1).entries.ravel())
-    assert res.arcs_priced <= bound
-
-
-def block_steps(monkeypatch):
-    """The block lengths of the pricing layouts a solve builds, in order."""
-    steps = []
-
-    def recording(*args):
-        steps.append(args[-1])
-        return _blocks(*args)
-
-    monkeypatch.setattr(network_simplex, "_blocks", recording)
-    return steps
 
 
 def parallel_arcs(rng, n, n_arcs):
@@ -383,33 +399,16 @@ def test_no_arcs_and_one_arc():
     assert (res.iterations, res.pivots, res.arcs_priced) == (1, 0, 1)
 
 
-def test_fine_blocks_only_when_a_quarter_of_a_coarse_one(monkeypatch):
-    # 8,192 arcs make coarse blocks of 1,024 = 4 x 256, and the solve turns
-    # fine; without its last 8 arcs a coarse block holds 1,023, and the
-    # same problem never does
-    steps = block_steps(monkeypatch)
-    mu = np.full(8, 1 / 8)
-    tails, heads, costs = parallel_arcs(np.random.default_rng(1), 8, 8192)
-    solve_bipartite(mu, mu, tails, heads, costs)
-    assert steps == [1024, 256]
-    steps.clear()
-    res = solve_bipartite(mu, mu, tails[:-8], heads[:-8], costs[:-8])
-    assert steps == [1023]
-    assert_potentials_feasible_and_tight(res, tails[:-8], heads[:-8], costs[:-8])
-
-
-def test_fine_pricing_matches_dense_oracle(rng, monkeypatch):
-    # Uniform masses and tied costs on 8,192 to 12,000 parallel arcs: every
-    # solve turns fine, its last round still prices all E arcs, and it
-    # reaches the optimum of the cheapest arc per cell
-    steps = block_steps(monkeypatch)
+def test_block_pricing_matches_dense_oracle(rng):
+    # Uniform masses and tied costs on 8,192 to 12,000 parallel arcs: the
+    # last round of each solve still prices all E arcs, and it reaches the
+    # optimum of the cheapest arc per cell
     for _ in range(30):
         n = int(rng.integers(6, 25))
         tails, heads, costs = parallel_arcs(rng, n, int(rng.integers(8192, 12000)))
         mu = np.full(n, 1 / n)
-        steps.clear()
         res = solve_bipartite(mu, mu, tails, heads, costs)
-        assert len(steps) == 2 and res.arcs_priced >= costs.size
+        assert res.arcs_priced >= costs.size
         assert_potentials_feasible_and_tight(res, tails, heads, costs)
         cell = np.full((n, n), np.inf)
         np.minimum.at(cell, (tails, heads), costs)
@@ -420,8 +419,8 @@ def test_fine_pricing_matches_dense_oracle(rng, monkeypatch):
 def test_ex33_matched_start_pivots():
     # Uniform masses make ex33 an assignment problem, and the matched start
     # is an optimal perfect matching: the label-correcting pass proves it
-    # with no pivot.  Pivoting from it took 141 pivots (136 with coarse
-    # blocks only), against 567 from the plain star.
+    # with no pivot.  Pivoting from it takes 136 pivots (141 with fine
+    # blocks), against 567 from the plain star.
     n = 144
     inst = RotationInstance(n=n, shift=golden_shift(n))
     mu = uniform_marginal(inst)
