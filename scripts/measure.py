@@ -11,7 +11,10 @@ benchmark worker does, and builds instances as `mklab gen --kind KIND
 ones.  `benchmark_calls` defines the benchmark's engine calls, which
 the engine tests pin.  Times depend on the host; counters and byte
 counts do not.  `--record PATH` appends the table to PATH as one JSON line
-with the commit, date, host, CPU, Python and numpy versions and command.
+with the commit, date, host, CPU, Python and numpy versions and command;
+the command names each source tree by the commit checked out there,
+with "-dirty" when its files differ from it, or by its directory name
+when it is not a checkout.
 """
 
 import argparse
@@ -310,21 +313,54 @@ def ab(args) -> tuple:
     return (0 if all(same.values()) else 1), table
 
 
-def record(path: str, table: Table, argv: list) -> None:
-    """Append ``table`` to ``path`` as one JSON line, with what ran it and where."""
-    def git(*words) -> str:
-        return subprocess.run(["git", "-C", str(ROOT), *words], capture_output=True,
-                              text=True, check=False).stdout.strip()
+def git(root: Path, *words) -> str:
+    return subprocess.run(["git", "-C", str(root), *words], capture_output=True,
+                          text=True, check=False).stdout.strip()
+
+
+def edited(root: Path) -> bool:
+    """Whether the tracked files under src/ or scripts/ of the checkout at
+    ``root`` differ from its commit."""
+    return bool(git(root, "status", "--porcelain", "--untracked-files=no", "--", "src",
+                    "scripts"))
+
+
+def tree_name(root: Path) -> str:
+    """The commit checked out at ``root``, with "-dirty" appended when its
+    files differ from that commit, or its directory name when it is not a
+    checkout."""
+    top = git(root, "rev-parse", "--show-toplevel")
+    if top and Path(top).resolve() == root.resolve():
+        return git(root, "rev-parse", "HEAD") + ("-dirty" if edited(root) else "")
+    return root.resolve().name
+
+
+def record(path: str, table: Table, argv: list, trees: list) -> None:
+    """Append ``table`` to ``path`` as one JSON line, with what ran it and where.
+
+    Each argument of ``argv`` that names one of the source ``trees``, alone
+    or as the value of ``--option=``, is recorded as that tree's
+    `tree_name`, so that no path of the machine that ran it enters the
+    record.
+    """
+    names = {tree: tree_name(tree) for tree in trees}
+
+    def named(word: str) -> str:
+        option, equals, value = word.partition("=")
+        if not (word.startswith("--") and equals):
+            option, value = "", word
+        return option + equals + names.get(Path(value), value)
+
     with open("/proc/cpuinfo", encoding="utf-8") as fh:
         cpu = next((line.split(":", 1)[1].strip() for line in fh
                     if line.startswith("model name")), platform.processor())
     entry = {
-        "commit": git("rev-parse", "HEAD"),
-        "dirty": bool(git("status", "--porcelain", "--untracked-files=no", "--", "src",
-                          "scripts")),
+        "commit": git(ROOT, "rev-parse", "HEAD"),
+        "dirty": edited(ROOT),
         "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "host": platform.node(), "cpu": cpu, "python": platform.python_version(),
-        "numpy": np.__version__, "command": ["scripts/measure.py", *argv],
+        "numpy": np.__version__,
+        "command": ["scripts/measure.py", *map(named, argv)],
         "columns": list(table.columns), "rows": table.rows,
     }
     with open(path, "a", encoding="utf-8") as fh:
@@ -365,7 +401,8 @@ def main(argv=None) -> int:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     code, table = args.run(args)
     if args.record:
-        record(args.record, table, argv)
+        trees = [getattr(args, side) for side in ("parent", "change") if getattr(args, side, None)]
+        record(args.record, table, argv, trees)
     return code
 
 

@@ -39,15 +39,16 @@ cut the arcs priced where a problem pivots long after it, as ex33 at odd
 n does (2.7 and 2.9 times fewer at n=145 and 385), but on explicit
 costs they cost more pivots than they save scans.
 
-The start tree is the star on the root with a start forest hung into
-it, by one loop: each forest node leaves its artificial arc for the arc
-to its forest parent, with its forest flow, and each forest root keeps
-its artificial arc, pointing up with no flow.  The forest is the
-spanning forest below when a sparse program has one, and otherwise the
-matched pairs: walking the arcs whose two ends carry the same positive
-mass from the cheapest, each arc whose two ends are unmatched makes a
-forest of two nodes, its sink below its source with their common mass.
-In an assignment problem (uniform marginals, as in the rotation models)
+The pivots start from a start tree given per node: its parent, the
+input arc to it (-1 for its artificial arc), whether that arc points up,
+and its depth, potential and flow; one pass reads each node's arc slot,
+arc cost and children from it.  The start tree is the spanning tree
+below when a sparse program has one, and otherwise the star on the root
+with the matched pairs hung into it: walking the arcs whose two ends
+carry the same positive mass from the cheapest, each arc whose two ends
+are unmatched hangs its sink below its source with their common mass,
+and the source keeps its artificial arc, pointing up with no flow.  In
+an assignment problem (uniform marginals, as in the rotation models)
 most nodes begin matched, and most of the pivots that the plain star
 spends pushing artificial flow out are saved.  Without equal masses the
 start is the plain star.  Only equal masses are matched: hanging sinks
@@ -74,27 +75,47 @@ forest as it would have without the pass.
 
 A program with no more arcs than nodes (0 < E <= m + n), such as the
 restricted program on the support of a plan that is a tree or a single
-cycle, first tries to start from a spanning tree of its own arcs.  A
-depth-first search over the arcs, from the nodes in index order and
-following the last arc at a node first, gives a spanning forest, whose
-components are rooted at their first nodes.  The tree flows push each
-node's excess to its parent, children first, by the helper that the
-exact flow recovery uses.  The solve starts from that tree when it is a
-strongly feasible basis: every component balanced, no flow below -TOL,
-and every tree arc that carries at most TOL pointing up (Cunningham
-1976; Ahuja, Magnanti and Orlin 1993, ch. 11).  Such a start needs no
-phase-1 pivot, and it keeps the anti-cycling guarantee.  Otherwise the
-solve takes the matched start above.  The search costs Python work per
-arc, so the gate keeps it to sparse programs: without the gate, the tree
-of the full ex33 n=144 grid is taken and the solve takes 6 times the CPU
-of the matched start's proof, and the tree of the explicit n=300 grid is
-refused after 27 ms of search.
+cycle, first tries to start from a spanning tree of its own arcs, built
+in one depth-first pass over the arcs, from the nodes in index order and
+following the last arc at a node first.  Each component is rooted at its
+first node, which hangs from the root by its artificial arc, pointing up
+at the penalty's potential.  The pass records each node's parent, input
+arc, depth and potential: c + pi(parent) up from a source, and
+pi(parent) minus c down to a sink.  So on this branch the penalty is
+summed, and its overflow checked, before the pass.
+The tree flows push each node's excess to its parent, deepest nodes
+first, by the helper that the exact flow recovery uses, so they are
+that recovery's flows.  The tree is a start when it is a strongly
+feasible basis: every component balanced, no flow below -TOL, and every
+tree arc that carries at most TOL pointing up (Cunningham 1976; Ahuja,
+Magnanti and Orlin 1993, ch. 11).  Such a start needs no phase-1 pivot,
+and it keeps the anti-cycling guarantee.  One pricing round over the
+arcs out of the tree, by the expression of the block scans, then
+decides: when no reduced cost is below -TOL the tree is optimal, and
+the solve returns from there with 1 iteration, no pivot and E arcs
+priced, before the scattered arrays or the pivoting tree exist.
+Otherwise the pivots start from that same tree, with no second search;
+their first block scan prices again, and only the pivoting rounds are
+counted.  A tree that is not strongly feasible gives way to the matched
+start.  The search costs Python work per arc, so the gate keeps it to
+sparse programs: without the gate, the tree of the full ex33 n=144 grid
+is taken and the solve takes 6 times the CPU of the matched start's
+proof, and the tree of the explicit n=300 grid is refused after 27 ms of
+search.
+
+Every solve ends in one finish, whether pivots, a pricing round or a
+label-correcting pass proved its basis: the iterations are checked
+against MAX_ITERATIONS, the basic flows against conservation at the
+root and against negative values, artificial flow above TOL raises
+InfeasibleError, and the flows of the basic real arcs are scattered
+back to input order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -112,7 +133,7 @@ from .core import (
 #: optimality that counts as feasible.
 TOL = 1e-9
 
-#: Pivoting iterations allowed before IterationLimitError.
+#: Iterations, as ``solve_bipartite`` counts them, allowed before IterationLimitError.
 MAX_ITERATIONS = 10 ** 6
 
 #: A pricing block holds min(ceil(E / 8), ceil(34 sqrt(E))) of the E real arcs.
@@ -138,9 +159,9 @@ class BipartiteFlow:
     flow: np.ndarray          # one value per real arc, in input order
     source_potentials: np.ndarray
     sink_potentials: np.ndarray
-    iterations: int
+    iterations: int           # counted as ``solve_bipartite`` says
     pivots: int
-    arcs_priced: int          # reduced costs computed, summed over the blocks scanned
+    arcs_priced: int          # reduced costs computed in the iterations counted
     degenerate_pivots: int    # pivots that moved no flow (theta = 0)
 
 
@@ -244,66 +265,141 @@ def _label_correcting(tails, heads, costs, arcs, srcs, snks):
     return None
 
 
-def _push_excess(excess: list, parent: list, up: list, order) -> list[float]:
+def _penalty(costs) -> tuple[float, np.ndarray]:
+    """The artificial-arc penalty 3 * (1 + sum |c|), and the array of |c|
+    it summed, for the caller to reuse.
+
+    A potential is at most 4/3 of the penalty in size and a reduced cost at
+    most 3 times it, so all stay finite when 4 * penalty does; InvariantError
+    otherwise.
+    """
+    magnitudes = np.abs(costs)
+    with np.errstate(over="ignore"):
+        cost_sum = float(np.sum(magnitudes))
+    penalty = 3.0 * (1.0 + cost_sum)
+    if not math.isfinite(4.0 * penalty):
+        raise InvariantError(
+            f"arc costs sum to {cost_sum:.6g}: the artificial-arc penalty 3 * (1 + sum |c|) "
+            "overflows float64 in the engine's potentials")
+    return penalty, magnitudes
+
+
+def _push_excess(supplies, demands, parent: list, up: list, depth: list) -> tuple[list, float]:
     """The flow on each node's tree arc that carries the node excesses to the
-    root, pushed from node to parent in ``order``, children before their
-    parents; whatever reaches a node is added to its ``excess``, the root's
-    last."""
-    flows = [0.0] * (len(excess) - 1)
-    for v in order:
+    root, pushed from node to parent, deepest nodes first and ties in index
+    order, and the excess left at the root, 0 when the masses balance."""
+    root = supplies.size + demands.size
+    excess = supplies.tolist() + (-demands).tolist() + [float(np.sum(demands) - np.sum(supplies))]
+    flows = [0.0] * root
+    for v in sorted(range(root), key=depth.__getitem__, reverse=True):
         flows[v] = excess[v] if up[v] else -excess[v]
         excess[parent[v]] += excess[v]
-    return flows
+    return flows, excess[root]
 
 
-def _spanning_tree(supplies, demands, tails, heads):
-    """The depth-first spanning forest of the arcs as a start forest, or
-    None when it is not a strongly feasible basis.
+def _spanning_tree(supplies, demands, tails, heads, costs, penalty):
+    """The depth-first spanning forest of the arcs as a start tree, or None
+    when it is not a strongly feasible basis.
 
     Nodes are sources 0..m-1, then sinks, then the root.  The search starts
     a component at each node not yet reached, in index order, and hangs it
-    from the root by that node's artificial arc, pointing up.  Returns the
-    start forest: the non-root nodes in preorder, and per node its parent,
-    the input arc to it (-1 for an artificial arc) and its tree flow.
+    from the root by that node's artificial arc, pointing up at potential
+    ``penalty``.  Returns, per non-root node, its parent, the input arc to
+    it (-1 for an artificial arc), whether that arc points up, its depth
+    (1 below the root), its potential and its tree flow, and then the
+    excess left at the root.
     """
     m, n = supplies.size, demands.size
     root = m + n
-    # the arcs at each node as a CSR layout: entry k leads from owner[k] to other[k]
+    # the arcs at each node as a CSR layout: entry k leads from owner[k] to
+    # other[k], whose potential is owner[k]'s plus step[k]
     ends = np.concatenate([tails, m + heads])
     by_end = np.argsort(ends, kind="stable")
     first = np.searchsorted(ends, np.arange(root + 1), sorter=by_end).tolist()
     owner = ends[by_end].tolist()
     other = np.concatenate([m + heads, tails])[by_end].tolist()
     arc = (by_end % tails.size).tolist()
+    step = np.concatenate([-costs, costs])[by_end].tolist()
     # a real tree arc points up from a source to its sink, and down from a
     # source to a sink below it; every artificial one points up
-    parent, via, up = [-1] * (root + 1), [-1] * root, [True] * m + [False] * n
-    order = []
+    parent, via, up = [-1] * root, [-1] * root, [True] * m + [False] * n
+    depth, pot = [1] * root, [penalty] * root
+    # the entries reached and not yet followed; the last one is followed first
+    stack: list[int] = []
+    pop, push = stack.pop, stack.extend
     for start in range(root):
         if parent[start] >= 0:
             continue
         parent[start], up[start] = root, True
-        order.append(start)
-        # the entries reached and not yet followed; the last one is followed first
-        stack = list(range(first[start], first[start + 1]))
+        push(range(first[start], first[start + 1]))
         while stack:
-            k = stack.pop()
+            k = pop()
             w = other[k]
             if parent[w] < 0:
-                parent[w], via[w] = owner[k], arc[k]
-                order.append(w)
-                stack.extend(range(first[w], first[w + 1]))
-    flows = _push_excess(supplies.tolist() + (-demands).tolist() + [0.0], parent, up,
-                         reversed(order))
+                u = owner[k]
+                parent[w], via[w], depth[w], pot[w] = u, arc[k], depth[u] + 1, pot[u] + step[k]
+                push(range(first[w], first[w + 1]))
+    flows, root_excess = _push_excess(supplies, demands, parent, up, depth)
     tol = TOL
-    for v in order:
-        if via[v] < 0:
-            if not abs(flows[v]) <= tol:
-                return None  # an unbalanced component
-            flows[v] = 0.0
-        elif not flows[v] >= -tol or (flows[v] <= tol and not up[v]):
+    for a, f, u in zip(via, flows, up):
+        # an unbalanced component, a negative flow, or an empty arc pointing down
+        if not abs(f) <= tol if a < 0 else not f >= -tol or (f <= tol and not u):
             return None
-    return order, parent, via, flows
+    return parent, via, up, depth, pot, flows, root_excess
+
+
+def _matched_start(supplies, demands, costs, arcs, srcs, snks, penalty):
+    """The star on the root with the matched pairs (arcs, srcs, snks) hung
+    into it, as a start tree in the layout of ``_spanning_tree``, but with
+    the input arcs in an array.
+
+    In the star each node hangs from the root by its artificial arc with its
+    mass, pointing down only to a sink with demand, so that every artificial
+    arc without flow points up.  A matched source keeps its artificial arc,
+    pointing up with no flow, and its sink hangs below it with their common
+    mass.
+    """
+    m = supplies.size
+    root = m + demands.size
+    parent, depth = [root] * root, [1] * root
+    up = [True] * m + (demands == 0).tolist()
+    flow = supplies.tolist() + demands.tolist()
+    pot = [penalty if u else -penalty for u in up]
+    via = np.full(root, -1)
+    via[m + snks] = arcs
+    for i, v, c in zip(srcs.tolist(), (m + snks).tolist(), costs[arcs].tolist()):
+        parent[v], up[v], depth[v], pot[v] = i, False, 2, penalty - c
+        flow[i], flow[v] = 0.0, flow[i]
+    return parent, via, up, depth, pot, flow
+
+
+def _finish(e_real, arcs, basic, root_excess, phi, psi, *counters) -> BipartiteFlow:
+    """The result of a solve that ends on the basis whose node v carries
+    ``basic[v]`` on input arc ``arcs[v]``, or on its artificial arc where
+    that is -1, with ``root_excess`` left at the root; ``counters`` are the
+    iterations, pivots, arcs priced and degenerate pivots.
+
+    Raises IterationLimitError past MAX_ITERATIONS iterations, MKLabError
+    when the flows do not conserve mass or one is negative, and
+    InfeasibleError when artificial arcs carry more than TOL of mass.
+    """
+    tol = TOL
+    if counters[0] > MAX_ITERATIONS:
+        raise IterationLimitError(f"network simplex exceeded {MAX_ITERATIONS} iterations")
+    # written so that a NaN fails them; an arc out of the basis carries 0
+    if not abs(root_excess) <= tol:
+        raise MKLabError("flow conservation failed at the root")  # pragma: no cover
+    if not float(basic.min(initial=0.0)) >= -tol:
+        raise MKLabError("negative basic flow after recomputation")  # pragma: no cover
+    np.maximum(basic, 0.0, out=basic)
+    # An unshipped unit crosses two artificial arcs, up into the root and
+    # down out of it, so half the artificial flow is the mass not shipped.
+    artificial = arcs < 0
+    if 0.5 * float(basic[artificial].sum()) > tol:
+        raise InfeasibleError("no feasible shipment avoids the deleted pairs")
+    flow = np.zeros(e_real)
+    flow[arcs[~artificial]] = basic[~artificial]
+    return BipartiteFlow(flow, phi, psi, *counters)
 
 
 def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
@@ -313,9 +409,14 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
     potentials (u, v) satisfy u[i] + v[j] <= cost + TOL on every arc,
     with equality on arcs carrying flow (the returned basis); more than
     TOL of mass left unshipped at optimality raises InfeasibleError.
-    More than MAX_ITERATIONS iterations raise IterationLimitError.
+    More than MAX_ITERATIONS iterations raise IterationLimitError.  The
+    iterations are the pivots' pricing rounds, the rounds of a
+    label-correcting proof, and the pricing round of a spanning tree when
+    that round proves the tree optimal.  A tree's round that finds an
+    entering arc is not counted, in the iterations or the arcs priced: the
+    pivots' first block scan prices those arcs again and is counted.
     """
-    tol, max_iterations = TOL, MAX_ITERATIONS
+    tol = TOL
     supplies = np.asarray(supplies, dtype=float)
     demands = np.asarray(demands, dtype=float)
     tails = np.asarray(tails, dtype=int)
@@ -334,46 +435,63 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
         raise MKLabError("arc costs must be finite (forbidden pairs are deleted, not priced)")
 
     root = m + n
-    forest = _spanning_tree(supplies, demands, tails, heads) if 0 < e_real <= root else None
-    matched, integral = ([], False) if forest else _matched_pairs(
-        supplies, demands, tails, heads, costs)
+    # g_cost holds |cost| until the pivots' gather fills it with scattered costs
+    penalty = start = None
+    if 0 < e_real <= root:
+        penalty, g_cost = _penalty(costs)
+        start = _spanning_tree(supplies, demands, tails, heads, costs, penalty)
     proof_rounds = 0
-    if matched:
-        arcs, srcs, snks = np.array(matched).T
+    if start is not None:
+        # one pricing round over the arcs out of the tree, by the expression
+        # and the test of the block scans in _pivot: when no reduced cost is
+        # below -TOL, the tree is optimal
+        parent, via, up, depth, pot, flow, root_excess = start
+        pi, basic_arc = np.array(pot), np.array(via)
+        reduced = costs - pi[tails]
+        reduced += pi[m:][heads]
+        reduced[basic_arc[basic_arc >= 0]] = np.inf
+        if reduced.min() >= -tol:
+            return _finish(e_real, basic_arc, np.array(flow), root_excess,
+                           pi[:m].copy(), -pi[m:], 1, 0, e_real, 0)
+        # the pivots start from this tree, each component root's artificial
+        # arc without flow
+        flow = [f if a >= 0 else 0.0 for a, f in zip(via, flow)]
+        start = parent, basic_arc, up, depth, pot, flow
+    else:
+        matched, integral = _matched_pairs(supplies, demands, tails, heads, costs)
+        arcs, srcs, snks = np.fromiter(chain.from_iterable(matched), int,
+                                       3 * len(matched)).reshape(-1, 3).T
         if integral and len(matched) == m == n:
             proof = _label_correcting(tails, heads, costs, arcs, srcs, snks)
             if proof is not None:
                 phi, psi, rounds = proof
-                flow = np.zeros(e_real)
-                flow[arcs] = supplies[srcs]
-                return BipartiteFlow(flow=flow, source_potentials=phi, sink_potentials=psi,
-                                     iterations=rounds, pivots=0, arcs_priced=e_real * rounds,
-                                     degenerate_pivots=0)
+                # every node is matched, and each pair balances exactly
+                return _finish(e_real, arcs, supplies[srcs], 0.0, phi, psi,
+                               rounds, 0, e_real * rounds, 0)
             proof_rounds = _PROOF_ROUNDS
-        # each pair is a start forest of two nodes: the source at the root,
-        # and its sink below it with their common mass
-        above, via, carried = np.full(root, root), np.full(root, -1), np.zeros(root)
-        above[m + snks], via[m + snks], carried[m + snks] = srcs, arcs, supplies[srcs]
-        forest = (np.column_stack([srcs, m + snks]).ravel().tolist(),
-                  above.tolist(), via.tolist(), carried.tolist())
+        if penalty is None:
+            penalty, g_cost = _penalty(costs)
+        start = _matched_start(supplies, demands, costs, arcs, srcs, snks, penalty)
+    return _pivot(supplies, demands, tails, heads, costs, g_cost, penalty, start, proof_rounds)
 
-    g_cost = np.empty(e_real)
-    # the slots hold |cost| until the gather below fills them
-    with np.errstate(over="ignore"):
-        cost_sum = float(np.sum(np.abs(costs, out=g_cost)))
-    penalty = 3.0 * (1.0 + cost_sum)
-    # a potential is at most 4/3 of the penalty in size and a reduced cost
-    # at most 3 times it, so all stay finite when 4 * penalty does
-    if not math.isfinite(4.0 * penalty):
-        raise InvariantError(
-            f"arc costs sum to {cost_sum:.6g}: the artificial-arc penalty 3 * (1 + sum |c|) "
-            "overflows float64 in the engine's potentials")
+
+def _pivot(supplies, demands, tails, heads, costs, g_cost, penalty, start,
+           proof_rounds) -> BipartiteFlow:
+    """Pivot from ``start``, a start tree in the layout of ``_matched_start``,
+    to an optimal basis, and finish the solve there.
+
+    ``g_cost`` is a scratch array of E floats that the gather below fills
+    with the scattered costs, and ``proof_rounds`` the rounds of a proof
+    pass that gave up, counted as iterations that priced every arc.
+    """
+    tol, max_iterations = TOL, MAX_ITERATIONS
+    m, n = supplies.size, demands.size
+    root, e_real = m + n, costs.size
 
     # Real arcs are stored in scattered order.  Artificial arc e_real + v
-    # joins node v to the root; in the star it points down only to a sink
-    # with demand, so that every artificial arc without flow points up.  A
-    # real arc in the basis is priced at +inf, so that no scan enters it;
-    # artificial arcs are never priced and live only in the tree.
+    # joins node v to the root.  A real arc in the basis is priced at +inf,
+    # so that no scan enters it; artificial arcs are never priced and live
+    # only in the tree.
     stride = _scattered_stride(e_real)
     g_tail, g_head = np.empty(e_real, dtype=int), np.empty(e_real, dtype=int)
     # a block of slots at a time, so that no scratch array grows with the arcs
@@ -384,40 +502,25 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
         ids %= e_real
         g_tail[lo:hi], g_head[lo:hi], g_cost[lo:hi] = tails[ids], heads[ids], costs[ids]
     g_head += m
-    sink_down = demands > 0
 
-    # The tree, per node: up[v] says that the arc to the parent points from
-    # v to it, and arc_cost and flow belong to that arc; children[v] is a
-    # dict used as an ordered set.  The tree starts as the star on the root.
-    up = [True] * m + (~sink_down).tolist() + [False]
-    parent = [root] * (m + n) + [-1]
-    parent_arc = list(range(e_real, e_real + m + n)) + [-1]
-    arc_cost = [penalty] * (m + n) + [0.0]
-    flow = masses.tolist() + [0.0]
-    depth = [1] * (m + n) + [0]
-    children: list[dict] = [{} for _ in range(m + n)] + [dict.fromkeys(range(m + n))]
-    pot = [penalty if up[v] else -penalty for v in range(m + n)] + [0.0]
-    # Each start forest node leaves the star for the arc to its parent,
-    # with its forest flow; a forest root keeps its artificial arc, pointing
-    # up with no flow.
-    if forest:
-        order, forest_parent, forest_arc, forest_flow = forest
-        # per node, the cost of its forest arc (a forest root's -1 reads one it never uses)
-        arc_costs = costs[forest_arc].tolist()
-        inverse, forest_slots = pow(stride, -1, e_real), []
-        for v in order:
-            u, a = forest_parent[v], forest_arc[v]
-            flow[v] = forest_flow[v]
-            if a < 0:
-                up[v], pot[v] = True, penalty
-                continue
-            k, c = a * inverse % e_real, arc_costs[v]
-            del children[root][v]
-            children[u][v] = None
-            parent[v], parent_arc[v], up[v], arc_cost[v], depth[v] = u, k, v < m, c, depth[u] + 1
-            pot[v] = c + pot[u] if up[v] else pot[u] - c
-            forest_slots.append(k)
-        g_cost[forest_slots] = np.inf
+    # The tree, per node and the root last: up[v] says that the arc to the
+    # parent points from v to it, and parent_arc (its slot), arc_cost and
+    # flow belong to that arc; children[v] is a dict used as an ordered set.
+    parent, basic_arc, up, depth, pot, flow = start
+    parent_arc, arc_cost = list(range(e_real, e_real + root)) + [-1], [penalty] * root + [0.0]
+    parent, up, depth = parent + [-1], up + [False], depth + [0]
+    pot, flow = pot + [0.0], flow + [0.0]
+    real = basic_arc >= 0
+    children: list[dict] = [{} for _ in range(root)]
+    children.append(dict.fromkeys(np.flatnonzero(~real).tolist()))
+    if real.any():
+        nodes = np.flatnonzero(real)
+        tree_arc = basic_arc[nodes]
+        slots = tree_arc * pow(stride, -1, e_real) % e_real
+        g_cost[slots] = np.inf
+        for v, k, c in zip(nodes.tolist(), slots.tolist(), costs[tree_arc].tolist()):
+            parent_arc[v], arc_cost[v] = k, c
+            children[parent[v]][v] = None
     pi = np.array(pot)
 
     step = max(1, min(-(-e_real // _BLOCKS), math.ceil(_BLOCK_ROOT * math.sqrt(e_real))))
@@ -517,31 +620,8 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
 
     # Recompute the basic flows exactly from the final tree by pushing
     # node excess toward the root, deepest nodes first.
-    excess = supplies.tolist() + (-demands).tolist() + [float(np.sum(demands) - np.sum(supplies))]
-    basic = np.array(_push_excess(excess, parent, up,
-                                  sorted(range(root), key=depth.__getitem__, reverse=True)))
-    basic_arc = np.array(parent_arc[:root], dtype=int)
-    # written so that a NaN fails them; an arc out of the basis carries 0
-    if not abs(excess[root]) <= tol:
-        raise MKLabError("flow conservation failed at the root")  # pragma: no cover
-    if not float(np.min(basic, initial=0.0)) >= -tol:
-        raise MKLabError("negative basic flow after recomputation")  # pragma: no cover
-    np.clip(basic, 0.0, None, out=basic)
-    # An unshipped unit crosses two artificial arcs, up into the root and
-    # down out of it, so half the artificial flow is the mass not shipped.
-    artificial = basic_arc >= e_real
-    if 0.5 * float(np.sum(basic[artificial])) > tol:
-        raise InfeasibleError("no feasible shipment avoids the deleted pairs")
-
-    # the basic real arcs, from their slots back to input order
-    real_flow = np.zeros(e_real)
-    real_flow[basic_arc[~artificial] * stride % max(e_real, 1)] = basic[~artificial]
-    return BipartiteFlow(
-        flow=real_flow,
-        source_potentials=pi[:m].copy(),
-        sink_potentials=-pi[m:m + n],
-        iterations=iterations,
-        pivots=pivots,
-        arcs_priced=arcs_priced,
-        degenerate_pivots=degenerate_pivots,
-    )
+    basic, root_excess = _push_excess(supplies, demands, parent, up, depth)
+    slots = np.array(parent_arc[:root])
+    basic_arc = np.where(slots < e_real, slots * stride % max(e_real, 1), -1)
+    return _finish(e_real, basic_arc, np.array(basic), root_excess, pi[:m].copy(), -pi[m:m + n],
+                   iterations, pivots, arcs_priced, degenerate_pivots)

@@ -122,6 +122,16 @@ class TestSolve:
         monkeypatch.setattr(network_simplex, "MAX_ITERATIONS", 0)
         assert main(["solve", ap_instance, "--problem", "primal"]) == 3
 
+    def test_iteration_limit_counts_proof_rounds(self, tmp_path, monkeypatch):
+        # three label-correcting rounds prove the ex33 n=24 matching optimal
+        # with no pivot, and each counts against the limit
+        inst = write_instance(tmp_path / "ex33.json", {"schema_version": 1, "kind": "ex33",
+                                                       "n": 24, "shift": "auto-golden"})
+        monkeypatch.setattr(network_simplex, "MAX_ITERATIONS", 2)
+        assert main(["solve", inst, "--problem", "primal"]) == 3
+        monkeypatch.setattr(network_simplex, "MAX_ITERATIONS", 3)
+        assert main(["solve", inst, "--problem", "primal"]) == 0
+
     def test_malformed_json_exit_code(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"schema_version": 1,\n  "kind": }')

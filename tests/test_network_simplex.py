@@ -12,6 +12,7 @@ from mklab import (
     CostMatrix,
     InfeasibleError,
     InvariantError,
+    IterationLimitError,
     Marginal,
     MKLabError,
     RotationInstance,
@@ -33,6 +34,7 @@ from mklab import (
 from mklab.network_simplex import (
     _label_correcting,
     _matched_pairs,
+    _pivot,
     _spanning_tree,
     solve_bipartite,
 )
@@ -277,7 +279,10 @@ def test_ex33_fine_pricing(n, bound):
 #: have no more arcs than nodes, and each starts from a strongly feasible
 #: spanning tree of its arcs that one pricing round proves optimal: the
 #: 384 arcs of ap's supp(pi0) form one cycle, and the 599 of the explicit
-#: north-west-corner pi0 a tree.  From the matched start they took 208
+#: north-west-corner pi0 a tree.  That round runs in the pass that builds
+#: the tree, and the solve returns before the pivoting tree exists; moving
+#: it there from the block scans cut their engine CPU to 0.59 and 0.58
+#: times and left these pins unchanged.  From the matched start they took 208
 #: pivots (185 degenerate, 12,816 arcs priced, digest ceaac8dc…) and 610
 #: (47,546 arcs priced, digest 888a6db8…).  On ex33 the matched start is a
 #: perfect matching that three label-correcting rounds prove optimal, with
@@ -542,28 +547,49 @@ def tree_starts(monkeypatch):
     return starts
 
 
-def assert_strongly_feasible(tree, supplies, demands, tails, heads):
-    """The start tree spans the nodes by arcs of the program, every
-    component hanging from the root by an artificial arc of no flow; its
-    flows ship the masses, none is below -TOL, and each tree arc that
-    carries at most TOL points up, from a source to its parent sink."""
-    order, parent, via, flows = tree
+def pivot_starts(monkeypatch):
+    """The start trees that the solves handed to the pivots, in order."""
+    starts = []
+
+    def recording(supplies, demands, tails, heads, costs, g_cost, penalty, start, proof_rounds):
+        starts.append(start)
+        return _pivot(supplies, demands, tails, heads, costs, g_cost, penalty, start, proof_rounds)
+
+    monkeypatch.setattr(network_simplex, "_pivot", recording)
+    return starts
+
+
+def assert_strongly_feasible(tree, supplies, demands, tails, heads, costs):
+    """The start tree spans the nodes by arcs of the program: every
+    component hangs from the root by an artificial arc that points up, at
+    the potential of the penalty, and carries at most TOL, and depth grows
+    by one down every real arc, so each path up ends at the root.  A real
+    arc points up from a source to its parent sink and down from a source
+    to its child sink, and its cost is the difference of its potentials.
+    The flows ship the masses, none is below -TOL, each tree arc that
+    carries at most TOL points up, and at most TOL is left at the root."""
+    parent, via, up, depth, pot, flows, root_excess = tree
     m, n = supplies.size, demands.size
-    assert sorted(order) == list(range(m + n))
-    place = {v: k for k, v in enumerate(order)}
-    real = [v for v in order if via[v] >= 0]
-    for v in order:
-        if via[v] < 0:
-            assert parent[v] == m + n and flows[v] == 0.0
-        else:
-            assert place[parent[v]] < place[v]
-            assert {v, parent[v]} == {int(tails[via[v]]), m + int(heads[via[v]])}
+    assert len(parent) == len(via) == len(up) == len(depth) == len(pot) == len(flows) == m + n
+    tol = network_simplex.TOL
+    penalty = 3.0 * (1.0 + float(np.sum(np.abs(costs))))
+    real = []
+    for v, (u, a) in enumerate(zip(parent, via)):
+        if a < 0:
+            assert (u, depth[v], up[v], pot[v]) == (m + n, 1, True, penalty)
+            assert abs(flows[v]) <= tol
+            continue
+        real.append(v)
+        assert depth[v] == depth[u] + 1
+        assert {v, u} == {int(tails[a]), m + int(heads[a])}
+        assert up[v] == (v < m)
+        assert pot[v] == (costs[a] + pot[u] if up[v] else pot[u] - costs[a])
     arcs = np.array([via[v] for v in real], dtype=int)
     shipped = np.array([flows[v] for v in real])
     assert np.bincount(tails[arcs], shipped, m) == pytest.approx(supplies, abs=1e-12)
     assert np.bincount(heads[arcs], shipped, n) == pytest.approx(demands, abs=1e-12)
-    tol = network_simplex.TOL
     assert all(flows[v] >= -tol and (flows[v] > tol or v < m) for v in real)
+    assert abs(root_excess) <= tol
 
 
 def solve_or_infeasible(supplies, demands, tails, heads, costs):
@@ -669,11 +695,75 @@ def test_tree_start_matches_dense_oracle(monkeypatch):
         value = solve_or_infeasible(supplies, demands, tails, heads, costs)
         [tree] = starts
         if tree is not None:
-            assert_strongly_feasible(tree, supplies, demands, tails, heads)
+            assert_strongly_feasible(tree, supplies, demands, tails, heads, costs)
         outcomes[tree is not None, value is not None] += 1
     # taken, refused on a feasible program, and refused on an infeasible one
     assert outcomes[True, True] >= 40 and outcomes[False, True] >= 20
     assert outcomes[False, False] >= 10 and not outcomes[True, False]
+
+
+#: The counters of the solves of `sparse_programs()`, in order, each
+#: "iterations,pivots,degenerate pivots,arcs priced" or "infeasible",
+#: joined by ";": the SHA-256 of that text, and each counter's total.  They
+#: are those of the engine that hung the tree into the star before pricing
+#: it, so proving the tree in the pass that builds it changed none.
+SPARSE_COUNTERS = ("4c7544ff6f7bf11bcb3c8bf569279581bfbf837e3db4ff6933d8150bcda4dd3b",
+                   (731, 569, 93, 2449))
+
+
+def test_sparse_program_counters(monkeypatch):
+    starts, pivoted = tree_starts(monkeypatch), pivot_starts(monkeypatch)
+    rows, totals, outcomes, zeroed = [], np.zeros(4, int), Counter(), Counter()
+    for supplies, demands, tails, heads, costs in sparse_programs():
+        starts.clear()
+        pivoted.clear()
+        try:
+            res = solve_bipartite(supplies, demands, tails, heads, costs)
+        except InfeasibleError:
+            rows.append("infeasible")
+            continue
+        counters = (res.iterations, res.pivots, res.degenerate_pivots, res.arcs_priced)
+        rows.append(",".join(map(str, counters)))
+        totals += counters
+        [tree] = starts
+        outcomes[tree is not None, res.pivots > 0] += 1
+        if tree is not None and not res.pivots:
+            # the tree's own pricing round is the one iteration, over every arc
+            assert (res.iterations, res.arcs_priced) == (1, costs.size)
+            assert pivoted == []
+        elif tree is not None:
+            # the pivots start from that tree, each component root's
+            # artificial arc carrying exactly no flow
+            parent, via, up, depth, pot, flows, _ = tree
+            [(p_parent, p_via, p_up, p_depth, p_pot, p_flows)] = pivoted
+            assert (p_parent, p_via.tolist(), p_up, p_depth, p_pot) == (
+                parent, via, up, depth, pot)
+            assert p_flows == [0.0 if a < 0 else f for a, f in zip(via, flows)]
+            zeroed[any(f != 0.0 for a, f in zip(via, flows) if a < 0)] += 1
+    digest = hashlib.sha256(";".join(rows).encode()).hexdigest()
+    assert (digest, tuple(totals.tolist())) == SPARSE_COUNTERS
+    # trees proved optimal, and trees that one pricing round refuses and
+    # the pivots improve; the matched start also pivots or not
+    assert outcomes[True, False] >= 40 and outcomes[True, True] >= 10
+    assert outcomes[False, True] >= 40 and outcomes[False, False] >= 3
+    # some pivoting trees push a rounding remainder onto a component root,
+    # which the pivots' start sets to 0
+    assert zeroed[True] >= 3
+
+
+def test_zero_pivot_exits_count_their_rounds(monkeypatch):
+    # ex33 n=24 is proved optimal by three label-correcting rounds, and the
+    # ap primal by the one pricing round of its spanning tree; neither
+    # pivots, and each round counts against MAX_ITERATIONS
+    inst = make_instance(24)
+    mu = uniform_marginal(inst)
+    for cost, rounds in ((ex33_cost(inst, 23), 3), (ap_cost(inst), 1)):
+        monkeypatch.setattr(network_simplex, "MAX_ITERATIONS", rounds - 1)
+        with pytest.raises(IterationLimitError, match=f"exceeded {rounds - 1} iterations"):
+            solve_primal(cost, mu, mu)
+        monkeypatch.setattr(network_simplex, "MAX_ITERATIONS", rounds)
+        stats = solve_primal(cost, mu, mu).stats
+        assert (stats.iterations, stats.pivots) == (rounds, 0)
 
 
 @pytest.mark.parametrize("n, counters", [(24, (35, 34, 20, 645)),

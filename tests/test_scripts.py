@@ -43,8 +43,27 @@ def test_script_exits_zero(script, args):
     assert run_script(script, *args)
 
 
-def recorded(tmp_path, *args):
-    """The rows `measure.py` prints, and the one record it appends."""
+def git(root, *words):
+    return subprocess.run(["git", "-C", str(root), *words], capture_output=True, text=True,
+                          check=False)
+
+
+def tree_name(root):
+    """What a record calls the source tree at ``root``: the commit checked
+    out there, with "-dirty" when its src/ or scripts/ files differ from
+    it, or its directory name when it is not a checkout."""
+    run = git(root, "rev-parse", "--show-toplevel", "HEAD")
+    top, _, head = run.stdout.partition("\n")
+    if run.returncode or Path(top) != root:
+        return root.name
+    edits = git(root, "status", "--porcelain", "--untracked-files=no", "--", "src", "scripts")
+    return head.strip() + ("-dirty" if edits.stdout.strip() else "")
+
+
+def recorded(tmp_path, *args, trees=()):
+    """The rows `measure.py` prints, and the one record it appends, whose
+    command names each of the source ``trees`` in ``args`` by `tree_name`,
+    alone or after ``--option=``."""
     bench = tmp_path / "bench.json"
     bench.write_text('{"earlier": "record"}\n')
     header, *rows = [line.split() for line in run_script(
@@ -52,7 +71,10 @@ def recorded(tmp_path, *args):
     earlier, entry = [json.loads(line) for line in bench.read_text().splitlines()]
     assert earlier == {"earlier": "record"}
     assert set(entry) == RECORD_KEYS
-    assert entry["command"] == ["scripts/measure.py", *args, "--record", str(bench)]
+    names = {str(tree): tree_name(tree) for tree in trees}
+    names.update({f"--parent={tree}": f"--parent={name}" for tree, name in names.items()})
+    assert entry["command"] == ["scripts/measure.py", *(names.get(a, a) for a in args),
+                                "--record", str(bench)]
     assert entry["columns"] == header
     # the record keeps each printed row, its times unrounded
     for printed, kept in zip(rows, entry["rows"], strict=True):
@@ -74,7 +96,9 @@ def test_measure_engine_records(tmp_path):
 
 
 def test_measure_engine_times_a_parent_engine_too(tmp_path):
-    columns, entry = recorded(tmp_path, "engine", "--sizes", "12", "--parent", str(ROOT))
+    columns, entry = recorded(tmp_path, "engine", "--sizes", "12", f"--parent={ROOT}",
+                              trees=[ROOT])
+    assert not any(str(ROOT) in word for word in entry["command"])
     assert columns["call"] == (*BENCHMARK_ENGINE_CALLS, "gen-ex33-12", "gen-explicit-12")
     for row, (*counters, _) in zip(entry["rows"], BENCHMARK_ENGINE_CALLS.values()):
         assert row[2:6] == counters
@@ -104,6 +128,30 @@ def test_measure_ab_compares_the_repo_with_itself():
                            "--rounds", "1").splitlines()
         assert [line.split()[0] for line in lines[2:]] == ops + ["all"]
         assert all(line.endswith("same") for line in lines[2:-1])
+
+
+def test_measure_ab_records_its_trees_by_name(tmp_path):
+    # a copy of the source that is not a checkout goes by its directory
+    # name, and a checkout with an edit by its commit marked dirty
+    copy, checkout = tmp_path / "copy", tmp_path / "checkout"
+    skip = shutil.ignore_patterns("__pycache__")
+    for tree in (copy, checkout):
+        shutil.copytree(ROOT / "src", tree / "src", ignore=skip)
+    # the second tree's workloads are the ones run
+    shutil.copytree(ROOT / "perfbench", checkout / "perfbench", ignore=skip)
+    assert not git(checkout, "init", "-q").returncode
+    assert not git(checkout, "add", "src").returncode
+    assert not git(checkout, "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q",
+                   "-m", "src").returncode
+    head = git(checkout, "rev-parse", "HEAD").stdout.strip()
+    with open(checkout / "src" / "mklab" / "__init__.py", "a", encoding="utf-8") as fh:
+        fh.write("# edited\n")
+    bench = tmp_path / "bench.json"
+    args = ["--workload", "ex33-primal", "--rounds", "1", "--record", str(bench)]
+    run_script("measure.py", "ab", copy, checkout, *args)
+    [entry] = [json.loads(line) for line in bench.read_text().splitlines()]
+    assert entry["command"] == ["scripts/measure.py", "ab", "copy", f"{head}-dirty", *args]
+    assert (tree_name(copy), tree_name(checkout)) == ("copy", f"{head}-dirty")
 
 
 def test_measure_ab_exits_one_when_bytes_differ(tmp_path):
