@@ -149,13 +149,17 @@ def engine(args) -> tuple:
     of `ex33` at n = 384, 768, 1536 and explicit at n = 300, 1000, 2000, as
     `mklab gen` writes them.  The counters (degenerate pivots move no
     flow) show a pricing regression on any host.  `cpu_s` times the call
-    once; `match_s` is the best of five timings of its matched start,
-    which a call that starts from a spanning tree of its arcs does not
-    run (the two restricted rows of the benchmark, `ap-192-restricted`
-    and `explicit-300-restricted`).
-    With `--parent PARENT`, the call is also solved by PARENT's engine:
-    `cpu_s` and `parent_cpu_s` are then the medians of timings of the two
-    trees alternated on the same arguments, and `ratio` is their quotient.
+    once; `match_s` is the best of five timings of its greedy matching of
+    equal masses, whose arcs the star's start tree hangs in or the proof
+    pass reads, and which a call that starts from a spanning tree of its
+    arcs does not run (the two restricted rows of the benchmark,
+    `ap-192-restricted` and `explicit-300-restricted`).
+    With `--parent PARENT`, the call is also solved by PARENT's engine,
+    once per tree in each of ENGINE_AB_ROUNDS rounds on the same arguments,
+    alternating which goes first: `cpu_s` and `parent_cpu_s` are then the
+    medians of each tree's timings, and `ratio`, `ratio_q1` and `ratio_q3`
+    the median and quartiles of the rounds' quotients, so that a slow
+    moment of the host slows both sides of a quotient alike.
     """
     from mklab import fileformats, solvers
     from mklab.network_simplex import _matched_pairs, solve_bipartite
@@ -169,8 +173,8 @@ def engine(args) -> tuple:
                "cpu_s", "match_s")
     if args.parent:
         parent = load("mklab_parent", args.parent).network_simplex.solve_bipartite
-        template += " {:>12.3f} {:>6.3f}"
-        columns += ("parent_cpu_s", "ratio")
+        template += " {:>12.3f} {:>6.3f} {:>8.3f} {:>8.3f}"
+        columns += ("parent_cpu_s", "ratio", "ratio_q1", "ratio_q3")
     table = Table(template, columns)
     calls = list(benchmark_calls().items())
     calls += [(f"gen-{kind}-{n}", gen_primal(kind, n))
@@ -186,7 +190,9 @@ def engine(args) -> tuple:
                     solve = (solve_bipartite, parent)[side]
                     times[side].append(best_of(1, lambda: solve(*call), time.process_time)[0])
             row[6], parent_cpu = map(statistics.median, times)
-            row += [parent_cpu, row[6] / parent_cpu]
+            ratios = [a / b for a, b in zip(*times)]
+            q1, _, q3 = statistics.quantiles(ratios, n=4)
+            row += [parent_cpu, statistics.median(ratios), q1, q3]
         table.add(*row)
     return 0, table
 

@@ -125,7 +125,8 @@ def _solve(args: argparse.Namespace) -> tuple[InstanceSpec, str, DualityReport]:
         if not param:
             raise UsageError(f"problem {name} needs a parameter, e.g. {name}:0.1")
         try:
-            eps = float(param)
+            # + 0.0 turns -0.0 into 0.0, the one name of that program
+            eps = float(param) + 0.0
         except ValueError as exc:
             raise UsageError(f"bad epsilon {param!r}") from exc
         canonical = f"{name}:{eps!r}"

@@ -39,27 +39,57 @@ cut the arcs priced where a problem pivots long after it, as ex33 at odd
 n does (2.7 and 2.9 times fewer at n=145 and 385), but on explicit
 costs they cost more pivots than they save scans.
 
-The pivots start from a start tree given per node: its parent, the
-input arc to it (-1 for its artificial arc), whether that arc points up,
-and its depth, potential and flow; one pass reads each node's arc slot,
-arc cost and children from it.  The start tree is the spanning tree
-below when a sparse program has one, and otherwise the star on the root
-with the matched pairs hung into it: walking the arcs whose two ends
-carry the same positive mass from the cheapest, each arc whose two ends
-are unmatched hangs its sink below its source with their common mass,
-and the source keeps its artificial arc, pointing up with no flow.  In
-an assignment problem (uniform marginals, as in the rotation models)
-most nodes begin matched, and most of the pivots that the plain star
-spends pushing artificial flow out are saved.  Without equal masses the
-start is the plain star.  Only equal masses are matched: hanging sinks
-of any mass below cheap sources makes each re-hang larger, which costs
-more than the pivots it saves.  The walk sorts the arcs by cost,
-stably: when every cost is an integer in the int16 range, as in the
-rotation models, it sorts an exact int16 key, which numpy radix-sorts
-into the same order as the float sort it otherwise runs.
+Every start tree comes from one builder: the depth-first spanning
+forest of a given set of arcs, searched from the nodes in index order,
+following the last arc at a node first.  Each component hangs from the
+root by its first node's artificial arc, pointing up at the penalty's
+potential or down at its negative, as the caller says.  Below it each
+node records its parent, input arc, direction, depth and potential:
+c + pi(parent) up from a source and pi(parent) - c down to a sink.  The
+flows push each node's excess to its parent, deepest nodes first, as the
+exact flow recovery does.  The three starts are three arc sets:
 
-When the matched start is a perfect matching and every arc cost is such
-an integer, the solve first tries to prove the matching optimal, before
+- A program with no more arcs than nodes (0 < E <= m + n), such as the
+  restricted program on the support of a plan that is a tree or a single
+  cycle, gives all its arcs, and every component points up.  Its tree
+  is a start when it is a strongly feasible basis: every component
+  balanced, no flow below -TOL, and every tree arc that carries at most
+  TOL pointing up (Cunningham 1976; Ahuja, Magnanti and Orlin 1993,
+  ch. 11).  Such a start needs no phase-1 pivot and keeps the
+  anti-cycling guarantee.  One pricing round over the arcs out of the
+  tree, by the expression of the block scans, decides: when no reduced
+  cost is below -TOL the tree is optimal, and the solve returns with 1
+  iteration, no pivot and E arcs priced, before the scattered arrays or
+  the pivoting tree exist.  Otherwise the pivots start from that tree,
+  each component root's artificial arc without flow; their first block
+  scan prices again, and only the pivoting rounds are counted.  The gate
+  keeps the search, Python work per arc, off dense programs: the tree of
+  the ex33 n=144 grid costs 6 times the matching's proof, and that of the
+  explicit n=300 grid is refused after 27 ms.
+- Any other program, or one whose tree is refused, gives the arcs of a
+  greedy matching: walking the arcs whose two ends carry the same
+  positive mass from the cheapest, each arc whose two ends are unmatched
+  joins them.  A pair hangs from its source, pointing up with no flow,
+  and its sink below it carries their common mass; every other node
+  hangs from the root with its mass, pointing down only from a sink with
+  demand, so that every artificial arc without flow points up.  In an
+  assignment problem (uniform marginals, as in the rotation models) most
+  nodes begin matched, and most of the pivots that the plain star spends
+  pushing artificial flow out are saved.  Only equal masses are matched:
+  hanging sinks of any mass below cheap sources makes each re-hang
+  larger, which costs more than the pivots it saves.  The walk sorts the
+  arcs by cost, stably: when every cost is an integer in the int16
+  range, as in the rotation models, it sorts an exact int16 key, which
+  numpy radix-sorts into the same order as the float sort.
+- Without equal masses the matching is empty, and the start the plain star.
+
+The two rules differ on purpose.  A sparse program's isolated sink with a
+demand inside TOL points up: hung down, its potential carries the penalty
+and weak duality fails at large costs.  A star sink with such a demand
+and finite cells points down, so that the pivots ship it exactly.
+
+When the matching is perfect and every arc cost is an integer in the
+int16 range, the solve first tries to prove the matching optimal, before
 any tree is built.  Optimal potentials exist iff the difference
 constraints that a perfect matching puts on the sink potentials have no
 negative cycle (negative-cycle optimality; Ahuja, Magnanti and Orlin,
@@ -71,37 +101,7 @@ implementation of a scaling minimum-cost flow algorithm*, J. Algorithms
 returns the matching with potentials that are feasible and tight with no
 tolerance, and no pivot.  A pass that is still lowering potentials after
 _PROOF_ROUNDS rounds gives up, and the solve pivots from the matched
-forest as it would have without the pass.
-
-A program with no more arcs than nodes (0 < E <= m + n), such as the
-restricted program on the support of a plan that is a tree or a single
-cycle, first tries to start from a spanning tree of its own arcs, built
-in one depth-first pass over the arcs, from the nodes in index order and
-following the last arc at a node first.  Each component is rooted at its
-first node, which hangs from the root by its artificial arc, pointing up
-at the penalty's potential.  The pass records each node's parent, input
-arc, depth and potential: c + pi(parent) up from a source, and
-pi(parent) minus c down to a sink.  So on this branch the penalty is
-summed, and its overflow checked, before the pass.
-The tree flows push each node's excess to its parent, deepest nodes
-first, by the helper that the exact flow recovery uses, so they are
-that recovery's flows.  The tree is a start when it is a strongly
-feasible basis: every component balanced, no flow below -TOL, and every
-tree arc that carries at most TOL pointing up (Cunningham 1976; Ahuja,
-Magnanti and Orlin 1993, ch. 11).  Such a start needs no phase-1 pivot,
-and it keeps the anti-cycling guarantee.  One pricing round over the
-arcs out of the tree, by the expression of the block scans, then
-decides: when no reduced cost is below -TOL the tree is optimal, and
-the solve returns from there with 1 iteration, no pivot and E arcs
-priced, before the scattered arrays or the pivoting tree exist.
-Otherwise the pivots start from that same tree, with no second search;
-their first block scan prices again, and only the pivoting rounds are
-counted.  A tree that is not strongly feasible gives way to the matched
-start.  The search costs Python work per arc, so the gate keeps it to
-sparse programs: without the gate, the tree of the full ex33 n=144 grid
-is taken and the solve takes 6 times the CPU of the matched start's
-proof, and the tree of the explicit n=300 grid is refused after 27 ms of
-search.
+start as it would have without the pass.
 
 Every solve ends in one finish, whether pivots, a pricing round or a
 label-correcting pass proved its basis: the iterations are checked
@@ -115,7 +115,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -188,11 +187,10 @@ def _cost_order(costs) -> tuple[np.ndarray, bool]:
     return np.argsort(costs, kind="stable"), False
 
 
-def _matched_pairs(supplies, demands, tails, heads,
-                   costs) -> tuple[list[tuple[int, int, int]], bool]:
-    """Greedy (arc, source, sink) pairs of equal positive mass, cheapest arcs
-    first, and whether every arc is a candidate whose cost is an integer in
-    the int16 range.
+def _matched_pairs(supplies, demands, tails, heads, costs) -> tuple[np.ndarray, bool]:
+    """The arcs of a greedy matching of sources to sinks of equal positive
+    mass, cheapest arcs first, and whether every arc is a candidate whose
+    cost is an integer in the int16 range.
 
     Each arc whose ends carry the same positive mass and are both still
     unmatched joins them; ties in cost keep the input order.
@@ -202,7 +200,7 @@ def _matched_pairs(supplies, demands, tails, heads,
         # one mass everywhere: every arc is a candidate
         by_cost, integral = _cost_order(costs)
     elif set(supplies[supplies > 0].tolist()).isdisjoint(demands.tolist()):
-        return [], False
+        return np.empty(0, dtype=int), False
     else:
         mass = supplies[tails]
         candidates = np.flatnonzero((mass > 0) & (mass == demands[heads]))
@@ -213,7 +211,7 @@ def _matched_pairs(supplies, demands, tails, heads,
     # per-arc checks inside it
     src_free, snk_free = np.ones(supplies.size, bool), np.ones(demands.size, bool)
     src_open, snk_open = src_free.tolist(), snk_free.tolist()
-    pairs: list[tuple[int, int, int]] = []
+    matched: list[int] = []
     for lo in range(0, by_cost.size, _MATCH_CHUNK):
         arcs = by_cost[lo:lo + _MATCH_CHUNK]
         t, h = tails[arcs], heads[arcs]
@@ -221,13 +219,13 @@ def _matched_pairs(supplies, demands, tails, heads,
         for a, i, j in zip(arcs[keep].tolist(), t[keep].tolist(), h[keep].tolist()):
             if src_open[i] and snk_open[j]:
                 src_open[i] = snk_open[j] = src_free[i] = snk_free[j] = False
-                pairs.append((a, i, j))
-    return pairs, integral
+                matched.append(a)
+    return np.array(matched, dtype=int), integral
 
 
-def _label_correcting(tails, heads, costs, arcs, srcs, snks):
-    """Potentials that prove the perfect matching (arcs, srcs, snks) optimal,
-    and the rounds that found them; None after _PROOF_ROUNDS rounds.
+def _label_correcting(tails, heads, costs, arcs):
+    """Potentials that prove the perfect matching on the input ``arcs``
+    optimal, and the rounds that found them; None after _PROOF_ROUNDS rounds.
 
     With psi = 0 to begin, phi_i = c_i,s(i) - psi_s(i) on the arc that
     matches source i to sink s(i).  A round prices every arc and lowers
@@ -241,9 +239,10 @@ def _label_correcting(tails, heads, costs, arcs, srcs, snks):
     float64.  When the arcs are grouped by row, as ``CostMatrix.finite_arcs``
     gives them, a row's least value is one slice of ``np.minimum.reduceat``.
     """
+    srcs = tails[arcs]
     m = srcs.size
     sigma, pair_cost = np.empty(m, dtype=int), np.empty(m)
-    sigma[srcs], pair_cost[srcs] = snks, costs[arcs]
+    sigma[srcs], pair_cost[srcs] = heads[arcs], costs[arcs]
     phi, psi = pair_cost.copy(), np.zeros(m)
     # every row holds its matched arc, so grouped rows run 0, 1, ..., m - 1
     grouped = bool((tails[1:] >= tails[:-1]).all())
@@ -265,23 +264,21 @@ def _label_correcting(tails, heads, costs, arcs, srcs, snks):
     return None
 
 
-def _penalty(costs) -> tuple[float, np.ndarray]:
-    """The artificial-arc penalty 3 * (1 + sum |c|), and the array of |c|
-    it summed, for the caller to reuse.
+def _penalty(costs) -> float:
+    """The artificial-arc penalty 3 * (1 + sum |c|).
 
     A potential is at most 4/3 of the penalty in size and a reduced cost at
     most 3 times it, so all stay finite when 4 * penalty does; InvariantError
     otherwise.
     """
-    magnitudes = np.abs(costs)
     with np.errstate(over="ignore"):
-        cost_sum = float(np.sum(magnitudes))
+        cost_sum = float(np.sum(np.abs(costs)))
     penalty = 3.0 * (1.0 + cost_sum)
     if not math.isfinite(4.0 * penalty):
         raise InvariantError(
             f"arc costs sum to {cost_sum:.6g}: the artificial-arc penalty 3 * (1 + sum |c|) "
             "overflows float64 in the engine's potentials")
-    return penalty, magnitudes
+    return penalty
 
 
 def _push_excess(supplies, demands, parent: list, up: list, depth: list) -> tuple[list, float]:
@@ -297,31 +294,30 @@ def _push_excess(supplies, demands, parent: list, up: list, depth: list) -> tupl
     return flows, excess[root]
 
 
-def _spanning_tree(supplies, demands, tails, heads, costs, penalty):
-    """The depth-first spanning forest of the arcs as a start tree, or None
-    when it is not a strongly feasible basis.
+def _start_tree(supplies, demands, tails, heads, costs, arcs, penalty, hung_up):
+    """The depth-first spanning forest of the input ``arcs`` as a start tree.
 
-    Nodes are sources 0..m-1, then sinks, then the root.  The search starts
-    a component at each node not yet reached, in index order, and hangs it
-    from the root by that node's artificial arc, pointing up at potential
-    ``penalty``.  Returns, per non-root node, its parent, the input arc to
-    it (-1 for an artificial arc), whether that arc points up, its depth
-    (1 below the root), its potential and its tree flow, and then the
-    excess left at the root.
+    Nodes are sources 0..m-1, then sinks, then the root.  Each component
+    hangs from the root by its first node's artificial arc, up at potential
+    ``penalty`` where ``hung_up`` says so and down at -``penalty`` elsewhere.
+    Returns, per non-root node, its parent, the input arc to it (-1 for an
+    artificial arc), whether that arc points up, its depth (1 below the
+    root), its potential and its tree flow, and then the root's excess.
     """
     m, n = supplies.size, demands.size
     root = m + n
+    t, h, c = tails[arcs], m + heads[arcs], costs[arcs]
     # the arcs at each node as a CSR layout: entry k leads from owner[k] to
     # other[k], whose potential is owner[k]'s plus step[k]
-    ends = np.concatenate([tails, m + heads])
+    ends = np.concatenate([t, h])
     by_end = np.argsort(ends, kind="stable")
     first = np.searchsorted(ends, np.arange(root + 1), sorter=by_end).tolist()
     owner = ends[by_end].tolist()
-    other = np.concatenate([m + heads, tails])[by_end].tolist()
-    arc = (by_end % tails.size).tolist()
-    step = np.concatenate([-costs, costs])[by_end].tolist()
+    other = np.concatenate([h, t])[by_end].tolist()
+    arc = np.concatenate([arcs, arcs])[by_end].tolist()
+    step = np.concatenate([-c, c])[by_end].tolist()
     # a real tree arc points up from a source to its sink, and down from a
-    # source to a sink below it; every artificial one points up
+    # source to a sink below it
     parent, via, up = [-1] * root, [-1] * root, [True] * m + [False] * n
     depth, pot = [1] * root, [penalty] * root
     # the entries reached and not yet followed; the last one is followed first
@@ -330,7 +326,8 @@ def _spanning_tree(supplies, demands, tails, heads, costs, penalty):
     for start in range(root):
         if parent[start] >= 0:
             continue
-        parent[start], up[start] = root, True
+        parent[start], up[start] = root, hung_up[start]
+        pot[start] = penalty if up[start] else -penalty
         push(range(first[start], first[start + 1]))
         while stack:
             k = pop()
@@ -340,37 +337,20 @@ def _spanning_tree(supplies, demands, tails, heads, costs, penalty):
                 parent[w], via[w], depth[w], pot[w] = u, arc[k], depth[u] + 1, pot[u] + step[k]
                 push(range(first[w], first[w + 1]))
     flows, root_excess = _push_excess(supplies, demands, parent, up, depth)
+    return parent, via, up, depth, pot, flows, root_excess
+
+
+def _strongly_feasible(tree) -> bool:
+    """Whether the start tree is a strongly feasible basis: every component
+    balanced, no flow below -TOL, and every tree arc that carries at most
+    TOL pointing up."""
+    _, via, up, _, _, flows, _ = tree
     tol = TOL
     for a, f, u in zip(via, flows, up):
         # an unbalanced component, a negative flow, or an empty arc pointing down
         if not abs(f) <= tol if a < 0 else not f >= -tol or (f <= tol and not u):
-            return None
-    return parent, via, up, depth, pot, flows, root_excess
-
-
-def _matched_start(supplies, demands, costs, arcs, srcs, snks, penalty):
-    """The star on the root with the matched pairs (arcs, srcs, snks) hung
-    into it, as a start tree in the layout of ``_spanning_tree``, but with
-    the input arcs in an array.
-
-    In the star each node hangs from the root by its artificial arc with its
-    mass, pointing down only to a sink with demand, so that every artificial
-    arc without flow points up.  A matched source keeps its artificial arc,
-    pointing up with no flow, and its sink hangs below it with their common
-    mass.
-    """
-    m = supplies.size
-    root = m + demands.size
-    parent, depth = [root] * root, [1] * root
-    up = [True] * m + (demands == 0).tolist()
-    flow = supplies.tolist() + demands.tolist()
-    pot = [penalty if u else -penalty for u in up]
-    via = np.full(root, -1)
-    via[m + snks] = arcs
-    for i, v, c in zip(srcs.tolist(), (m + snks).tolist(), costs[arcs].tolist()):
-        parent[v], up[v], depth[v], pot[v] = i, False, 2, penalty - c
-        flow[i], flow[v] = 0.0, flow[i]
-    return parent, via, up, depth, pot, flow
+            return False
+    return True
 
 
 def _finish(e_real, arcs, basic, root_excess, phi, psi, *counters) -> BipartiteFlow:
@@ -435,54 +415,52 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
         raise MKLabError("arc costs must be finite (forbidden pairs are deleted, not priced)")
 
     root = m + n
-    # g_cost holds |cost| until the pivots' gather fills it with scattered costs
-    penalty = start = None
+    penalty = None
     if 0 < e_real <= root:
-        penalty, g_cost = _penalty(costs)
-        start = _spanning_tree(supplies, demands, tails, heads, costs, penalty)
+        penalty = _penalty(costs)
+        tree = _start_tree(supplies, demands, tails, heads, costs, np.arange(e_real), penalty,
+                           [True] * root)
+        if _strongly_feasible(tree):
+            # one pricing round over the arcs out of the tree, by the
+            # expression and the test of the block scans in _pivot: when no
+            # reduced cost is below -TOL, the tree is optimal
+            parent, via, up, depth, pot, flow, root_excess = tree
+            pi, basic_arc = np.array(pot), np.array(via)
+            reduced = costs - pi[tails]
+            reduced += pi[m:][heads]
+            reduced[basic_arc[basic_arc >= 0]] = np.inf
+            if reduced.min() >= -tol:
+                return _finish(e_real, basic_arc, np.array(flow), root_excess,
+                               pi[:m].copy(), -pi[m:], 1, 0, e_real, 0)
+            # the pivots start from this tree, its component roots without flow
+            flow = [f if a >= 0 else 0.0 for a, f in zip(via, flow)]
+            return _pivot(supplies, demands, tails, heads, costs, penalty,
+                          (parent, via, up, depth, pot, flow, root_excess), 0)
+    matched, integral = _matched_pairs(supplies, demands, tails, heads, costs)
     proof_rounds = 0
-    if start is not None:
-        # one pricing round over the arcs out of the tree, by the expression
-        # and the test of the block scans in _pivot: when no reduced cost is
-        # below -TOL, the tree is optimal
-        parent, via, up, depth, pot, flow, root_excess = start
-        pi, basic_arc = np.array(pot), np.array(via)
-        reduced = costs - pi[tails]
-        reduced += pi[m:][heads]
-        reduced[basic_arc[basic_arc >= 0]] = np.inf
-        if reduced.min() >= -tol:
-            return _finish(e_real, basic_arc, np.array(flow), root_excess,
-                           pi[:m].copy(), -pi[m:], 1, 0, e_real, 0)
-        # the pivots start from this tree, each component root's artificial
-        # arc without flow
-        flow = [f if a >= 0 else 0.0 for a, f in zip(via, flow)]
-        start = parent, basic_arc, up, depth, pot, flow
-    else:
-        matched, integral = _matched_pairs(supplies, demands, tails, heads, costs)
-        arcs, srcs, snks = np.fromiter(chain.from_iterable(matched), int,
-                                       3 * len(matched)).reshape(-1, 3).T
-        if integral and len(matched) == m == n:
-            proof = _label_correcting(tails, heads, costs, arcs, srcs, snks)
-            if proof is not None:
-                phi, psi, rounds = proof
-                # every node is matched, and each pair balances exactly
-                return _finish(e_real, arcs, supplies[srcs], 0.0, phi, psi,
-                               rounds, 0, e_real * rounds, 0)
-            proof_rounds = _PROOF_ROUNDS
-        if penalty is None:
-            penalty, g_cost = _penalty(costs)
-        start = _matched_start(supplies, demands, costs, arcs, srcs, snks, penalty)
-    return _pivot(supplies, demands, tails, heads, costs, g_cost, penalty, start, proof_rounds)
+    if integral and matched.size == m == n:
+        proof = _label_correcting(tails, heads, costs, matched)
+        if proof is not None:
+            phi, psi, rounds = proof
+            # every node is matched, and each pair balances exactly
+            return _finish(e_real, matched, supplies[tails[matched]], 0.0, phi, psi,
+                           rounds, 0, e_real * rounds, 0)
+        proof_rounds = _PROOF_ROUNDS
+    if penalty is None:
+        penalty = _penalty(costs)
+    # the star with the matched pairs hung in; a sink with demand hangs down
+    start = _start_tree(supplies, demands, tails, heads, costs, matched, penalty,
+                        [True] * m + (demands == 0).tolist())
+    return _pivot(supplies, demands, tails, heads, costs, penalty, start, proof_rounds)
 
 
-def _pivot(supplies, demands, tails, heads, costs, g_cost, penalty, start,
+def _pivot(supplies, demands, tails, heads, costs, penalty, start,
            proof_rounds) -> BipartiteFlow:
-    """Pivot from ``start``, a start tree in the layout of ``_matched_start``,
-    to an optimal basis, and finish the solve there.
+    """Pivot from ``start``, a start tree as ``_start_tree`` gives it, to an
+    optimal basis, and finish the solve there.
 
-    ``g_cost`` is a scratch array of E floats that the gather below fills
-    with the scattered costs, and ``proof_rounds`` the rounds of a proof
-    pass that gave up, counted as iterations that priced every arc.
+    ``proof_rounds`` are the rounds of a proof pass that gave up, counted
+    as iterations that priced every arc.
     """
     tol, max_iterations = TOL, MAX_ITERATIONS
     m, n = supplies.size, demands.size
@@ -494,6 +472,7 @@ def _pivot(supplies, demands, tails, heads, costs, g_cost, penalty, start,
     # only in the tree.
     stride = _scattered_stride(e_real)
     g_tail, g_head = np.empty(e_real, dtype=int), np.empty(e_real, dtype=int)
+    g_cost = np.empty(e_real)
     # a block of slots at a time, so that no scratch array grows with the arcs
     for lo in range(0, e_real, _SCATTER_BLOCK):
         hi = min(lo + _SCATTER_BLOCK, e_real)
@@ -506,10 +485,11 @@ def _pivot(supplies, demands, tails, heads, costs, g_cost, penalty, start,
     # The tree, per node and the root last: up[v] says that the arc to the
     # parent points from v to it, and parent_arc (its slot), arc_cost and
     # flow belong to that arc; children[v] is a dict used as an ordered set.
-    parent, basic_arc, up, depth, pot, flow = start
+    parent, via, up, depth, pot, flow, _ = start
     parent_arc, arc_cost = list(range(e_real, e_real + root)) + [-1], [penalty] * root + [0.0]
     parent, up, depth = parent + [-1], up + [False], depth + [0]
     pot, flow = pot + [0.0], flow + [0.0]
+    basic_arc = np.array(via)
     real = basic_arc >= 0
     children: list[dict] = [{} for _ in range(root)]
     children.append(dict.fromkeys(np.flatnonzero(~real).tolist()))

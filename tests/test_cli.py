@@ -75,6 +75,18 @@ class TestSolve:
                      "--out", str(out)]) == 0
         assert parse_result(out.read_text())["primal_value"] == pytest.approx(0.0)
 
+    def test_negative_zero_parameter_names_the_zero_program(self, explicit_instance,
+                                                            tmp_path, capsys):
+        # partial:0 and partial:-0.0 are one program, with one name and one file
+        outs = []
+        for problem in ("partial:0", "partial:-0.0"):
+            outs.append(tmp_path / f"{problem}.json")
+            assert main(["solve", explicit_instance, "--problem", problem,
+                         "--out", str(outs[-1])]) == 0
+            assert "problem        partial:0.0\n" in capsys.readouterr().out
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert parse_result(outs[0].read_text())["problem"] == "partial:0.0"
+
     def test_restricted_needs_reference(self, explicit_instance):
         assert main(["solve", explicit_instance, "--problem", "restricted"]) == 1
 

@@ -35,7 +35,7 @@ from mklab.network_simplex import (
     _label_correcting,
     _matched_pairs,
     _pivot,
-    _spanning_tree,
+    _strongly_feasible,
     solve_bipartite,
 )
 
@@ -536,14 +536,16 @@ def test_ap_restricted_matched_start_pivots():
 
 
 def tree_starts(monkeypatch):
-    """The start trees that the solves built, None for each one refused, in order."""
+    """The spanning trees of sparse programs that the solves tested, in
+    order: each tree taken as a start, or None for each one refused."""
     starts = []
 
-    def recording(*args):
-        starts.append(_spanning_tree(*args))
-        return starts[-1]
+    def recording(tree):
+        taken = _strongly_feasible(tree)
+        starts.append(tree if taken else None)
+        return taken
 
-    monkeypatch.setattr(network_simplex, "_spanning_tree", recording)
+    monkeypatch.setattr(network_simplex, "_strongly_feasible", recording)
     return starts
 
 
@@ -551,9 +553,9 @@ def pivot_starts(monkeypatch):
     """The start trees that the solves handed to the pivots, in order."""
     starts = []
 
-    def recording(supplies, demands, tails, heads, costs, g_cost, penalty, start, proof_rounds):
+    def recording(supplies, demands, tails, heads, costs, penalty, start, proof_rounds):
         starts.append(start)
-        return _pivot(supplies, demands, tails, heads, costs, g_cost, penalty, start, proof_rounds)
+        return _pivot(supplies, demands, tails, heads, costs, penalty, start, proof_rounds)
 
     monkeypatch.setattr(network_simplex, "_pivot", recording)
     return starts
@@ -735,9 +737,8 @@ def test_sparse_program_counters(monkeypatch):
             # the pivots start from that tree, each component root's
             # artificial arc carrying exactly no flow
             parent, via, up, depth, pot, flows, _ = tree
-            [(p_parent, p_via, p_up, p_depth, p_pot, p_flows)] = pivoted
-            assert (p_parent, p_via.tolist(), p_up, p_depth, p_pot) == (
-                parent, via, up, depth, pot)
+            [(p_parent, p_via, p_up, p_depth, p_pot, p_flows, _)] = pivoted
+            assert (p_parent, p_via, p_up, p_depth, p_pot) == (parent, via, up, depth, pot)
             assert p_flows == [0.0 if a < 0 else f for a, f in zip(via, flows)]
             zeroed[any(f != 0.0 for a, f in zip(via, flows) if a < 0)] += 1
     digest = hashlib.sha256(";".join(rows).encode()).hexdigest()
@@ -794,9 +795,74 @@ def test_generic_masses_keep_the_star_start():
     keep |= rng.random(n * n) > 0.2
     tails, heads = full_arcs(n, n)
     tails, heads, costs = tails[keep], heads[keep], cost.ravel()[keep]
-    assert _matched_pairs(mu, nu, tails, heads, costs) == ([], False)
+    matched, integral = _matched_pairs(mu, nu, tails, heads, costs)
+    assert matched.tolist() == [] and not integral
     res = solve_bipartite(mu, nu, tails, heads, costs)
     assert (res.iterations, res.pivots, res.arcs_priced) == (154, 153, 28420)
+
+
+@pytest.mark.parametrize("scale", [1.0, 10.0, 100.0])
+def test_tree_start_hangs_a_dead_row_sink_up(scale):
+    # The last sink has no finite cell and a demand of 5e-10, inside TOL:
+    # the tree start hangs it up from the root, as every component root,
+    # and its reported potential is 0.  Hung down at -penalty, as the star
+    # hangs a sink with demand, it reads 24 at scale 1, the gap -1.2e-8,
+    # and at scale 100 weak duality fails.
+    cost = CostMatrix(np.array([[1.0, np.inf, np.inf], [np.inf, 2.0, np.inf]]) * scale)
+    report = solve_primal(cost, Marginal(np.array([0.5, 0.5])),
+                          Marginal(np.array([0.5, 0.5 - 5e-10, 5e-10])))
+    assert report.gap == 0.0
+    assert report.optimal_potentials.psi.tolist() == [scale, 2 * scale, 0.0]
+
+
+def test_star_ships_a_demand_inside_the_tolerance():
+    # The last sink's demand of 5e-10 is inside TOL, but it has finite
+    # cells: the star hangs it down at -penalty, as every sink with demand,
+    # and the pivots ship exactly that demand.  Hung up, it is shipped
+    # inexactly, after 19 pivots instead of 15.
+    cost = np.random.default_rng(5).uniform(0.0, 5.0, (4, 5))
+    mu = np.array([0.1, 0.2, 0.3, 0.4])
+    nu = np.array([0.15, 0.25, 0.35, 0.25 - 5e-10, 5e-10])
+    tails, heads = full_arcs(4, 5)
+    res = solve_bipartite(mu, nu, tails, heads, cost.ravel())
+    assert np.bincount(heads, res.flow, 5)[-1] == pytest.approx(5e-10, rel=1e-9, abs=0.0)
+    assert (res.iterations, res.pivots, res.degenerate_pivots, res.arcs_priced) == (
+        16, 15, 0, 78)
+
+
+@pytest.mark.parametrize("mu, nu, costs, n_pairs", [
+    # no two masses are equal, and one sink has no demand
+    ([0.1, 0.2, 0.3, 0.4], [0.15, 0.25, 0.0, 0.6], np.arange(16.0) % 5, 0),
+    ([0.25, 0.25, 0.125, 0.375], [0.125, 0.25, 0.5, 0.125], np.arange(16.0)[::-1] % 7, 2),
+], ids=["star", "matched"])
+def test_start_layout(monkeypatch, mu, nu, costs, n_pairs):
+    # Each matched sink hangs below its source at depth 2, with potential
+    # penalty - c and the pair's mass, and the source's artificial arc
+    # carries exactly nothing.  Every other node hangs from the root by its
+    # artificial arc with its mass: a source or a sink without demand
+    # pointing up at the penalty's potential, a sink with demand down at
+    # its negative.
+    pivoted = pivot_starts(monkeypatch)
+    mu, nu = np.array(mu), np.array(nu)
+    tails, heads = full_arcs(4, 4)
+    solve_bipartite(mu, nu, tails, heads, costs)
+    [(parent, via, up, depth, pot, flow, *_)] = pivoted
+    penalty = 3.0 * (1.0 + costs.sum())
+    pairs = greedy_matched_pairs(mu, nu, tails, heads, costs)
+    assert len(pairs) == n_pairs
+    below = {4 + j: (a, i) for a, i, j in pairs}
+    matched_sources = {i for _, i, _ in pairs}
+    for v in range(8):
+        mass = mu[v] if v < 4 else nu[v - 4]
+        if v in below:
+            a, i = below[v]
+            assert (parent[v], via[v], up[v], depth[v]) == (i, a, False, 2)
+            assert (pot[v], flow[v]) == (penalty - costs[a], mass)
+            continue
+        hung_up = v < 4 or mass == 0.0
+        assert (parent[v], via[v], up[v], depth[v]) == (8, -1, hung_up, 1)
+        assert pot[v] == (penalty if hung_up else -penalty)
+        assert flow[v] == (0.0 if v in matched_sources else mass)
 
 
 def shared_masses(rng, m, n):
@@ -848,11 +914,12 @@ def test_matched_start_matches_dense_oracle(rng, monkeypatch):
         pairs = []
         for (supplies, demands, tails, heads, costs), res in runs:
             assert_potentials_feasible_and_tight(res, tails, heads, costs)
-            pairs.append(_matched_pairs(supplies, demands, tails, heads, costs)[0])
+            arcs = _matched_pairs(supplies, demands, tails, heads, costs)[0]
+            pairs.append(set(zip(tails[arcs].tolist(), heads[arcs].tolist())))
             unmatched += len(pairs[-1]) < np.count_nonzero(supplies)
         matched += bool(pairs[0])
         # the dummy pair of the partial solve begins matched
-        assert any(t == m and h == n for _, t, h in pairs[1])
+        assert (m, n) in pairs[1]
     assert matched >= 20 and unmatched >= 40
 
 
@@ -897,6 +964,11 @@ def greedy_matched_pairs(supplies, demands, tails, heads, costs):
             src_open[i] = snk_open[j] = False
             pairs.append((a, i, j))
     return pairs
+
+
+def arc_ids(pairs):
+    """The arcs of a list of (arc, source, sink) pairs."""
+    return [a for a, _, _ in pairs]
 
 
 def proof_ready(supplies, demands, tails, heads, costs):
@@ -955,8 +1027,10 @@ def test_matched_pairs_equal_the_counted_walk(problem):
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
         patch.setattr(network_simplex, "_MATCH_CHUNK", chunk)
         warnings.simplefilter("error")
-        pairs, integral = _matched_pairs(*args)
-    assert pairs == counted_matched_pairs(*args) == greedy_matched_pairs(*args)
+        matched, integral = _matched_pairs(*args)
+    assert matched.dtype == int
+    assert matched.tolist() == arc_ids(counted_matched_pairs(*args)) == arc_ids(
+        greedy_matched_pairs(*args))
     assert integral == proof_ready(*args)
 
 
@@ -967,10 +1041,11 @@ def test_matched_start_casts_no_cost_it_cannot_hold():
     uniform = np.full(3, 1.0 / 3.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pairs, integral = _matched_pairs(uniform, uniform, tails, heads, costs)
+        matched, integral = _matched_pairs(uniform, uniform, tails, heads, costs)
         res = solve_bipartite(uniform, uniform, tails, heads, costs)
-    assert pairs == greedy_matched_pairs(uniform, uniform, tails, heads, costs) == [
+    assert greedy_matched_pairs(uniform, uniform, tails, heads, costs) == [
         (4, 2, 2), (2, 1, 1), (0, 0, 0)]
+    assert matched.tolist() == [4, 2, 0]
     assert not integral
     assert res.flow.sum() == pytest.approx(1.0)
 
@@ -985,5 +1060,6 @@ def test_matched_pairs_on_rotation_costs_equal_the_counted_walk(cost):
     n = c.shape[0]
     uniform = np.full(n, 1.0 / n)
     tails, heads, costs = c.finite_arcs
-    pairs, integral = _matched_pairs(uniform, uniform, tails, heads, costs)
-    assert integral and pairs and pairs == counted_matched_pairs(uniform, uniform, tails, heads, costs)
+    matched, integral = _matched_pairs(uniform, uniform, tails, heads, costs)
+    assert integral and matched.size
+    assert matched.tolist() == arc_ids(counted_matched_pairs(uniform, uniform, tails, heads, costs))
