@@ -159,7 +159,9 @@ def engine(args) -> tuple:
     alternating which goes first: `cpu_s` and `parent_cpu_s` are then the
     medians of each tree's timings, and `ratio`, `ratio_q1` and `ratio_q3`
     the median and quartiles of the rounds' quotients, so that a slow
-    moment of the host slows both sides of a quotient alike.
+    moment of the host slows both sides of a quotient alike.  `verdict`
+    reads the quartiles: `faster` when `ratio_q3` < 1, `slower` when
+    `ratio_q1` > 1, and `unresolved` when they straddle 1.
     """
     from mklab import fileformats, solvers
     from mklab.network_simplex import _matched_pairs, solve_bipartite
@@ -173,8 +175,8 @@ def engine(args) -> tuple:
                "cpu_s", "match_s")
     if args.parent:
         parent = load("mklab_parent", args.parent).network_simplex.solve_bipartite
-        template += " {:>12.3f} {:>6.3f} {:>8.3f} {:>8.3f}"
-        columns += ("parent_cpu_s", "ratio", "ratio_q1", "ratio_q3")
+        template += " {:>12.3f} {:>6.3f} {:>8.3f} {:>8.3f} {:>10}"
+        columns += ("parent_cpu_s", "ratio", "ratio_q1", "ratio_q3", "verdict")
     table = Table(template, columns)
     calls = list(benchmark_calls().items())
     calls += [(f"gen-{kind}-{n}", gen_primal(kind, n))
@@ -192,7 +194,8 @@ def engine(args) -> tuple:
             row[6], parent_cpu = map(statistics.median, times)
             ratios = [a / b for a, b in zip(*times)]
             q1, _, q3 = statistics.quantiles(ratios, n=4)
-            row += [parent_cpu, statistics.median(ratios), q1, q3]
+            verdict = "faster" if q3 < 1.0 else "slower" if q1 > 1.0 else "unresolved"
+            row += [parent_cpu, statistics.median(ratios), q1, q3, verdict]
         table.add(*row)
     return 0, table
 

@@ -39,54 +39,53 @@ cut the arcs priced where a problem pivots long after it, as ex33 at odd
 n does (2.7 and 2.9 times fewer at n=145 and 385), but on explicit
 costs they cost more pivots than they save scans.
 
-Every start tree comes from one builder: the depth-first spanning
-forest of a given set of arcs, searched from the nodes in index order,
+Every start tree comes from one builder: the depth-first spanning forest
+of a given set of arcs, searched from the nodes in index order,
 following the last arc at a node first.  Each component hangs from the
-root by its first node's artificial arc, pointing up at the penalty's
-potential or down at its negative, as the caller says.  Below it each
-node records its parent, input arc, direction, depth and potential:
+root by its first node's artificial arc: up at the penalty's potential
+from a source, and down at its negative from a sink with demand, so that
+every artificial arc without flow points up and the pivots ship every
+demand.  But a sink that no arc reaches, with demand at most TOL, points
+up with that demand as negative flow: on no cycle, it ends as it starts,
+and the reached components end hung up, so its potential is theirs (hung
+down, it puts twice the penalty into the dual value).  Below the root
+each node records its parent, input arc, direction, depth and potential:
 c + pi(parent) up from a source and pi(parent) - c down to a sink.  The
 flows push each node's excess to its parent, deepest nodes first, as the
 exact flow recovery does.  The three starts are three arc sets:
 
 - A program with no more arcs than nodes (0 < E <= m + n), such as the
   restricted program on the support of a plan that is a tree or a single
-  cycle, gives all its arcs, and every component points up.  Its tree
-  is a start when it is a strongly feasible basis: every component
-  balanced, no flow below -TOL, and every tree arc that carries at most
-  TOL pointing up (Cunningham 1976; Ahuja, Magnanti and Orlin 1993,
-  ch. 11).  Such a start needs no phase-1 pivot and keeps the
-  anti-cycling guarantee.  One pricing round over the arcs out of the
-  tree, by the expression of the block scans, decides: when no reduced
-  cost is below -TOL the tree is optimal, and the solve returns with 1
-  iteration, no pivot and E arcs priced, before the scattered arrays or
-  the pivoting tree exist.  Otherwise the pivots start from that tree,
-  each component root's artificial arc without flow; their first block
-  scan prices again, and only the pivoting rounds are counted.  The gate
-  keeps the search, Python work per arc, off dense programs: the tree of
-  the ex33 n=144 grid costs 6 times the matching's proof, and that of the
-  explicit n=300 grid is refused after 27 ms.
+  cycle, gives all its arcs.  Its tree is a start when it is a strongly
+  feasible basis: every component balanced, no flow below -TOL, and
+  every tree arc that carries at most TOL pointing up (Cunningham 1976;
+  Ahuja, Magnanti and Orlin 1993, ch. 11).  Such a start needs no
+  phase-1 pivot and keeps the anti-cycling guarantee.  One pricing round
+  over the arcs out of the tree, by the expression of the block scans,
+  decides: when no reduced cost is below -TOL the tree is optimal, and
+  the solve returns with 1 iteration, no pivot and E arcs priced, before
+  the scattered arrays or the pivoting tree exist.  Otherwise the pivots
+  start from that tree, each component root's artificial arc without
+  flow; their first block scan prices again, and only the pivoting
+  rounds are counted.  The gate keeps the search, Python work per arc,
+  off dense programs: the tree of the ex33 n=144 grid costs 6 times the
+  matching's proof, and that of the explicit n=300 grid is refused after
+  27 ms.
 - Any other program, or one whose tree is refused, gives the arcs of a
   greedy matching: walking the arcs whose two ends carry the same
   positive mass from the cheapest, each arc whose two ends are unmatched
   joins them.  A pair hangs from its source, pointing up with no flow,
   and its sink below it carries their common mass; every other node
-  hangs from the root with its mass, pointing down only from a sink with
-  demand, so that every artificial arc without flow points up.  In an
-  assignment problem (uniform marginals, as in the rotation models) most
-  nodes begin matched, and most of the pivots that the plain star spends
-  pushing artificial flow out are saved.  Only equal masses are matched:
-  hanging sinks of any mass below cheap sources makes each re-hang
-  larger, which costs more than the pivots it saves.  The walk sorts the
-  arcs by cost, stably: when every cost is an integer in the int16
-  range, as in the rotation models, it sorts an exact int16 key, which
-  numpy radix-sorts into the same order as the float sort.
+  hangs from the root with its mass.  In an assignment problem (uniform
+  marginals, as in the rotation models) most nodes begin matched, and
+  most of the pivots that the plain star spends pushing artificial flow
+  out are saved.  Only equal masses are matched: hanging sinks of any
+  mass below cheap sources makes each re-hang larger, which costs more
+  than the pivots it saves.  The walk sorts the arcs by cost, stably:
+  when every cost is an integer in the int16 range, as in the rotation
+  models, it sorts an exact int16 key, which numpy radix-sorts into the
+  same order as the float sort.
 - Without equal masses the matching is empty, and the start the plain star.
-
-The two rules differ on purpose.  A sparse program's isolated sink with a
-demand inside TOL points up: hung down, its potential carries the penalty
-and weak duality fails at large costs.  A star sink with such a demand
-and finite cells points down, so that the pivots ship it exactly.
 
 When the matching is perfect and every arc cost is an integer in the
 int16 range, the solve first tries to prove the matching optimal, before
@@ -294,12 +293,13 @@ def _push_excess(supplies, demands, parent: list, up: list, depth: list) -> tupl
     return flows, excess[root]
 
 
-def _start_tree(supplies, demands, tails, heads, costs, arcs, penalty, hung_up):
+def _start_tree(supplies, demands, tails, heads, costs, arcs, penalty):
     """The depth-first spanning forest of the input ``arcs`` as a start tree.
 
     Nodes are sources 0..m-1, then sinks, then the root.  Each component
-    hangs from the root by its first node's artificial arc, up at potential
-    ``penalty`` where ``hung_up`` says so and down at -``penalty`` elsewhere.
+    hangs from the root by its first node's artificial arc, down at
+    potential -``penalty`` from a sink with demand that an arc of the
+    program reaches or that exceeds TOL, and up at ``penalty`` otherwise.
     Returns, per non-root node, its parent, the input arc to it (-1 for an
     artificial arc), whether that arc points up, its depth (1 below the
     root), its potential and its tree flow, and then the root's excess.
@@ -319,6 +319,7 @@ def _start_tree(supplies, demands, tails, heads, costs, arcs, penalty, hung_up):
     # a real tree arc points up from a source to its sink, and down from a
     # source to a sink below it
     parent, via, up = [-1] * root, [-1] * root, [True] * m + [False] * n
+    down = ((demands > TOL) | (demands > 0) & (np.bincount(heads, minlength=n) > 0)).tolist()
     depth, pot = [1] * root, [penalty] * root
     # the entries reached and not yet followed; the last one is followed first
     stack: list[int] = []
@@ -326,7 +327,7 @@ def _start_tree(supplies, demands, tails, heads, costs, arcs, penalty, hung_up):
     for start in range(root):
         if parent[start] >= 0:
             continue
-        parent[start], up[start] = root, hung_up[start]
+        parent[start], up[start] = root, start < m or not down[start - m]
         pot[start] = penalty if up[start] else -penalty
         push(range(first[start], first[start + 1]))
         while stack:
@@ -418,8 +419,7 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
     penalty = None
     if 0 < e_real <= root:
         penalty = _penalty(costs)
-        tree = _start_tree(supplies, demands, tails, heads, costs, np.arange(e_real), penalty,
-                           [True] * root)
+        tree = _start_tree(supplies, demands, tails, heads, costs, np.arange(e_real), penalty)
         if _strongly_feasible(tree):
             # one pricing round over the arcs out of the tree, by the
             # expression and the test of the block scans in _pivot: when no
@@ -448,9 +448,8 @@ def solve_bipartite(supplies, demands, tails, heads, costs) -> BipartiteFlow:
         proof_rounds = _PROOF_ROUNDS
     if penalty is None:
         penalty = _penalty(costs)
-    # the star with the matched pairs hung in; a sink with demand hangs down
-    start = _start_tree(supplies, demands, tails, heads, costs, matched, penalty,
-                        [True] * m + (demands == 0).tolist())
+    # the star with the matched pairs hung in
+    start = _start_tree(supplies, demands, tails, heads, costs, matched, penalty)
     return _pivot(supplies, demands, tails, heads, costs, penalty, start, proof_rounds)
 
 

@@ -128,6 +128,23 @@ class TestSolve:
                                "mu": [0.5, 0.5], "nu": [0.5, 0.5]})
         assert main(["solve", inst, "--problem", "primal"]) == 2
 
+    def test_column_that_no_cell_reaches_keeps_weak_duality(self, tmp_path, capsys):
+        # The last column has no finite cell and a demand of 5e-10, inside
+        # the engine's tolerance: its sink starts hung up, so its potential
+        # carries no penalty.  Hung down, it put twice the penalty into the
+        # dual value, and the solve exited 1 on "weak duality violated".
+        cost = np.round(np.random.default_rng(5).uniform(0.0, 5.0, (4, 5)), 3).tolist()
+        for row in cost:
+            row[-1] = "inf"
+        inst = write_instance(tmp_path / "dead.json",
+                              {"schema_version": 1, "kind": "explicit", "cost": cost,
+                               "mu": [0.1, 0.2, 0.3, 0.4],
+                               "nu": [0.15, 0.25, 0.35, 0.25 - 5e-10, 5e-10]})
+        assert main(["solve", inst, "--problem", "primal"]) == 0
+        printed = dict(line.rsplit(maxsplit=1) for line in capsys.readouterr().out.splitlines())
+        primal, gap = float(printed["primal value"]), float(printed["gap"])
+        assert abs(gap) <= 1e-12 * max(1.0, abs(primal))
+
     def test_iteration_limit_exit_code(self, ap_instance, monkeypatch):
         # the ap primal starts from an optimal spanning tree of its arcs,
         # which one pricing round proves, so only a limit of 0 stops it
