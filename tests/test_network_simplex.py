@@ -1046,12 +1046,14 @@ def proof_ready(supplies, demands, tails, heads, costs):
 
 
 #: Cost families: integers that an int16 key holds (small, negative, and
-#: at both ends of its range), integers past that range, and non-integral
-#: costs, with -0.0 tied to 0.0.
+#: at both ends of its range, a few levels apart or all of it apart),
+#: integers past that range, and non-integral costs, with -0.0 tied to 0.0.
 MATCH_COSTS = [
     [0.0, 1.0, 2.0, 3.0],
     [-3.0, -1.0, 0.0, 2.0],
     [-32768.0, 0.0, 32767.0],
+    [-32768.0, -32767.0, -32765.0],
+    [32765.0, 32766.0, 32767.0],
     [0.0, 1.0, 32768.0],
     [-32769.0, 0.0, 1.0],
     [0.0, 1.0, 1e300],
@@ -1064,7 +1066,20 @@ MATCH_COSTS = [
 def matching_problems(draw):
     """Masses that recur on one side or both, one mass everywhere, masses
     that no demand shares, zero masses, tied costs, parallel arcs, empty
-    arc sets, and a chunk as small as one arc."""
+    arc sets, and a chunk as small as one arc; and complete grids of arcs
+    with one mass everywhere, up to 130 columns, in row-major order or
+    shuffled."""
+    family = draw(st.sampled_from(MATCH_COSTS))
+    chunk = draw(st.sampled_from([1, 2, 3, 4096]))
+    layout = draw(st.sampled_from(["arcs", "grid", "shuffled grid"]))
+    if layout != "arcs":
+        m, n = draw(st.integers(1, 7)), draw(st.sampled_from([1, 2, 3, 8, 9, 64, 65, 130]))
+        value = draw(st.sampled_from([0.125, 1.0 / 3.0, 0.5]))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        order = rng.permutation(m * n) if layout == "shuffled grid" else np.arange(m * n)
+        tails, heads = np.divmod(order, n)
+        return (np.full(m, value), np.full(n, value), tails, heads,
+                rng.choice(np.array(family), m * n)), chunk
     m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
     masses = draw(st.sampled_from(["mixed", "one", "disjoint"]))
     if masses == "one":
@@ -1078,11 +1093,9 @@ def matching_problems(draw):
                      dtype=float) for pool, size in zip(pools, (m, n)))
     cells = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
     arcs = draw(st.lists(cells, max_size=40) if m and n else st.just([]))
-    family = draw(st.sampled_from(MATCH_COSTS))
     costs = draw(st.lists(st.sampled_from(family), min_size=len(arcs), max_size=len(arcs)))
     tails = np.array([a for a, _ in arcs], dtype=int)
     heads = np.array([b for _, b in arcs], dtype=int)
-    chunk = draw(st.sampled_from([1, 2, 3, 4096]))
     return (supplies, demands, tails, heads, np.array(costs, dtype=float)), chunk
 
 
@@ -1098,6 +1111,31 @@ def test_matched_pairs_equal_the_counted_walk(problem):
     assert matched.tolist() == arc_ids(counted_matched_pairs(*args)) == arc_ids(
         greedy_matched_pairs(*args))
     assert integral == proof_ready(*args)
+
+
+@pytest.mark.parametrize("top,by_levels", [(4, 4), (9, 3)])
+def test_the_walk_takes_the_pairs_the_level_passes_leave(monkeypatch, top, by_levels):
+    """A complete 4 x 4 grid (E = 16, 5 bits) gets level passes for its five
+    least costs, 0 to 4: with its last pair at cost 4 they pick every pair,
+    and with it at cost 9 the walk picks that one."""
+    picked = []
+    real = network_simplex._grid_pairs
+
+    def recording(grid, levels):
+        picked.append((levels, real(grid, levels)))
+        return list(picked[-1][1])
+
+    monkeypatch.setattr(network_simplex, "_grid_pairs", recording)
+    tails, heads = full_arcs(4, 4)
+    costs = np.full(16, float(top))
+    costs[[0, 5, 10]] = 0.0
+    uniform = np.full(4, 0.25)
+    matched, integral = _matched_pairs(uniform, uniform, tails, heads, costs)
+    [(levels, arcs)] = picked
+    assert levels == range(0, 5) and len(arcs) == by_levels
+    assert integral
+    assert matched.tolist() == [0, 5, 10, 15] == arc_ids(
+        greedy_matched_pairs(uniform, uniform, tails, heads, costs))
 
 
 def test_matched_start_casts_no_cost_it_cannot_hold():
@@ -1119,8 +1157,9 @@ def test_matched_start_casts_no_cost_it_cannot_hold():
 @pytest.mark.parametrize("cost", [
     lambda: ap_cost(make_instance(192)),
     lambda: ex33_cost(make_instance(48), 47),
+    lambda: ex33_cost(make_instance(49), 48),
     lambda: ex33_cost(make_instance(144), 143),
-], ids=["ap-192", "ex33-48", "ex33-144"])
+], ids=["ap-192", "ex33-48", "ex33-49", "ex33-144"])
 def test_matched_pairs_on_rotation_costs_equal_the_counted_walk(cost):
     c = cost()
     n = c.shape[0]
