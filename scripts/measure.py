@@ -157,9 +157,11 @@ def engine(args) -> tuple:
     With `--parent PARENT`, the call is also solved by PARENT's engine,
     once per tree in each of ENGINE_AB_ROUNDS rounds on the same arguments,
     alternating which goes first: `cpu_s` and `parent_cpu_s` are then the
-    medians of each tree's timings, and `ratio`, `ratio_q1` and `ratio_q3`
-    the median and quartiles of the rounds' quotients, so that a slow
-    moment of the host slows both sides of a quotient alike.  `verdict`
+    medians of each tree's timings, `parent_match_s` times PARENT's
+    greedy matching as `match_s` times this tree's, and `ratio`,
+    `ratio_q1` and `ratio_q3` the median and quartiles of the rounds'
+    quotients, so that a slow moment of the host slows both sides of a
+    quotient alike.  `verdict`
     reads the quartiles: `faster` when `ratio_q3` < 1, `slower` when
     `ratio_q1` > 1, and `unresolved` when they straddle 1.
     """
@@ -174,9 +176,10 @@ def engine(args) -> tuple:
     columns = ("call", "arcs", "iterations", "pivots", "degenerate", "arcs_priced",
                "cpu_s", "match_s")
     if args.parent:
-        parent = load("mklab_parent", args.parent).network_simplex.solve_bipartite
-        template += " {:>12.3f} {:>6.3f} {:>8.3f} {:>8.3f} {:>10}"
-        columns += ("parent_cpu_s", "ratio", "ratio_q1", "ratio_q3", "verdict")
+        parent = load("mklab_parent", args.parent).network_simplex
+        template += " {:>12.3f} {:>14.4f} {:>6.3f} {:>8.3f} {:>8.3f} {:>10}"
+        columns += ("parent_cpu_s", "parent_match_s", "ratio", "ratio_q1", "ratio_q3",
+                    "verdict")
     table = Table(template, columns)
     calls = list(benchmark_calls().items())
     calls += [(f"gen-{kind}-{n}", gen_primal(kind, n))
@@ -189,13 +192,14 @@ def engine(args) -> tuple:
             times = ([], [])
             for rnd in range(ENGINE_AB_ROUNDS):
                 for side in (0, 1) if rnd % 2 == 0 else (1, 0):
-                    solve = (solve_bipartite, parent)[side]
+                    solve = (solve_bipartite, parent.solve_bipartite)[side]
                     times[side].append(best_of(1, lambda: solve(*call), time.process_time)[0])
             row[6], parent_cpu = map(statistics.median, times)
+            parent_match, _ = best_of(5, lambda: parent._matched_pairs(*call), time.process_time)
             ratios = [a / b for a, b in zip(*times)]
             q1, _, q3 = statistics.quantiles(ratios, n=4)
             verdict = "faster" if q3 < 1.0 else "slower" if q1 > 1.0 else "unresolved"
-            row += [parent_cpu, statistics.median(ratios), q1, q3, verdict]
+            row += [parent_cpu, parent_match, statistics.median(ratios), q1, q3, verdict]
         table.add(*row)
     return 0, table
 

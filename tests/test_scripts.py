@@ -102,7 +102,8 @@ def test_measure_engine_times_a_parent_engine_too(tmp_path):
     assert columns["call"] == (*BENCHMARK_ENGINE_CALLS, "gen-ex33-12", "gen-explicit-12")
     for row, (*counters, _) in zip(entry["rows"], BENCHMARK_ENGINE_CALLS.values()):
         assert row[2:6] == counters
-        cpu, parent_cpu, ratio, q1, q3, verdict = row[6], *row[8:]
+        cpu, parent_cpu, parent_match, ratio, q1, q3, verdict = row[6], *row[8:]
+        assert parent_match >= 0.0
         # the median and quartiles of the rounds' paired quotients
         assert cpu > 0.0 and parent_cpu > 0.0 and 0.0 < q1 <= ratio <= q3
         # faster or slower only when the quartiles lie on one side of 1
