@@ -46,8 +46,10 @@ SEED = 1
 ENGINE_SIZES = {"ex33": (384, 768, 1536), "explicit": (300, 1000, 2000)}
 WRITE_SIZES = (300, 1000, 2000)
 
-#: Timings per tree of each engine call that `engine --parent` alternates.
-ENGINE_AB_ROUNDS = 7
+#: The paired rounds of each engine call that `engine --parent` alternates:
+#: at least ENGINE_AB_ROUNDS, and more until the timings of both trees sum
+#: to ENGINE_AB_BUDGET_S CPU seconds, so that short calls get more rounds.
+ENGINE_AB_ROUNDS, ENGINE_AB_BUDGET_S = 7, 2.0
 
 
 def gen_argv(kind: str, n: int) -> list:
@@ -76,6 +78,19 @@ def best_of(k: int, call, clock=time.perf_counter) -> tuple:
         result = call()
         best = min(best, clock() - t0)
     return best, result
+
+
+def alternated(calls, clock=time.process_time) -> tuple:
+    """The ``clock`` timings of each of the two ``calls``, one per round,
+    with the first call first in even rounds and second in odd ones: at
+    least ENGINE_AB_ROUNDS rounds, and more until all timings sum to
+    ENGINE_AB_BUDGET_S."""
+    times, spent = ([], []), 0.0
+    while len(times[0]) < ENGINE_AB_ROUNDS or spent < ENGINE_AB_BUDGET_S:
+        for side in (0, 1) if len(times[0]) % 2 == 0 else (1, 0):
+            times[side].append(best_of(1, calls[side], clock)[0])
+            spent += times[side][-1]
+    return times
 
 
 class Table:
@@ -155,15 +170,16 @@ def engine(args) -> tuple:
     arcs does not run (the two restricted rows of the benchmark,
     `ap-192-restricted` and `explicit-300-restricted`).
     With `--parent PARENT`, the call is also solved by PARENT's engine,
-    once per tree in each of ENGINE_AB_ROUNDS rounds on the same arguments,
-    alternating which goes first: `cpu_s` and `parent_cpu_s` are then the
-    medians of each tree's timings, `parent_match_s` times PARENT's
-    greedy matching as `match_s` times this tree's, and `ratio`,
-    `ratio_q1` and `ratio_q3` the median and quartiles of the rounds'
-    quotients, so that a slow moment of the host slows both sides of a
-    quotient alike.  `verdict`
-    reads the quartiles: `faster` when `ratio_q3` < 1, `slower` when
-    `ratio_q1` > 1, and `unresolved` when they straddle 1.
+    once per tree in each round on the same arguments, alternating which
+    goes first, for at least ENGINE_AB_ROUNDS rounds and until both trees'
+    timings of the call sum to ENGINE_AB_BUDGET_S CPU seconds: `cpu_s`
+    and `parent_cpu_s` are then the medians of each tree's timings,
+    `parent_match_s` times PARENT's greedy matching as `match_s` times this
+    tree's, and `ratio`, `ratio_q1` and `ratio_q3` the median and quartiles
+    of the rounds' quotients, so that a slow moment of the host slows both
+    sides of a quotient alike.  `verdict` reads the quartiles: `faster`
+    when `ratio_q3` < 1, `slower` when `ratio_q1` > 1, and `unresolved`
+    when they straddle 1.  `rounds` counts the rounds.
     """
     from mklab import fileformats, solvers
     from mklab.network_simplex import _matched_pairs, solve_bipartite
@@ -177,9 +193,9 @@ def engine(args) -> tuple:
                "cpu_s", "match_s")
     if args.parent:
         parent = load("mklab_parent", args.parent).network_simplex
-        template += " {:>12.3f} {:>14.4f} {:>6.3f} {:>8.3f} {:>8.3f} {:>10}"
+        template += " {:>12.3f} {:>14.4f} {:>6.3f} {:>8.3f} {:>8.3f} {:>10} {:>6}"
         columns += ("parent_cpu_s", "parent_match_s", "ratio", "ratio_q1", "ratio_q3",
-                    "verdict")
+                    "verdict", "rounds")
     table = Table(template, columns)
     calls = list(benchmark_calls().items())
     calls += [(f"gen-{kind}-{n}", gen_primal(kind, n))
@@ -189,17 +205,15 @@ def engine(args) -> tuple:
         row = [name, call[-1].size, res.iterations, res.pivots, res.degenerate_pivots,
                res.arcs_priced, cpu, match]
         if args.parent:
-            times = ([], [])
-            for rnd in range(ENGINE_AB_ROUNDS):
-                for side in (0, 1) if rnd % 2 == 0 else (1, 0):
-                    solve = (solve_bipartite, parent.solve_bipartite)[side]
-                    times[side].append(best_of(1, lambda: solve(*call), time.process_time)[0])
+            times = alternated((lambda: solve_bipartite(*call),
+                                lambda: parent.solve_bipartite(*call)))
             row[6], parent_cpu = map(statistics.median, times)
             parent_match, _ = best_of(5, lambda: parent._matched_pairs(*call), time.process_time)
             ratios = [a / b for a, b in zip(*times)]
             q1, _, q3 = statistics.quantiles(ratios, n=4)
             verdict = "faster" if q3 < 1.0 else "slower" if q1 > 1.0 else "unresolved"
-            row += [parent_cpu, parent_match, statistics.median(ratios), q1, q3, verdict]
+            row += [parent_cpu, parent_match, statistics.median(ratios), q1, q3, verdict,
+                    len(ratios)]
         table.add(*row)
     return 0, table
 

@@ -23,21 +23,17 @@ potential there.  Each potential is summed from its parent's, so
 potentials do not drift as pivots accumulate.  Per-node reads and sums
 run on Python floats: the subtree walk reads a list mirror of the
 potentials and writes each sum to it and to the array that pricing
-gathers from.  Numpy otherwise handles whole arrays: the pricing scans,
-the arc gather and the final flow scatter.
+gathers from.  Numpy otherwise handles whole arrays: the pricing scans
+and the final flow scatter.
 
 Pricing is block search (Kovács, *Minimum-cost flow algorithms: an
 experimental evaluation*, OMS 2015): it scans blocks of arcs, resuming
 where the last scan stopped, and enters the most negative reduced cost
 of the first block that has one; a full round of blocks without one
-proves optimality.  Arcs are scanned in a fixed scattered order, so
-that the many tied costs of a structured instance are not all met in
-row-major order.  Blocks are large, min(E/8, 34 sqrt(E)) arcs: a pivot
-costs far more in Python than a numpy scan, and the best arc of a large
-block saves pivots.  Smaller blocks once artificial flow is gone would
-cut the arcs priced where a problem pivots long after it, as ex33 at odd
-n does (2.7 and 2.9 times fewer at n=145 and 385), but on explicit
-costs they cost more pivots than they save scans.
+proves optimality.  Arcs are scanned in the order the caller gives them.
+Blocks are large, min(E/8, 34 sqrt(E)) arcs: a pivot costs far more in
+Python than a numpy scan, and the best arc of a large block saves
+pivots.
 
 A dense program, one with E > _TIER_RATIO * _TIER_K * (m + n) arcs, is
 priced in two tiers, after the shortlist method (Gottschlich and
@@ -55,7 +51,7 @@ finds to a rebuilt tier made odd-n ex33 slower (64 ms against 27 ms at
 n=145).  Any candidate set is correct, since a strongly feasible tree
 cannot cycle whichever arc with a negative reduced cost enters.  The
 bounds come from one in-place partition of an m x n scratch grid per
-side, built and freed before the scattered arrays exist, so that the
+side, built and freed before the pricing arrays exist, so that the
 solve's peak memory does not rise.  At explicit n=300 the candidates
 are 5% of the arcs, and the solve prices 18 times fewer arcs.  On ex33
 at odd n, whose integer costs tie, they are 36% to 44%, and a full
@@ -88,7 +84,7 @@ exact flow recovery does.  The three starts are three arc sets:
   over the arcs out of the tree, by the expression of the block scans,
   decides: when no reduced cost is below -TOL the tree is optimal, and
   the solve returns with 1 iteration, no pivot and E arcs priced, before
-  the scattered arrays or the pivoting tree exist.  Otherwise the pivots
+  the pricing arrays or the pivoting tree exist.  Otherwise the pivots
   start from that tree, each component root's artificial arc without
   flow; their first block scan prices again, and only the pivoting
   rounds are counted.  The gate keeps the search, Python work per arc,
@@ -139,8 +135,8 @@ Every solve ends in one finish, whether pivots, a pricing round or a
 label-correcting pass proved its basis: the iterations are checked
 against MAX_ITERATIONS, the basic flows against conservation at the
 root and against negative values, artificial flow above TOL raises
-InfeasibleError, and the flows of the basic real arcs are scattered
-back to input order.
+InfeasibleError, and the flows of the basic real arcs are written into
+a zero flow per input arc.
 """
 
 from __future__ import annotations
@@ -185,9 +181,6 @@ _MATCH_CHUNK = 4096
 #: pass that gives up has spent cost about 0.3 ms at n=144.
 _PROOF_ROUNDS = 4
 
-#: The real arcs are gathered into scattered order this many slots at a time.
-_SCATTER_BLOCK = 8192
-
 #: Start costs that are all integers in this range sort by an int16 key.
 _INT16 = np.iinfo(np.int16)
 
@@ -201,18 +194,6 @@ class BipartiteFlow:
     pivots: int
     arcs_priced: int          # reduced costs computed in the iterations counted
     degenerate_pivots: int    # pivots that moved no flow (theta = 0)
-
-
-def _scattered_stride(n_arcs: int) -> int:
-    """The first integer s >= 0.618 n_arcs coprime to n_arcs.
-
-    Slot k of the arc visiting order holds input arc k * s mod n_arcs, so
-    input arc a sits in slot a * s^-1 mod n_arcs.
-    """
-    stride = max(1, math.ceil(0.618 * n_arcs))
-    while math.gcd(stride, n_arcs) != 1:
-        stride += 1
-    return stride
 
 
 def _int16_key(costs) -> np.ndarray | None:
@@ -369,14 +350,16 @@ def _label_correcting(tails, heads, costs, arcs):
     return None
 
 
-def _tier_bounds(m, n, tails, heads, costs) -> list:
-    """The _TIER_K-th least cost of each source's arcs and of each sink's,
-    +inf where there are fewer arcs, and the greatest where the other side
-    has fewer than _TIER_K nodes.
+def _tier_bounds(m, n, tails, heads, costs) -> np.ndarray:
+    """The candidate mask: whether each arc's cost is at most the _TIER_K-th
+    least cost of its source's arcs or of its sink's.  A node with fewer
+    arcs takes all of them, and where the other side has fewer than
+    _TIER_K nodes the bound is its greatest cost.
 
-    Each comes from one in-place partition of a scratch grid of the costs,
-    +inf on the cells with no arc, and where arcs are parallel the last
-    one's; the grid is freed before the other is built.
+    Each side's bounds come from one in-place partition of a scratch grid
+    of the costs, +inf on the cells with no arc, and where arcs are
+    parallel the last one's; each grid is freed before the next array is
+    built, and the mask is taken once both are.
     """
     bounds = []
     for ends, others, size in ((tails, heads, n), (heads, tails, m)):
@@ -386,7 +369,10 @@ def _tier_bounds(m, n, tails, heads, costs) -> list:
         grid.partition(kth, axis=1)
         bounds.append(grid[:, kth].copy())
         del grid
-    return bounds
+    row_bound, col_bound = bounds
+    candidate = costs <= row_bound[tails]
+    candidate |= costs <= col_bound[heads]
+    return candidate
 
 
 def _penalty(costs) -> float:
@@ -612,35 +598,21 @@ def _pivot(supplies, demands, tails, heads, costs, penalty, start,
     m, n = supplies.size, demands.size
     root, e_real = m + n, costs.size
 
-    # The candidate tier's bounds, before the scattered arrays exist, so
-    # that its scratch grids do not raise the solve's peak memory.
+    # The candidate mask, before the pricing arrays exist, so that the
+    # scratch grids of its bounds do not raise the solve's peak memory.
     tiered = e_real > _TIER_RATIO * _TIER_K * root
     if tiered:
-        row_bound, col_bound = _tier_bounds(m, n, tails, heads, costs)
-        candidate = np.empty(e_real, dtype=bool)
+        candidate = _tier_bounds(m, n, tails, heads, costs)
 
-    # Real arcs are stored in scattered order.  Artificial arc e_real + v
-    # joins node v to the root.  A real arc in the basis is priced at +inf,
-    # so that no scan enters it; artificial arcs are never priced and live
-    # only in the tree.
-    stride = _scattered_stride(e_real)
-    g_tail, g_head = np.empty(e_real, dtype=int), np.empty(e_real, dtype=int)
-    g_cost = np.empty(e_real)
-    # a block of slots at a time, so that no scratch array grows with the arcs
-    for lo in range(0, e_real, _SCATTER_BLOCK):
-        hi = min(lo + _SCATTER_BLOCK, e_real)
-        ids = np.arange(lo, hi, dtype=np.int64)
-        ids *= stride
-        ids %= e_real
-        g_tail[lo:hi], g_head[lo:hi], g_cost[lo:hi] = tails[ids], heads[ids], costs[ids]
-        if tiered:
-            cost = g_cost[lo:hi]
-            candidate[lo:hi] = cost <= row_bound[g_tail[lo:hi]]
-            candidate[lo:hi] |= cost <= col_bound[g_head[lo:hi]]
-    g_head += m
+    # Arcs are priced in input order, from their tails, their heads' node
+    # ids and a copy of their costs that is +inf on the real arcs in the
+    # basis, so that no scan enters one.  Artificial arc e_real + v joins
+    # node v to the root; artificial arcs are never priced and live only
+    # in the tree.
+    head_node, priced_cost = heads + m, costs.copy()
 
     # The tree, per node and the root last: up[v] says that the arc to the
-    # parent points from v to it, and parent_arc (its slot), arc_cost and
+    # parent points from v to it, and parent_arc (its id), arc_cost and
     # flow belong to that arc; children[v] is a dict used as an ordered set.
     parent, via, up, depth, pot, flow, _ = start
     parent_arc, arc_cost = list(range(e_real, e_real + root)) + [-1], [penalty] * root + [0.0]
@@ -653,10 +625,9 @@ def _pivot(supplies, demands, tails, heads, costs, penalty, start,
     if real.any():
         nodes = np.flatnonzero(real)
         tree_arc = basic_arc[nodes]
-        slots = tree_arc * pow(stride, -1, e_real) % e_real
-        g_cost[slots] = np.inf
-        for v, k, c in zip(nodes.tolist(), slots.tolist(), costs[tree_arc].tolist()):
-            parent_arc[v], arc_cost[v] = k, c
+        priced_cost[tree_arc] = np.inf
+        for v, a, c in zip(nodes.tolist(), tree_arc.tolist(), costs[tree_arc].tolist()):
+            parent_arc[v], arc_cost[v] = a, c
             children[parent[v]][v] = None
     pi = np.array(pot)
 
@@ -686,17 +657,17 @@ def _pivot(supplies, demands, tails, heads, costs, penalty, start,
                 return lo + k, (at + 1) % len(blocks), priced
         return -1, first, priced
 
-    blocks, next_block = blocks_of(g_cost, g_tail, g_head), 0
-    # The candidates' slots in order, as a list that a leaving arc is
+    blocks, next_block = blocks_of(priced_cost, tails, head_node), 0
+    # The candidates' arcs in order, as a list that a leaving arc is
     # looked up in, with a copy of their costs that is +inf on the basic
     # ones.  Once a full scan finds an entering arc, the tier is dropped.
     tier, tier_block = [], 0
     if tiered:
-        tier_slots = np.flatnonzero(candidate)
+        tier_arcs = np.flatnonzero(candidate)
         del candidate
-        tier_cost = g_cost[tier_slots]
-        tier = blocks_of(tier_cost, g_tail[tier_slots], g_head[tier_slots])
-        tier_slots = tier_slots.tolist()
+        tier_cost = priced_cost[tier_arcs]
+        tier = blocks_of(tier_cost, tails[tier_arcs], head_node[tier_arcs])
+        tier_arcs = tier_arcs.tolist()
     # a proof pass that hit its cap priced every arc in each of its rounds
     iterations, arcs_priced = proof_rounds, proof_rounds * e_real
     pivots = degenerate_pivots = 0
@@ -710,7 +681,7 @@ def _pivot(supplies, demands, tails, heads, costs, penalty, start,
             found, tier_block, priced = price(tier, tier_block)
             arcs_priced += priced
         if found >= 0:
-            entering = tier_slots[found]
+            entering = tier_arcs[found]
             tier_cost[found] = np.inf
         else:
             entering, next_block, priced = price(blocks, next_block)
@@ -729,8 +700,8 @@ def _pivot(supplies, demands, tails, heads, costs, penalty, start,
         # feasible: the first least backward arc (pointing up) of the tail
         # side, or the last least backward arc (pointing down) of the head
         # side, which wins a tie.
-        tail_e = int(g_tail[entering])
-        head_e = int(g_head[entering])
+        tail_e = int(tails[entering])
+        head_e = int(head_node[entering])
         x, y = tail_e, head_e
         theta = theta_head = math.inf
         cut = cut_head = -1
@@ -759,13 +730,13 @@ def _pivot(supplies, demands, tails, heads, costs, penalty, start,
         else:
             degenerate_pivots += 1
         leaving = parent_arc[cut]
-        cost_e = float(g_cost[entering])
-        g_cost[entering] = np.inf
+        cost_e = float(priced_cost[entering])
+        priced_cost[entering] = np.inf
         if leaving < e_real:
-            g_cost[leaving] = arc_cost[cut]
+            priced_cost[leaving] = arc_cost[cut]
             if tier:
-                place = bisect_left(tier_slots, leaving)
-                if place < len(tier_slots) and tier_slots[place] == leaving:
+                place = bisect_left(tier_arcs, leaving)
+                if place < len(tier_arcs) and tier_arcs[place] == leaving:
                     tier_cost[place] = arc_cost[cut]
 
         # Removing the leaving arc cuts off the subtree under ``cut``; the
@@ -796,7 +767,7 @@ def _pivot(supplies, demands, tails, heads, costs, penalty, start,
     # Recompute the basic flows exactly from the final tree by pushing
     # node excess toward the root, deepest nodes first.
     basic, root_excess = _push_excess(supplies, demands, parent, up, depth)
-    slots = np.array(parent_arc[:root])
-    basic_arc = np.where(slots < e_real, slots * stride % max(e_real, 1), -1)
+    basic_arc = np.array(parent_arc[:root])
+    basic_arc[basic_arc >= e_real] = -1
     return _finish(e_real, basic_arc, np.array(basic), root_excess, pi[:m].copy(), -pi[m:m + n],
                    iterations, pivots, arcs_priced, degenerate_pivots)

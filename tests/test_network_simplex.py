@@ -17,6 +17,7 @@ from mklab import (
     MKLabError,
     RotationInstance,
     ShapeError,
+    TransportPlan,
     ap_cost,
     check_strong_ccm,
     fileformats,
@@ -296,10 +297,15 @@ def test_ex33_fine_pricing(n, bound):
 #: Before the tier they took 1,041 / 1,040 / 0 / 9,579,096 (digest
 #: 57a023f1…) and 985 / 984 / 1 / 9,113,761 (digest 3e08ef62…); the
 #: primal value moved in its last bit, 0.03862446075311698 to …697, and
-#: the partial value kept every bit.  Counters do not depend on the host,
-#: so these pins catch a pricing or tree change whatever the noise.  The
-#: digests of the other calls were taken before the engine moved its
-#: per-node bookkeeping onto Python floats, which changed no bit.
+#: the partial value kept every bit.  The arcs were then priced in a
+#: scattered order, slot k holding arc k s mod E for the first s >= 0.618 E
+#: coprime to E.  Priced in input order, the primal call went from 1,023 /
+#: 1,022 / 0 / 533,389, the partial call from 1,059 / 1,058 / 1 / 604,130
+#: and explicit-60-primal from 211 / 210 / 0 / 85,511, and every digest
+#: kept its bits.  Counters do not depend on the host, so these pins catch
+#: a pricing or tree change whatever the noise.  The digests of the other
+#: calls were taken before the engine moved its per-node bookkeeping onto
+#: Python floats, which changed no bit.
 BENCHMARK_ENGINE_CALLS = {
     "ex33-144-primal": (
         3, 0, 0, 62_208,
@@ -308,16 +314,16 @@ BENCHMARK_ENGINE_CALLS = {
         1, 0, 0, 384,
         "8ef40fb7d45410153293663064535e5486383a1d8845c26800450b7945ecaa62"),
     "explicit-300-primal": (
-        1023, 1022, 0, 533_389,
+        970, 969, 0, 510_083,
         "c14cdb287dbf3776c7bd7c050584cf44a1faaf51a87b3a357391ea555828d223"),
     "explicit-300-partial": (
-        1059, 1058, 1, 604_130,
+        1101, 1100, 1, 613_187,
         "7454aac14e56c7b6f1e001e0a81d1b1132ceea0e3501d416704929db6755d3bb"),
     "explicit-300-restricted": (
         1, 0, 0, 599,
         "f67b4fc7ea832cc11e7002dd4865ddd9a318df51ba4352c4d0fccb2ce6ef7414"),
     "explicit-60-primal": (
-        211, 210, 0, 85_511,
+        206, 205, 0, 83_328,
         "36d4a258bd15fa099b7a5c5dea7fc1b978afaff0bf138de7016ddd61ee0037fd"),
 }
 
@@ -349,8 +355,8 @@ def test_benchmark_instances_keep_their_bits(benchmark_calls, name):
 
 
 @pytest.mark.parametrize("seed, problem, counters, value", [
-    (17, "partial", (990, 989, 1, 554_207), 0.02816874632869167),
-    (33, "primal", (1094, 1093, 0, 564_558), 0.04051466364949444),
+    (17, "partial", (1078, 1077, 1, 595_776), 0.02816874632869167),
+    (33, "primal", (1099, 1098, 0, 563_684), 0.04051466364949444),
 ], ids=["17-partial", "33-primal"])
 def test_one_block_size_on_explicit_seeds(seed, problem, counters, value):
     # The benchmark's explicit n=300 instance at other seeds, solved as the
@@ -358,7 +364,9 @@ def test_one_block_size_on_explicit_seeds(seed, problem, counters, value):
     # until the round that proves optimality, the only one to price all
     # arcs (iterations, pivots, degenerate pivots, arcs priced).  Without
     # the tier they took 1,011 / 1,010 / 1 / 9,373,470 and 1,143 / 1,142 /
-    # 0 / 10,511,611, to the same values in every bit.
+    # 0 / 10,511,611, and with it in the scattered arc order 990 / 989 / 1 /
+    # 554,207 and 1,094 / 1,093 / 0 / 564,558, to the same values in every
+    # bit.
     cost, mu, nu, _ = WORKLOADS["explicit_arrays"](seed, 300)
     cost, mu, nu = CostMatrix(cost), Marginal(mu), Marginal(nu)
     solve = {"primal": lambda: solve_primal(cost, mu, nu),
@@ -372,18 +380,23 @@ def test_one_block_size_on_explicit_seeds(seed, problem, counters, value):
 @pytest.mark.parametrize("supplies, demands, tails, heads, costs, source_pot, sink_pot", [
     # a tie on the tail side: its first least arc leaves (the full grid, so
     # that more arcs than nodes keep the solve on the matched start)
-    ([2, 1, 1], [2, 2], [0, 0, 1, 1, 2, 2], [0, 1, 0, 1, 0, 1], [2, 0, 1, 3, 2, 1],
-     [31, 30, 31], [-29, -31]),
+    ([3, 2, 2], [3, 4], [0, 0, 1, 1, 2, 2], [0, 1, 0, 1, 0, 1], [1, 3, 1, 0, 1, 2],
+     [28, 25, 27], [-27, -25]),
     # a tie on the head side: its last least arc leaves
-    ([1, 1, 1], [0, 1, 2], [0, 0, 0, 1, 1, 2, 2, 2], [0, 1, 2, 0, 1, 0, 1, 2],
-     [0, 0, 1, 1, 1, 0, 1, 0], [14, 15, 13], [-15, -14, -13]),
+    ([1, 3, 1], [3, 2], [0, 0, 1, 1, 2, 2], [0, 1, 0, 1, 0, 1], [0, 0, 0, 3, 3, 2],
+     [25, 28, 27], [-28, -25]),
 ], ids=["tail", "head"])
 def test_leaving_arc_ties(supplies, demands, tails, heads, costs, source_pot, sink_pot):
     # Both problems have several optimal potential pairs, and which one
     # the solve ends on depends on which of the tied blocking arcs leaves:
     # the last one met from the apex, which keeps the tree strongly
-    # feasible.  The first least arc of the head side, the last of the
-    # tail side, or the tail side winning a tie each ends elsewhere.
+    # feasible.  The first least arc of the head side ends elsewhere on
+    # both, the last of the tail side on the first, and the tail side
+    # winning a tie on both.  The two problems this test held while the
+    # arcs were priced in a scattered order, not in input order, no longer
+    # reach such a tie: the tail one ends on (30, 29, 30), (-28, -30) with
+    # either tail-side rule, and the head one on its pinned potentials with
+    # either head-side rule.
     res = solve_bipartite(supplies, demands, tails, heads, costs)
     assert res.source_potentials.tolist() == source_pot
     assert res.sink_potentials.tolist() == sink_pot
@@ -438,13 +451,14 @@ def tier_off(monkeypatch):
     monkeypatch.setattr(network_simplex, "_TIER_RATIO", float("inf"))
 
 
-def tiered_program(seed):
+def tiered_program(seed, sides=(110, 151)):
     """A coupling program above the tier's gate: 110 to 150 points a side,
-    integer costs 0..9 (heavily tied), about a fifth of the cells forbidden
-    off the support of the north-west-corner coupling, and a tenth of the
-    points of each side without mass."""
+    or as many as the range ``sides`` allows, integer costs 0..9 (heavily
+    tied), about a fifth of the cells forbidden off the support of the
+    north-west-corner coupling, and a tenth of the points of each side
+    without mass."""
     rng = np.random.default_rng(seed)
-    m, n = (int(v) for v in rng.integers(110, 151, 2))
+    m, n = (int(v) for v in rng.integers(*sides, 2))
     masses = []
     for size in (m, n):
         w = rng.integers(1, 6, size).astype(float)
@@ -503,6 +517,50 @@ def test_candidate_tier_is_left_for_an_arc_outside_it(monkeypatch):
     tier_off(monkeypatch)
     full = solve_bipartite(uniform, uniform, tails, heads, costs)
     assert abs(res.flow @ costs - full.flow @ costs) <= 1e-12 * abs(full.flow @ costs)
+
+
+#: The programs of `order_program`: tiered_program seeds and side ranges.
+ORDER_PROGRAMS = {"below-10": (10, (6, 13)), "below-11": (11, (6, 13)),
+                  "below-12": (12, (30, 41)), "above-13": (13, (110, 151)),
+                  "above-14": (14, (110, 151)), "partial": (15, (110, 151))}
+
+
+def order_program(name):
+    """The engine program (supplies, demands, tails, heads, costs) of the
+    `tiered_program` that ``name`` gives, below the tier's gate (6 to 40
+    points a side) or above it, with forbidden cells, zero masses and tied
+    costs; for "partial", the augmented program that `solve_partial`
+    hands the engine at eps = 0.05."""
+    cost, mu, nu = tiered_program(*ORDER_PROGRAMS[name])
+    if name == "partial":
+        args, _, _ = MEASURE["engine_call"](lambda: solve_partial(cost, mu, nu, 0.05))
+        return args
+    return (mu.weights, nu.weights, *cost.finite_arcs)
+
+
+@pytest.mark.parametrize("name", ORDER_PROGRAMS)
+def test_the_optimum_does_not_depend_on_the_arc_order(name):
+    # The engine prices the arcs in the order it is given them, so each
+    # order takes its own pivots; every one must end at the optimum, with
+    # the flows back in the order of its arcs: an exact coupling of the
+    # masses (scaled to one, as the partial program's carry 1 + eps) and
+    # potentials feasible on every arc and tight where flow is.
+    supplies, demands, tails, heads, costs = order_program(name)
+    m, n = supplies.size, demands.size
+    assert tier_on(m, n, costs.size) == (not name.startswith("below"))
+    total = supplies.sum()
+    mu, nu = Marginal(supplies / total), Marginal(demands / total)
+    value = solve_bipartite(supplies, demands, tails, heads, costs).flow @ costs
+    rng = np.random.default_rng(costs.size)
+    for _ in range(3):
+        perm = rng.permutation(costs.size)
+        t, h, c = tails[perm], heads[perm], costs[perm]
+        res = solve_bipartite(supplies, demands, t, h, c)
+        assert abs(res.flow @ c - value) <= 1e-12 * abs(value)
+        plan = np.zeros((m, n))
+        np.add.at(plan, (t, h), res.flow / total)
+        verify_exact_coupling(TransportPlan(plan), mu, nu)
+        assert_potentials_feasible_and_tight(res, t, h, c)
 
 
 def test_ex33_matched_start_pivots():
@@ -792,9 +850,12 @@ def test_tree_start_matches_dense_oracle(monkeypatch):
 #: "iterations,pivots,degenerate pivots,arcs priced" or "infeasible",
 #: joined by ";": the SHA-256 of that text, and each counter's total.  They
 #: are those of the engine that hung the tree into the star before pricing
-#: it, so proving the tree in the pass that builds it changed none.
-SPARSE_COUNTERS = ("4c7544ff6f7bf11bcb3c8bf569279581bfbf837e3db4ff6933d8150bcda4dd3b",
-                   (731, 569, 93, 2449))
+#: it, so proving the tree in the pass that builds it changed none.  The
+#: solves that pivot moved when the arcs came to be priced in input order,
+#: not in a scattered order: from digest 4c7544ff… and totals 731, 569,
+#: 93 and 2,449.
+SPARSE_COUNTERS = ("7a9791d5f37056a6db2bdd4444db3a096ce41d6164fb1c2f7b8ee589e80234c2",
+                   (722, 560, 80, 2436))
 
 
 def test_sparse_program_counters(monkeypatch):
@@ -851,14 +912,15 @@ def test_zero_pivot_exits_count_their_rounds(monkeypatch):
         assert (stats.iterations, stats.pivots) == (rounds, 0)
 
 
-@pytest.mark.parametrize("n, counters", [(24, (35, 34, 20, 645)),
-                                         (192, (261, 260, 252, 33_720))])
+@pytest.mark.parametrize("n, counters", [(24, (43, 42, 23, 855)),
+                                         (192, (227, 226, 218, 32_400))])
 def test_restricted_program_with_more_arcs_than_nodes_keeps_its_start(monkeypatch, n, counters):
     # ex33's reference plan mixes five shift graphs: 5n arcs on 2n nodes,
     # outside the tree start's gate, so the restricted solve keeps the
     # matched start and the counters it had before the tree start existed.
     # Without the gate, the tree of n=24 is taken and ends with no pivot;
-    # that of n=192 is refused.
+    # that of n=192 is refused.  Priced in a scattered arc order, not in
+    # input order, they took 35 / 34 / 20 / 645 and 261 / 260 / 252 / 33,720.
     problem = fileformats.materialize(MEASURE["generated"]("ex33", n))
     starts = tree_starts(monkeypatch)
     _, res, _ = MEASURE["engine_call"](
@@ -869,7 +931,8 @@ def test_restricted_program_with_more_arcs_than_nodes_keeps_its_start(monkeypatc
 
 def test_generic_masses_keep_the_star_start():
     # No two masses are equal, so nothing is matched and the engine runs
-    # exactly as it did before the matched start existed.
+    # exactly as it did before the matched start existed.  It took 154 / 153
+    # / 28,420 when the arcs were priced in a scattered order.
     rng = np.random.default_rng(3)
     n = 40
     cost = rng.uniform(0.0, 5.0, (n, n))
@@ -882,7 +945,7 @@ def test_generic_masses_keep_the_star_start():
     matched, integral = _matched_pairs(mu, nu, tails, heads, costs)
     assert matched.tolist() == [] and not integral
     res = solve_bipartite(mu, nu, tails, heads, costs)
-    assert (res.iterations, res.pivots, res.arcs_priced) == (154, 153, 28420)
+    assert (res.iterations, res.pivots, res.arcs_priced) == (150, 149, 27442)
 
 
 @pytest.mark.parametrize("scale", [1.0, 10.0, 100.0])
@@ -903,7 +966,10 @@ def test_star_ships_a_demand_inside_the_tolerance():
     # The last sink's demand of 5e-10 is inside TOL, but it has finite
     # cells: the star hangs it down at -penalty, as every sink with demand
     # that an arc reaches, and the pivots ship exactly that demand.  Hung
-    # up, it is shipped inexactly, after 19 pivots instead of 15.
+    # up, it gets no flow at all, after as many pivots, 13.  When the arcs
+    # were priced in a scattered order, not in input order, the solve took
+    # 16 / 15 / 0 / 78, and hung up the sink got 19 pivots and an inexact
+    # flow.
     cost = np.random.default_rng(5).uniform(0.0, 5.0, (4, 5))
     mu = np.array([0.1, 0.2, 0.3, 0.4])
     nu = np.array([0.15, 0.25, 0.35, 0.25 - 5e-10, 5e-10])
@@ -911,7 +977,7 @@ def test_star_ships_a_demand_inside_the_tolerance():
     res = solve_bipartite(mu, nu, tails, heads, cost.ravel())
     assert np.bincount(heads, res.flow, 5)[-1] == pytest.approx(5e-10, rel=1e-9, abs=0.0)
     assert (res.iterations, res.pivots, res.degenerate_pivots, res.arcs_priced) == (
-        16, 15, 0, 78)
+        14, 13, 0, 69)
 
 
 def dead_line_programs(dead_rows=False):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from test_network_simplex import BENCHMARK_ENGINE_CALLS
+from test_network_simplex import BENCHMARK_ENGINE_CALLS, MEASURE
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -102,12 +102,32 @@ def test_measure_engine_times_a_parent_engine_too(tmp_path):
     assert columns["call"] == (*BENCHMARK_ENGINE_CALLS, "gen-ex33-12", "gen-explicit-12")
     for row, (*counters, _) in zip(entry["rows"], BENCHMARK_ENGINE_CALLS.values()):
         assert row[2:6] == counters
-        cpu, parent_cpu, parent_match, ratio, q1, q3, verdict = row[6], *row[8:]
-        assert parent_match >= 0.0
+        cpu, parent_cpu, parent_match, ratio, q1, q3, verdict, rounds = row[6], *row[8:]
+        assert parent_match >= 0.0 and rounds >= MEASURE["ENGINE_AB_ROUNDS"]
         # the median and quartiles of the rounds' paired quotients
         assert cpu > 0.0 and parent_cpu > 0.0 and 0.0 < q1 <= ratio <= q3
         # faster or slower only when the quartiles lie on one side of 1
         assert verdict == ("faster" if q3 < 1.0 else "slower" if q1 > 1.0 else "unresolved")
+
+
+@pytest.mark.parametrize("durations, rounds", [((0.25, 0.5), 7), ((1 / 64, 3 / 128), 52)])
+def test_engine_rounds_fill_a_budget(durations, rounds):
+    # Two calls whose timings are fixed on a clock of their own: at least 7
+    # rounds, and more until the timings fill the budget of 2 s (52 rounds
+    # of 5/128 s, sums exact in binary), the first call going first in even
+    # rounds and second in odd ones.
+    now, order = [0.0], []
+
+    def timed(side):
+        def call():
+            order.append(side)
+            now[0] += durations[side]
+        return call
+
+    assert (MEASURE["ENGINE_AB_ROUNDS"], MEASURE["ENGINE_AB_BUDGET_S"]) == (7, 2.0)
+    times = MEASURE["alternated"]((timed(0), timed(1)), lambda: now[0])
+    assert times == ([durations[0]] * rounds, [durations[1]] * rounds)
+    assert order == [0, 1, 1, 0] * (rounds // 2) + [0, 1] * (rounds % 2)
 
 
 def test_measure_write_records(tmp_path):
